@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -149,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"verify: cannot parse certificate: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     if verify_certificate(g, cert):

@@ -1,16 +1,21 @@
 """Exact colourability and choosability oracles.
 
-These are deliberately separate code paths from the template extension
-solver so the two can cross-check each other: is_colourable is a
-DSATUR-style decision search, list_colour is plain backtracking in a static
-order, and the choosability test enumerates list assignments canonically up
-to colour renaming.
+is_colourable is a DSATUR-style decision search and list_colour plain
+backtracking in a static order, both separate code paths from the template
+extension solver so the two can cross-check each other.
+
+list_chromatic_at_least finds a bad list assignment by one iterative search
+over int bitmasks (bit c stands for colour c).  It walks the assignments up
+to colour renaming in the order of oracles.canonical_list_assignments,
+keeps a first-fit colour per prefix, so a changed list costs one first-fit
+step, and runs an exact bitmask search only where first-fit fails.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .graphs import Graph, induced_subgraph
 
@@ -108,8 +113,7 @@ def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
 
 
 def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
-    """First-fit in id order; success certifies colourability, failure says
-    nothing.  Used to fast-path the choosability search."""
+    """First-fit in id order: success certifies colourability, failure says nothing."""
     colour: dict[int, int] = {}
     for v in g.sorted_vertices():
         blocked = {colour[u] for u in g.adj[v] if u in colour}
@@ -120,34 +124,6 @@ def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None
         else:
             return None
     return colour
-
-
-def _canonical_list_assignments(g: Graph, s: int) -> Iterator[dict[int, frozenset[int]]]:
-    """All assignments of s-element lists, up to renaming of colours.
-
-    Vertices are processed in id order; each list mixes j already-seen
-    colours with s - j fresh ones, fresh colours taken as the next unused
-    integers.  Every assignment is thus drawn from a universe of at most
-    n*s colours, which suffices for a complete witness search.  Subsets of
-    old colours are enumerated largest-j first, which reaches the classic
-    identical-list witnesses early.
-    """
-    order = g.sorted_vertices()
-    assignment: dict[int, frozenset[int]] = {}
-
-    def rec(i: int, used: int) -> Iterator[dict[int, frozenset[int]]]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        v = order[i]
-        for j in range(min(s, used), -1, -1):
-            fresh = tuple(range(used, used + s - j))
-            for old in combinations(range(used), j):
-                assignment[v] = frozenset(old + fresh)
-                yield from rec(i + 1, used + s - j)
-        assignment.pop(v, None)
-
-    yield from rec(0, 0)
 
 
 def list_chromatic_at_least(
@@ -186,12 +162,88 @@ def list_chromatic_at_least(
     if core.n == 0:
         return False, None
 
-    for lists in _canonical_list_assignments(core, s):
-        if greedy_list_colour(core, lists) is not None:
+    lists = _first_refuted_assignment(core, s)
+    if lists is None:
+        return False, None
+    witness = {v: frozenset(c for c in range(m.bit_length()) if m >> c & 1)
+               for v, m in zip(core.sorted_vertices(), lists)}
+    for v in peeled:
+        witness[v] = frozenset(range(s))
+    return True, witness
+
+
+@lru_cache(maxsize=256)
+def _list_choices(used: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The next vertex's lists once colours 0..used-1 have appeared, in
+    enumeration order: j old colours for j from min(s, used) down to 0, old
+    subsets in combinations order, then s - j fresh colours.  Each entry is
+    (list mask, colours used afterwards)."""
+    return tuple((sum(1 << c for c in old) | ((1 << (s - j)) - 1) << used, used + s - j)
+                 for j in range(min(s, used), -1, -1) for old in combinations(range(used), j))
+
+
+def _refuted(lists: list[int], earlier: list[list[int]]) -> bool:
+    """True when no proper colouring from the bitmask lists exists: exact
+    search in position order, untried[d] the colours left to try at d."""
+    n = len(lists)
+    chosen = [0] * n
+    untried = [lists[0]] + [0] * (n - 1)
+    d = 0
+    while d >= 0:
+        free = untried[d]
+        if not free:
+            d -= 1
             continue
-        if list_colour(core, lists) is None:
-            witness = dict(lists)
-            for v in peeled:
-                witness[v] = frozenset(range(s))
-            return True, witness
-    return False, None
+        chosen[d] = bit = free & -free
+        untried[d] = free ^ bit
+        d += 1
+        if d == n:
+            return False
+        blocked = 0
+        for u in earlier[d]:
+            blocked |= chosen[u]
+        untried[d] = lists[d] & ~blocked
+    return True
+
+
+def _first_refuted_assignment(g: Graph, s: int) -> list[int] | None:
+    """The first canonical s-list assignment (bitmasks in id order) that g
+    cannot be coloured from, or None when g is s-choosable.
+
+    fit[d] is the first-fit colour bit of position d under the lists of
+    positions 0..d, or 0 once first-fit has failed at or before d.  The last
+    position is scanned in one loop: a list meeting its free colours is
+    first-fit colourable, and only the others get the exact test.
+    """
+    order = g.sorted_vertices()
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[pos[u] for u in g.adj[v] if pos[u] < i] for i, v in enumerate(order)]
+    last = len(order) - 1
+    lists, fit, nxt = [0] * len(order), [0] * len(order), [0] * len(order)
+    options = [_list_choices(0, s)] + [()] * last
+    d = 0
+    while d >= 0:
+        blocked = 0
+        for u in earlier[d]:
+            blocked |= fit[u]
+        prefix_fits = d == 0 or fit[d - 1]
+        if d == last:
+            for mask, _ in options[d]:
+                if prefix_fits and mask & ~blocked:
+                    continue
+                lists[d] = mask
+                if _refuted(lists, earlier):
+                    return lists
+            d -= 1
+        elif nxt[d] == len(options[d]):
+            d -= 1
+        else:
+            mask, used = options[d][nxt[d]]
+            nxt[d] += 1
+            lists[d] = mask
+            free = mask & ~blocked if prefix_fits else 0
+            fit[d] = free & -free
+            d += 1
+            options[d] = _list_choices(used, s)
+            nxt[d] = 0
+    return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coloring import is_colourable, list_chromatic_at_least
+from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
 # is_k_connected stays bound for perfbench/tracer.py, which patches it here.
 from .connectivity import COMPLETE, is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError
@@ -67,7 +67,7 @@ class ExtractConfig:
     lists: dict[int, frozenset[int]] | None = None
     budget: SolverBudget = field(default_factory=SolverBudget)
     precondition: str = VERIFY
-    choosability_cap: int = 8
+    choosability_cap: int = CHOOSABILITY_CAP
     debug_validate: bool = False
 
     def __post_init__(self):
@@ -492,6 +492,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         if not _k_connected(h, k, recomputed):
             return False
         evidence = cert.connectivity_evidence
+        chrom = cert.chromatic_evidence
+        if not (isinstance(evidence, dict) and isinstance(chrom, dict)
+                and isinstance(chrom.get("lists", {}), dict)):
+            return False
         if recomputed is COMPLETE:
             if evidence.get("kind") != "complete" or evidence.get("order") != h.n:
                 return False
@@ -500,7 +504,6 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
                 return False
             if sorted(recomputed) != list(evidence.get("cut", [])):
                 return False
-        chrom = cert.chromatic_evidence
         if cert.mode == PLAIN:
             if chrom.get("kind") != "colouring_unsat" or chrom.get("colours") != k - 1:
                 return False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -113,3 +113,30 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
             if len(rest) > 1 and not is_connected(induced_subgraph(g, rest)):
                 return False
     return True
+
+
+def canonical_list_assignments(g: Graph, s: int) -> Iterator[dict[int, frozenset[int]]]:
+    """All s-element list assignments up to renaming of colours, by plain
+    recursion: the reference order of the choosability witness search.
+
+    Vertices go in id order.  Each list mixes j already-seen colours (j from
+    min(s, used) down to 0, subsets in combinations order) with s - j fresh
+    ones, the next unused integers; at most n*s colours thus appear, which
+    suffices for a complete witness search.
+    """
+    order = g.sorted_vertices()
+    assignment: dict[int, frozenset[int]] = {}
+
+    def rec(i: int, used: int) -> Iterator[dict[int, frozenset[int]]]:
+        if i == len(order):
+            yield dict(assignment)
+            return
+        v = order[i]
+        for j in range(min(s, used), -1, -1):
+            fresh = tuple(range(used, used + s - j))
+            for old in combinations(range(used), j):
+                assignment[v] = frozenset(old + fresh)
+                yield from rec(i + 1, used + s - j)
+        assignment.pop(v, None)
+
+    yield from rec(0, 0)

@@ -1,6 +1,11 @@
 """The extensibility oracle: decide whether a proper palette (or list)
 colouring respecting a template exists, returning either a colouring or a
 definite UNSAT.  A budget exhaustion is a third, loudly distinct outcome.
+
+extend keeps an explicit stack of frames, one per coloured vertex, over int
+candidate masks (bit i: the i-th smallest palette colour).  Vertices are
+ranked once by (-degree, id), so "fewest candidates, then larger degree,
+then smaller id" is the least score popcount * n + rank.
 """
 
 from __future__ import annotations
@@ -99,72 +104,86 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     stats = SolverStats()
     start = time.perf_counter()
 
-    colour = dict(t.precolour)
     adj = g.adj
-    degree_of = {v: len(adj[v]) for v in g.vertices}
-    uncoloured = set(t.forbidden)
-    remaining: dict[int, set[int]] = {}
-    for v in uncoloured:
-        cand = set(palette.colours_of(v)) - t.forbidden[v]
-        for u in adj[v]:
-            if u in colour:
-                cand.discard(colour[u])
-        remaining[v] = cand
+    verts = sorted(t.forbidden, key=lambda v: (-len(adj[v]), v))
+    n = len(verts)
+    rank = {v: r for r, v in enumerate(verts)}
+    nbrs = [[rank[u] for u in adj[v] if u in rank] for v in verts]
     classes = _anonymity_classes(g, t, palette)
-    usage = {c: 0 for c in classes}
+    colours = sorted(classes)
+    bit_of = {c: 1 << i for i, c in enumerate(colours)}
+    cls_of = [classes[c] for c in colours]
+    usage = [0] * len(colours)
+    remaining = []
+    for v in verts:
+        cand = set(palette.colours_of(v)) - t.forbidden[v]
+        cand -= {t.precolour[u] for u in adj[v] if u in t.precolour}
+        remaining.append(sum(bit_of[c] for c in cand))
+    # A coloured vertex's score is lifted by `done`, above every uncoloured one.
+    done = (len(colours) + 1) * n
+    score = [m.bit_count() * n + r for r, m in enumerate(remaining)]
 
-    def note_decision() -> None:
-        stats.decisions += 1
-        if budget.max_decisions and stats.decisions > budget.max_decisions:
-            raise _BudgetExceeded
-        if budget.wall_clock_seconds and stats.decisions % _TIME_CHECK_EVERY == 0:
-            if time.perf_counter() - start > budget.wall_clock_seconds:
-                raise _BudgetExceeded
-
-    def dfs() -> bool:
-        if not uncoloured:
-            return True
-        v = min(uncoloured, key=lambda u: (len(remaining[u]), -degree_of[u], u))
-        seen_classes: set[int] = set()
-        for c in sorted(remaining[v]):
-            cls = classes[c]
-            if cls is not None and usage[c] == 0:
-                if cls in seen_classes:
-                    continue
-                seen_classes.add(cls)
-            note_decision()
-            colour[v] = c
-            usage[c] += 1
-            uncoloured.discard(v)
-            pruned: list[int] = []
-            wipeout = False
-            for u in adj[v]:
-                if u in uncoloured and c in remaining[u]:
-                    remaining[u].discard(c)
-                    pruned.append(u)
-                    if not remaining[u]:
-                        wipeout = True
-            if not wipeout and dfs():
-                return True
-            for u in pruned:
-                remaining[u].add(c)
-            uncoloured.add(v)
-            usage[c] -= 1
-            del colour[v]
-        stats.backtracks += 1
-        return False
-
+    # One frame per vertex on the current path: [rank, colours left to try,
+    # classes seen, colour bit in use (0 for none), ranks it pruned].
+    stack: list[list] = []
+    if n:
+        v = score.index(min(score))
+        stack.append([v, remaining[v], set(), 0, None])
     try:
-        found = dfs()
+        while stack:
+            v, todo, seen, bit, pruned = frame = stack[-1]
+            if bit:  # take back the colour tried last
+                for u in pruned:
+                    remaining[u] |= bit
+                    score[u] += n
+                score[v] -= done
+                usage[bit.bit_length() - 1] -= 1
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                ci = bit.bit_length() - 1
+                cls = cls_of[ci]
+                if cls is None or usage[ci]:
+                    break
+                if cls not in seen:
+                    seen.add(cls)
+                    break
+            else:
+                stats.backtracks += 1
+                stack.pop()
+                continue
+            stats.decisions += 1
+            if budget.max_decisions and stats.decisions > budget.max_decisions:
+                raise _BudgetExceeded
+            if budget.wall_clock_seconds and stats.decisions % _TIME_CHECK_EVERY == 0:
+                if time.perf_counter() - start > budget.wall_clock_seconds:
+                    raise _BudgetExceeded
+            usage[ci] += 1
+            score[v] += done
+            pruned = [u for u in nbrs[v] if score[u] < done and remaining[u] & bit]
+            for u in pruned:
+                remaining[u] ^= bit
+                score[u] -= n
+            frame[1], frame[3], frame[4] = todo, bit, pruned
+            if not all(map(remaining.__getitem__, pruned)):
+                continue  # wipeout: the next pass takes the colour back
+            best = min(score)
+            if best >= done:
+                break
+            v = score.index(best)
+            stack.append([v, remaining[v], set(), 0, None])
     except _BudgetExceeded:
         stats.elapsed = time.perf_counter() - start
         return SolveResult("resource_limit", None, stats)
     stats.elapsed = time.perf_counter() - start
-    if not found:
+    if n and not stack:
         return SolveResult("unsat", None, stats)
+    colour = dict(t.precolour)
+    for frame in stack:
+        colour[verts[frame[0]]] = colours[frame[3].bit_length() - 1]
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
-    return SolveResult("sat", dict(colour), stats)
+    return SolveResult("sat", colour, stats)
 
 
 def brute_force_extend(g: Graph, t: Template, palette: Palette) -> SolveResult:

@@ -175,3 +175,26 @@ def test_join_atoms(tmp_path):
     graph = tmp_path / "join.col"
     assert run("gen", "join", "cycle:5", "complete:5", "--out", str(graph)) == EXIT_OK
     assert read_dimacs(str(graph)).n == 10
+
+
+def test_verify_rejects_malformed_evidence(tmp_path, capsys):
+    graph = tmp_path / "glued.col"
+    cert = tmp_path / "cert.json"
+    run("gen", "glued", "16", "16", "--out", str(graph))
+    assert run("extract", str(graph), "--k", "2", "--mode", "list", "--out", str(cert)) == EXIT_OK
+    good = json.loads(cert.read_text())
+    for field, value in (("connectivity_evidence", []),
+                         ("chromatic_evidence", {**good["chromatic_evidence"], "lists": [1, 2]})):
+        cert.write_text(json.dumps({**good, field: value}))
+        capsys.readouterr()
+        assert run("verify", str(graph), str(cert)) == EXIT_REJECTED
+        assert "certificate rejected" in capsys.readouterr().err
+
+
+def test_verify_ill_typed_certificate_is_a_parse_error(tmp_path):
+    graph = tmp_path / "k8.col"
+    cert = tmp_path / "cert.json"
+    run("gen", "complete", "8", "--out", str(graph))
+    for doc in ([], {"format": "chromcert-certificate-v1", "trace": [[1]]}):
+        cert.write_text(json.dumps(doc))
+        assert run("verify", str(graph), str(cert)) == EXIT_PARSE_ERROR

@@ -15,6 +15,7 @@ from chromcert.oracles import (
     brute_colourable,
     brute_first_colouring,
     brute_list_colour,
+    canonical_list_assignments,
 )
 
 
@@ -194,3 +195,49 @@ def test_choosability_canonical_search_matches_full_enumeration_tiny():
         assert found == expected
         if got:
             assert brute_list_colour(g, witness) is None
+
+
+def first_refuted_by_reference(g, t):
+    for lists in canonical_list_assignments(g, t - 1):
+        if brute_list_colour(g, lists) is None:
+            return lists
+    return None
+
+
+def complete_bipartite(a, b):
+    return Graph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+@pytest.mark.parametrize("g, t", [
+    (complete_bipartite(3, 3), 3),
+    (complete_bipartite(3, 4), 3),
+    (k24(), 3),
+    (generate(FamilySpec.complete(4)), 4),
+    (generate(FamilySpec.cycle(4)), 3),  # 2-choosable: the whole enumeration
+])
+def test_choosability_witness_is_first_refuted_canonical_assignment(g, t):
+    # Minimum degree >= t - 1, so nothing is peeled and the witness is the
+    # search's own: the first canonical assignment with no list colouring.
+    assert min(g.degree(v) for v in g.vertices) >= t - 1
+    expected = first_refuted_by_reference(g, t)
+    ok, witness = list_chromatic_at_least(g, t)
+    assert ok == (expected is not None)
+    assert witness == expected
+    if witness is not None:
+        assert list(witness) == list(expected)
+
+
+def test_choosability_witness_matches_reference_on_random_dense_graphs():
+    rng = random.Random(53)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(3, 7)
+        labels = sorted(rng.sample(range(3, 40), n))
+        g = Graph.build(labels, [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.7])
+        if min(g.degree(v) for v in g.vertices) < 2:
+            continue
+        checked += 1
+        expected = first_refuted_by_reference(g, 3)
+        ok, witness = list_chromatic_at_least(g, 3)
+        assert ok == (expected is not None)
+        assert witness == expected

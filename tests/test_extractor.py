@@ -346,3 +346,16 @@ def test_extract_config_validation():
         ExtractConfig(k=1, mode="banana")
     with pytest.raises(ValueError):
         ExtractConfig(k=1, precondition="hope")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("connectivity_evidence", []),
+    ("chromatic_evidence", {"kind": "choosability_witness", "t": 2, "lists": [1, 2]}),
+])
+def test_verify_rejects_malformed_evidence(field, value):
+    g = generate(FamilySpec.glued_cliques((16, 16), 1))
+    cert = extract(g, ExtractConfig(k=2, mode="list"))
+    assert cert.chromatic_evidence["kind"] == "choosability_witness"
+    doc = json.loads(cert.to_json())
+    doc[field] = value
+    assert not verify_certificate(g, Certificate.from_json(json.dumps(doc)))

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from chromcert.cli import EXIT_NOT_INEXTENSIBLE, main
 from chromcert.coloring import is_colourable
-from chromcert.errors import ResourceLimitError, TemplateError
+from chromcert.errors import NotInextensibleError, ResourceLimitError, TemplateError
+from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
 from chromcert.solver import SolverBudget, brute_force_extend, extend
@@ -152,3 +154,36 @@ def test_stats_populated():
     assert res.outcome == "sat"
     assert res.stats.decisions >= 5
     assert res.stats.elapsed >= 0.0
+
+
+@pytest.mark.parametrize("spec, size, outcome, decisions, backtracks", [
+    (FamilySpec.join(*[FamilySpec.cycle(5)] * 3), 8, "unsat", 51, 42),
+    (FamilySpec.join(*[FamilySpec.cycle(5)] * 4), 11, "unsat", 162, 130),
+    (FamilySpec.join(*[FamilySpec.cycle(7)] * 3), 8, "unsat", 171, 146),
+    (FamilySpec.kneser(7, 2), 4, "unsat", 32, 28),
+    (FamilySpec.mycielski(4), 3, "unsat", 26, 23),
+    (FamilySpec.join(*[FamilySpec.cycle(5)] * 4), 12, "sat", 20, 0),
+])
+def test_search_counts_pinned(spec, size, outcome, decisions, backtracks):
+    # Certificates record these counts, so the decision sequence is pinned.
+    g = generate(spec)
+    res = extend(g, Template.empty(g), Palette.plain(size))
+    assert (res.outcome, res.stats.decisions, res.stats.backtracks) == (outcome, decisions, backtracks)
+
+
+def test_deep_instance_needs_no_recursion():
+    g = generate(FamilySpec.cycle(1500))
+    res = extend(g, Template.empty(g), Palette.plain(3))
+    assert res.outcome == "sat"
+    assert respects(g, Template.empty(g), res.colouring, Palette.plain(3))
+
+
+def test_extract_on_deep_colourable_instance():
+    with pytest.raises(NotInextensibleError):
+        extract(generate(FamilySpec.cycle(1500)), ExtractConfig(k=1))
+
+
+def test_cli_extract_on_deep_colourable_instance(tmp_path):
+    graph = tmp_path / "c1500.col"
+    main(["gen", "cycle", "1500", "--out", str(graph)])
+    assert main(["extract", str(graph), "--k", "1"]) == EXIT_NOT_INEXTENSIBLE
