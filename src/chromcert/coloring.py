@@ -1,8 +1,10 @@
 """Exact colourability and choosability oracles.
 
 is_colourable is a DSATUR-style decision search and list_colour plain
-backtracking in a static order, both separate code paths from the template
-extension solver so the two can cross-check each other.
+backtracking in a static order, both on an explicit stack (no Python
+recursion, so long paths and cycles do not overflow) and both separate code
+paths from the template extension solver so the two can cross-check each
+other.
 
 list_chromatic_at_least finds a bad list assignment by one iterative search
 over int bitmasks (bit c stands for colour c).  It walks the assignments up
@@ -42,36 +44,40 @@ def is_colourable(g: Graph, t: int) -> dict[int, int] | None:
     nbr_colours: dict[int, set[int]] = {v: set() for v in g.vertices}
     degrees = {v: len(adj[v]) for v in g.vertices}
     uncoloured = set(g.vertices)
-
-    def pick() -> int:
-        return min(uncoloured, key=lambda v: (-len(nbr_colours[v]), -degrees[v], v))
-
-    def dfs(used: int) -> bool:
-        if not uncoloured:
-            return True
-        v = pick()
-        limit = min(used + 1, t)
-        for c in range(limit):
-            if c in nbr_colours[v]:
+    # One frame per vertex on the search path: [vertex, next colour to
+    # try, colour cap, colours used before it, neighbours its colour was
+    # added to].
+    stack: list[list] = []
+    used = 0
+    while uncoloured:
+        v = min(uncoloured, key=lambda u: (-len(nbr_colours[u]), -degrees[u], u))
+        stack.append([v, 0, min(used + 1, t), used, []])
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, touched = frame
+            if v in colour:
+                for u in touched:
+                    nbr_colours[u].discard(colour[v])
+                touched.clear()
+                uncoloured.add(v)
+                del colour[v]
+            while c < limit and c in nbr_colours[v]:
+                c += 1
+            if c == limit:
+                stack.pop()
                 continue
+            frame[1] = c + 1
             colour[v] = c
             uncoloured.discard(v)
-            touched = []
             for u in adj[v]:
                 if u in uncoloured and c not in nbr_colours[u]:
                     nbr_colours[u].add(c)
                     touched.append(u)
-            if dfs(max(used, c + 1)):
-                return True
-            for u in touched:
-                nbr_colours[u].discard(c)
-            uncoloured.add(v)
-            del colour[v]
-        return False
-
-    if dfs(0):
-        return dict(colour)
-    return None
+            used = max(used, c + 1)
+            break
+        else:
+            return None
+    return dict(colour)
 
 
 def _check_lists(g: Graph, lists: ListAssignment) -> None:
@@ -92,24 +98,22 @@ def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
     adj = g.adj
     order = sorted(g.vertices, key=lambda v: (len(lists[v]), -len(adj[v]), v))
     colour: dict[int, int] = {}
-
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        blocked = {colour[u] for u in adj[v] if u in colour}
-        for c in sorted(lists[v]):
-            if c in blocked:
-                continue
-            colour[v] = c
-            if dfs(i + 1):
-                return True
-            del colour[v]
-        return False
-
-    if dfs(0):
-        return dict(colour)
-    return None
+    # untried[i]: the colours still to try at order[i], descending so that
+    # pop() yields them in ascending order.  Every frame but the top one
+    # belongs to a coloured vertex.
+    untried: list[list[int]] = []
+    while len(colour) < len(order):
+        if len(untried) == len(colour):
+            v = order[len(colour)]
+            blocked = {colour[u] for u in adj[v] if u in colour}
+            untried.append([c for c in sorted(lists[v], reverse=True) if c not in blocked])
+        while not untried[-1]:
+            untried.pop()
+            if not untried:
+                return None
+            del colour[order[len(untried) - 1]]
+        colour[order[len(untried) - 1]] = untried[-1].pop()
+    return dict(colour)
 
 
 def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:

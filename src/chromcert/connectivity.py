@@ -6,10 +6,18 @@ starts from a copy of the base capacities (a deleted vertex has its
 internal arc zeroed), is seeded with the s-w-t paths, and stops at the cap
 its caller needs.  kappa uses Even's pair reduction (SIAM J. Comput. 1975):
 in id order, the first vertex outside a minimum cut S has index at most
-|S| and precedes every vertex of another component of G - S.  The
+|S| and precedes every vertex of another component of G - S, so a cut
+smaller than b shows up in a flow from one of the first b vertices.  The
 lexicographically smallest minimum cut is built greedily in id order,
 keeping v when kappa(G - C - v) < kappa - |C| for the chosen set C, which
 holds exactly when some minimum cut contains C + {v}.
+
+Two kinds of query run on the network.  is_k_connected, connectivity and
+the first step of min_vertex_cut compute min(cap, kappa) exactly.  The
+greedy steps of min_vertex_cut only ask whether kappa(G - C - v) is below
+a limit; those threshold queries return at the first witness below it (the
+minimum degree or one capped flow, both upper bounds on kappa), so a
+candidate is usually accepted after a single flow or none.
 """
 
 from __future__ import annotations
@@ -99,9 +107,14 @@ class _SplitNetwork:
             flow += 1
         return flow
 
-    def kappa(self, dead: set[int], limit: int) -> int:
+    def kappa(self, dead: set[int], limit: int, exact: bool = True) -> int:
         """min(limit, kappa(G - dead)) with kappa(K_m) = m - 1; G itself
-        must be connected."""
+        must be connected.
+
+        exact=False makes it the threshold query "kappa(G - dead) < limit?":
+        it returns the first bound below limit that it meets (the minimum
+        degree or one capped flow, both upper bounds on kappa) and limit
+        when there is none, so only the comparison with limit is exact."""
         live = [i for i in range(len(self.ids)) if i not in dead]
         if len(live) <= 1:
             return 0
@@ -114,17 +127,22 @@ class _SplitNetwork:
             if len(seen) < len(live):
                 return 0
         best = min(limit, min(len(self.nbrs[v] - dead) for v in live))
+        # Connected, so kappa >= 1 and a bound of 1 is already exact; a
+        # threshold query is settled by any bound below its limit.
+        stop = 1 if exact else max(1, limit - 1)
+        if best <= stop:
+            return best
         base = self.base[:]
         for v in dead:
             base[2 * v] = 0
         for i, s in enumerate(live):
             for t in live[i + 1:]:
-                # Connected, so kappa >= 1 and a cap of 1 is already met.
-                if best <= 1:
-                    return best
                 if t not in self.nbrs[s]:
                     best = self.flow(base, s, t, best)
-            if i >= best:
+                    if best <= stop:
+                        return best
+            # Sources 0..best-1 are done, which rules out a cut below best.
+            if i + 1 >= best:
                 break
         return best
 
@@ -168,7 +186,7 @@ def min_vertex_cut(g: Graph, below: int | None = None):
             break
         chosen.add(v)
         rest = kappa - len(chosen) + 1
-        if net.kappa(chosen, rest) >= rest:
+        if net.kappa(chosen, rest, exact=False) >= rest:
             chosen.remove(v)
     if len(chosen) != kappa:
         raise RuntimeError("max-flow connectivity and the greedy cut disagree")

@@ -75,6 +75,27 @@ def test_is_colourable_matches_enumeration_on_random_graphs():
             assert (is_colourable(g, t) is not None) == brute_colourable(g, t)
 
 
+def test_is_colourable_choices_pinned():
+    # DSATUR order and colour choices, dict key order included.
+    pet = generate(FamilySpec.kneser(5, 2))
+    assert list(is_colourable(pet, 3).items()) == [
+        (0, 0), (7, 1), (3, 0), (4, 1), (9, 2), (1, 0), (6, 2), (2, 0), (5, 1), (8, 2)]
+    grotzsch = generate(FamilySpec.mycielski(4))
+    assert is_colourable(grotzsch, 3) is None
+    assert list(is_colourable(grotzsch, 4).items()) == [
+        (10, 0), (5, 1), (1, 0), (0, 1), (6, 2), (2, 1), (8, 2), (4, 0), (3, 2), (9, 3), (7, 1)]
+
+
+def test_deep_cycles_need_no_recursion():
+    even, odd = generate(FamilySpec.cycle(1500)), generate(FamilySpec.cycle(1501))
+    alternating = [(v, v % 2) for v in range(1500)]
+    assert list(is_colourable(even, 2).items()) == alternating
+    assert list(list_colour(even, {v: frozenset({0, 1}) for v in even.vertices}).items()) == alternating
+    # The odd cycle backtracks through the whole path before giving up.
+    assert is_colourable(odd, 2) is None
+    assert list_colour(odd, {v: frozenset({0, 1}) for v in odd.vertices}) is None
+
+
 def test_list_colour_forced_unsat():
     g = Graph.build(2, [(0, 1)])
     assert list_colour(g, {0: frozenset({1}), 1: frozenset({1})}) is None
@@ -98,6 +119,13 @@ def test_list_colour_k24_spec_lists():
     g = k24()
     assert brute_list_colour(g, lists) is None  # 2^6 product enumeration
     assert list_colour(g, lists) is None
+
+
+def test_list_colour_backtracks_in_static_order():
+    # 1 takes 3 first, which leaves 2 no colour; the search returns to 1.
+    lists = {0: frozenset({1, 2}), 1: frozenset({3, 4}), 2: frozenset({1, 3}),
+             3: frozenset({1, 2, 4}), 4: frozenset({2, 3}), 5: frozenset({2, 4})}
+    assert list(list_colour(k24(), lists).items()) == [(0, 1), (1, 4), (2, 3), (4, 2), (5, 2), (3, 2)]
 
 
 def test_list_colour_rejects_missing_or_empty_lists():

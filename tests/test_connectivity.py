@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from chromcert import connectivity as conn
 from chromcert.connectivity import (
     COMPLETE,
     connectivity,
@@ -193,3 +194,58 @@ def test_min_cut_avoiding_the_lowest_ids():
     assert min_vertex_cut(h) == frozenset({20, 30})
     for graph in (g, h):
         _assert_matches_oracles(graph)
+
+
+def _dense_graphs(rng):
+    """Near-complete graphs on n <= 11 non-contiguous labels, and small
+    joins of cycles (the shape of the final subgraphs of `search`)."""
+    for _ in range(60):
+        n = rng.randint(3, 11)
+        labels = rng.sample(range(50), n)
+        p = rng.uniform(0.8, 0.97)
+        yield Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+    for sizes in ((4, 5), (3, 5), (5, 5), (4, 4, 3), (6, 4)):
+        yield generate(FamilySpec.join(*[FamilySpec.cycle(c) for c in sizes]))
+
+
+def test_matches_brute_force_on_dense_graphs(monkeypatch):
+    # Record how each greedy step of min_vertex_cut ends: accepted on the
+    # minimum degree alone, accepted on a flow, or rejected after the scan.
+    outcomes = set()
+    kappa, flow = conn._SplitNetwork.kappa, conn._SplitNetwork.flow
+    flows = [0]
+
+    def counting_flow(self, *args):
+        flows[0] += 1
+        return flow(self, *args)
+
+    def recording_kappa(self, dead, limit, exact=True):
+        before = flows[0]
+        got = kappa(self, dead, limit, exact)
+        if not exact:
+            outcomes.add("rejected" if got >= limit else "flow" if flows[0] > before else "degree")
+        return got
+
+    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
+    monkeypatch.setattr(conn._SplitNetwork, "kappa", recording_kappa)
+    for g in _dense_graphs(random.Random(4242)):
+        _assert_matches_oracles(g)
+    assert outcomes == {"degree", "flow", "rejected"}
+
+
+@pytest.mark.parametrize("cycle, copies", [(5, 10), (5, 9), (7, 6)])
+def test_min_cut_of_cycle_joins_takes_linearly_many_flows(monkeypatch, cycle, copies):
+    # A cut of a join holds every part but one, plus a cut of that part's
+    # cycle.  The lexicographically smallest minimum cut is every vertex
+    # before the last cycle plus that cycle's vertices 0 and 2.
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(cycle)] * copies))
+    flow, calls = conn._SplitNetwork.flow, [0]
+
+    def counting_flow(self, *args):
+        calls[0] += 1
+        return flow(self, *args)
+
+    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
+    last = cycle * (copies - 1)
+    assert min_vertex_cut(g) == frozenset(range(last + 1)) | {last + 2}
+    assert calls[0] <= 2 * g.n
