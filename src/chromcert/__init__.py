@@ -1,8 +1,9 @@
 """chromcert: certified extraction of k-connected subgraphs of large
 (list) chromatic number, with re-checkable certificates."""
 
+from .checker import Certificate, DescentStep, verify_certificate
 from .coloring import is_colourable, list_chromatic_at_least, list_colour
-from .connectivity import COMPLETE, is_k_connected, min_vertex_cut, split_by_cut
+from .connectivity import is_k_connected, min_vertex_cut, split_by_cut
 from .errors import (
     ChromcertError,
     InternalContradiction,
@@ -11,19 +12,16 @@ from .errors import (
     TemplateError,
 )
 from .extractor import (
-    Certificate,
-    DescentStep,
     ExtractConfig,
     WitnessPair,
     check_precondition,
     descend,
     extract,
     finalize_chromatic,
-    verify_certificate,
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, from_dimacs, graph_hash, induced_subgraph, read_dimacs, to_dimacs, write_dimacs
-from .solver import SolveResult, SolverBudget, brute_force_extend, extend
+from .solver import SolveResult, SolverBudget, extend
 from .templates import (
     IntervalPartition,
     Palette,
@@ -45,7 +43,6 @@ from .templates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPLETE",
     "Certificate",
     "ChromcertError",
     "DescentStep",
@@ -62,7 +59,6 @@ __all__ = [
     "Template",
     "TemplateError",
     "WitnessPair",
-    "brute_force_extend",
     "check_precondition",
     "colour_from_intervals",
     "degree",

@@ -6,13 +6,14 @@ import argparse
 import sys
 import time
 
+from .checker import Certificate, verify_certificate
 from .errors import (
     InternalContradiction,
     NotInextensibleError,
     ResourceLimitError,
     TemplateError,
 )
-from .extractor import Certificate, ExtractConfig, extract, verify_certificate
+from .extractor import ExtractConfig, extract
 from .families import FamilySpec, generate, parse_atom
 from .graphs import read_dimacs, to_dimacs, write_dimacs
 from .solver import SolverBudget

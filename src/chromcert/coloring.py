@@ -1,10 +1,9 @@
-"""Exact colourability and choosability oracles.
+"""Exact colourability and choosability.
 
-is_colourable is a DSATUR-style decision search and list_colour plain
-backtracking in a static order, both on an explicit stack (no Python
-recursion, so long paths and cycles do not overflow) and both separate code
-paths from the template extension solver so the two can cross-check each
-other.
+is_colourable and list_colour are the extension solver (solver.extend) on
+the empty template, with a plain palette or the given lists as palette, so
+chromcert has one exact colouring search.  Its brute-force references live
+in oracles.py.
 
 list_chromatic_at_least finds a bad list assignment by one iterative search
 over int bitmasks (bit c stands for colour c).  It walks the assignments up
@@ -17,103 +16,27 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
 
 from .graphs import Graph, induced_subgraph
-
-ListAssignment = Mapping[int, frozenset[int]]
+from .solver import extend
+from .templates import ListAssignment, Palette, Template
 
 CHOOSABILITY_CAP = 8
 
 
 def is_colourable(g: Graph, t: int) -> dict[int, int] | None:
-    """A proper t-colouring of g, or None when none exists.  Exact.
-
-    Search: DSATUR vertex selection (max saturation, then max degree, then
-    min id) with the usual new-colour cap, which is sound because colour
-    classes of a bare colouring are interchangeable.
+    """A proper t-colouring of g, or None when none exists.  Exact: the
+    extension solver on the empty template with the plain palette {0..t-1}.
     """
-    if t < 0:
-        raise ValueError("colour count must be nonnegative")
-    if g.n == 0:
-        return {}
-    if t == 0:
-        return None
-    adj = g.adj
-    colour: dict[int, int] = {}
-    nbr_colours: dict[int, set[int]] = {v: set() for v in g.vertices}
-    degrees = {v: len(adj[v]) for v in g.vertices}
-    uncoloured = set(g.vertices)
-    # One frame per vertex on the search path: [vertex, next colour to
-    # try, colour cap, colours used before it, neighbours its colour was
-    # added to].
-    stack: list[list] = []
-    used = 0
-    while uncoloured:
-        v = min(uncoloured, key=lambda u: (-len(nbr_colours[u]), -degrees[u], u))
-        stack.append([v, 0, min(used + 1, t), used, []])
-        while stack:
-            frame = stack[-1]
-            v, c, limit, used, touched = frame
-            if v in colour:
-                for u in touched:
-                    nbr_colours[u].discard(colour[v])
-                touched.clear()
-                uncoloured.add(v)
-                del colour[v]
-            while c < limit and c in nbr_colours[v]:
-                c += 1
-            if c == limit:
-                stack.pop()
-                continue
-            frame[1] = c + 1
-            colour[v] = c
-            uncoloured.discard(v)
-            for u in adj[v]:
-                if u in uncoloured and c not in nbr_colours[u]:
-                    nbr_colours[u].add(c)
-                    touched.append(u)
-            used = max(used, c + 1)
-            break
-        else:
-            return None
-    return dict(colour)
-
-
-def _check_lists(g: Graph, lists: ListAssignment) -> None:
-    for v in g.vertices:
-        if v not in lists:
-            raise ValueError(f"vertex {v} has no colour list")
-        if not lists[v]:
-            raise ValueError(f"vertex {v} has an empty colour list")
+    return extend(g, Template.empty(g), Palette.plain(t)).colouring
 
 
 def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
     """A proper colouring drawing each vertex from its own list, or None.
-
-    Exact; static order (shortest list, then largest degree, then id) with
-    simple backtracking against already-coloured neighbours.
+    Exact: the extension solver on the empty template with the lists as
+    palette.  Raises ValueError when a vertex has no list or an empty one.
     """
-    _check_lists(g, lists)
-    adj = g.adj
-    order = sorted(g.vertices, key=lambda v: (len(lists[v]), -len(adj[v]), v))
-    colour: dict[int, int] = {}
-    # untried[i]: the colours still to try at order[i], descending so that
-    # pop() yields them in ascending order.  Every frame but the top one
-    # belongs to a coloured vertex.
-    untried: list[list[int]] = []
-    while len(colour) < len(order):
-        if len(untried) == len(colour):
-            v = order[len(colour)]
-            blocked = {colour[u] for u in adj[v] if u in colour}
-            untried.append([c for c in sorted(lists[v], reverse=True) if c not in blocked])
-        while not untried[-1]:
-            untried.pop()
-            if not untried:
-                return None
-            del colour[order[len(untried) - 1]]
-        colour[order[len(untried) - 1]] = untried[-1].pop()
-    return dict(colour)
+    return extend(g, Template.empty(g), Palette.from_lists(lists)).colouring
 
 
 def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:

@@ -25,23 +25,6 @@ from __future__ import annotations
 from .graphs import Graph, connected_components, induced_subgraph, is_connected
 
 
-class Complete:
-    """Marker returned by min_vertex_cut for complete graphs (no cut exists)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "Complete"
-
-
-COMPLETE = Complete()
-
-
 class _SplitNetwork:
     """The vertex-split digraph of g over vertex ranks (id order): rank i
     has in-node 2i and out-node 2i+1 joined by the unit arc 2i, and arc
@@ -164,18 +147,17 @@ def connectivity(g: Graph) -> int:
 
 
 def min_vertex_cut(g: Graph, below: int | None = None):
-    """A minimum vertex cut of g, or COMPLETE when g is complete.
+    """A minimum vertex cut of g, or None when g has none (g is complete).
 
     Disconnected graphs return the empty cut.  Among all minimum cuts the
     lexicographically smallest (as a sorted vertex tuple) is returned, so
     the answer is deterministic.  With `below`, flows stop at that cap and
-    None is returned when g has no vertex cut smaller than `below`
-    (complete graphs included).
+    None is returned when g has no vertex cut smaller than `below`.
     """
     if not is_connected(g):
         return frozenset()
     if g.is_complete():
-        return COMPLETE if below is None else None
+        return None
     net = _SplitNetwork(g)
     kappa = net.kappa(set(), g.n - 1 if below is None else below)
     if below is not None and kappa >= below:

@@ -16,12 +16,14 @@ chromatic bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+# extract calls the self-verify through this module's verify_certificate
+# binding, and is_k_connected stays bound here, because perfbench/tracer.py
+# patches both names in this module.
+from .checker import Certificate, DescentStep, _k_connected, verify_certificate
 from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
-# is_k_connected stays bound for perfbench/tracer.py, which patches it here.
-from .connectivity import COMPLETE, is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
+from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError
 from .graphs import Graph, graph_hash, induced_subgraph
 from .solver import SolverBudget, SolveResult, extend
@@ -43,8 +45,6 @@ from .templates import (
     restrict,
     strengthen_witness,
 )
-
-CERTIFICATE_FORMAT = "chromcert-certificate-v1"
 
 VERIFY = "verify"
 TRUST = "trust"
@@ -96,99 +96,6 @@ class WitnessPair:
     t: Template
     k: int
     mode: str
-
-
-@dataclass(frozen=True)
-class DescentStep:
-    """One recursion of the descent, recorded for replay by the verifier."""
-
-    cut: tuple[int, ...]
-    side_y: tuple[int, ...]
-    side_z: tuple[int, ...]
-    recursed: str  # "separation" (into X u Y) or "completion" (into X u Z)
-    template_degree: int  # degree of the (strengthened) witness template
-    z_degree: int  # degree of its restriction to Z
-    derived_degree: int  # degree of the template recursed into
-    solver_decisions: int
-    solver_backtracks: int
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Machine-checkable record of one extraction; everything the verifier
-    re-derives lives here, nothing time-dependent does."""
-
-    graph_hash: str
-    k: int
-    mode: str
-    palette_size: int | None
-    trace: tuple[DescentStep, ...]
-    final_vertices: tuple[int, ...]
-    connectivity_evidence: dict
-    chromatic_evidence: dict
-    solver_decisions: int
-    solver_backtracks: int
-
-    def to_json(self) -> str:
-        doc = {
-            "format": CERTIFICATE_FORMAT,
-            "graph_hash": self.graph_hash,
-            "k": self.k,
-            "mode": self.mode,
-            "palette_size": self.palette_size,
-            "trace": [
-                {
-                    "cut": list(s.cut),
-                    "side_y": list(s.side_y),
-                    "side_z": list(s.side_z),
-                    "recursed": s.recursed,
-                    "template_degree": s.template_degree,
-                    "z_degree": s.z_degree,
-                    "derived_degree": s.derived_degree,
-                    "solver_decisions": s.solver_decisions,
-                    "solver_backtracks": s.solver_backtracks,
-                }
-                for s in self.trace
-            ],
-            "final_vertices": list(self.final_vertices),
-            "connectivity_evidence": self.connectivity_evidence,
-            "chromatic_evidence": self.chromatic_evidence,
-            "solver_decisions": self.solver_decisions,
-            "solver_backtracks": self.solver_backtracks,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "Certificate":
-        doc = json.loads(text)
-        if doc.get("format") != CERTIFICATE_FORMAT:
-            raise ValueError(f"unknown certificate format {doc.get('format')!r}")
-        trace = tuple(
-            DescentStep(
-                cut=tuple(s["cut"]),
-                side_y=tuple(s["side_y"]),
-                side_z=tuple(s["side_z"]),
-                recursed=s["recursed"],
-                template_degree=s["template_degree"],
-                z_degree=s["z_degree"],
-                derived_degree=s["derived_degree"],
-                solver_decisions=s["solver_decisions"],
-                solver_backtracks=s["solver_backtracks"],
-            )
-            for s in doc["trace"]
-        )
-        return Certificate(
-            graph_hash=doc["graph_hash"],
-            k=doc["k"],
-            mode=doc["mode"],
-            palette_size=doc["palette_size"],
-            trace=trace,
-            final_vertices=tuple(doc["final_vertices"]),
-            connectivity_evidence=doc["connectivity_evidence"],
-            chromatic_evidence=doc["chromatic_evidence"],
-            solver_decisions=doc["solver_decisions"],
-            solver_backtracks=doc["solver_backtracks"],
-        )
 
 
 class StatTotals:
@@ -336,19 +243,16 @@ def descend(
     raise RuntimeError("descent failed to terminate")
 
 
-def _k_connected(h: Graph, k: int, cut) -> bool:
-    """is_k_connected(h, k), read off h's min_vertex_cut."""
-    return h.n > k and (cut is COMPLETE or len(cut) >= k)
-
-
 def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]:
     """Chromatic evidence for the final k-connected pair.
 
     Plain mode: the uncoloured part must not be (k-1)-colourable, since a
     (k-1)-colouring feeds the interval construction which would complete
-    the witness template.  List mode: the direct completion must come back
-    unsatisfiable.  Either construction succeeding raises
-    InternalContradiction with the completed colouring.
+    the witness template.  It is an induced subgraph of h, so h is not
+    (k-1)-colourable either (extract's self-verify checks h itself).  List
+    mode: the direct completion must come back unsatisfiable.  Either
+    construction succeeding raises InternalContradiction with the
+    completed colouring.
     Returns (connectivity_evidence, chromatic_evidence).
     """
     h, t, k = wp.h, wp.t, wp.k
@@ -356,7 +260,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     cut = min_vertex_cut(h)
     if not _k_connected(h, k, cut):
         raise ValueError("finalize requires a k-connected witness pair")
-    if cut is COMPLETE:
+    if cut is None:
         connectivity_evidence = {"kind": "complete", "order": h.n}
     else:
         connectivity_evidence = {"kind": "cut", "size": len(cut), "cut": sorted(cut)}
@@ -377,8 +281,6 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
                 "the witness claim was false",
                 full,
             )
-        if is_colourable(h, k - 1) is not None:
-            raise RuntimeError("subgraph not (k-1)-colourable but full graph is")
         return connectivity_evidence, {"kind": "colouring_unsat", "colours": k - 1}
 
     completion = list_direct_completion(h, t, k, palette, cfg.budget)
@@ -420,107 +322,3 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     if not verify_certificate(g, cert):
         raise RuntimeError("freshly extracted certificate failed verification")
     return cert
-
-
-def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
-    """True when no proper colouring from the witness lists exists.  Empty
-    lists refute immediately (the vertex cannot be coloured at all)."""
-    from .coloring import list_colour
-
-    if set(lists) != set(h.vertices):
-        return False
-    if any(not cs for cs in lists.values()):
-        return True
-    return list_colour(h, lists) is None
-
-
-def verify_certificate(g: Graph, cert: Certificate) -> bool:
-    """Re-check a certificate from scratch against the graph.
-
-    Recomputes the graph hash, replays every descent step (partition
-    shape, cut smallness, absence of cross edges, the k^2 side condition,
-    and the derived-degree inequalities), then re-establishes both final
-    guarantees: k-connectivity, and the chromatic evidence appropriate to
-    the mode.  Returns False on any discrepancy.
-    """
-    try:
-        k = cert.k
-        if k < 1 or cert.mode not in (PLAIN, LIST):
-            return False
-        if graph_hash(g) != cert.graph_hash:
-            return False
-        current = frozenset(g.vertices)
-        ksq = k * k
-        prev_degree = 2 * k * k
-        for step in cert.trace:
-            x = frozenset(step.cut)
-            y = frozenset(step.side_y)
-            z = frozenset(step.side_z)
-            if x | y | z != current or len(x) + len(y) + len(z) != len(current):
-                return False
-            if not y or not z:
-                return False
-            if len(x) > k - 1:
-                return False
-            sub = induced_subgraph(g, current)
-            # y and z nonempty with no cross edges proves x disconnects sub,
-            # which is all the degree accounting relies on.
-            for u, v in sub.edges:
-                if (u in y and v in z) or (u in z and v in y):
-                    return False
-            if step.z_degree > ksq:
-                return False
-            if step.template_degree > prev_degree:
-                return False
-            if step.recursed == "separation":
-                if step.derived_degree > step.template_degree:
-                    return False
-                current = x | y
-            elif step.recursed == "completion":
-                if step.derived_degree > 2 * k * k:
-                    return False
-                current = x | z
-            else:
-                return False
-            prev_degree = step.derived_degree
-        if frozenset(cert.final_vertices) != current:
-            return False
-        h = induced_subgraph(g, current)
-        if h.n == 0:
-            return False
-        recomputed = min_vertex_cut(h)
-        if not _k_connected(h, k, recomputed):
-            return False
-        evidence = cert.connectivity_evidence
-        chrom = cert.chromatic_evidence
-        if not (isinstance(evidence, dict) and isinstance(chrom, dict)
-                and isinstance(chrom.get("lists", {}), dict)):
-            return False
-        if recomputed is COMPLETE:
-            if evidence.get("kind") != "complete" or evidence.get("order") != h.n:
-                return False
-        else:
-            if evidence.get("kind") != "cut" or evidence.get("size") != len(recomputed):
-                return False
-            if sorted(recomputed) != list(evidence.get("cut", [])):
-                return False
-        if cert.mode == PLAIN:
-            if chrom.get("kind") != "colouring_unsat" or chrom.get("colours") != k - 1:
-                return False
-            if is_colourable(h, k - 1) is not None:
-                return False
-        else:
-            kind = chrom.get("kind")
-            if kind == "choosability_witness":
-                if chrom.get("t") != k:
-                    return False
-                lists = {int(v): frozenset(cs) for v, cs in chrom.get("lists", {}).items()}
-                if any(len(cs) != k - 1 for cs in lists.values()):
-                    return False
-                if not _witness_refutes(h, lists):
-                    return False
-            elif kind != "theorem_guarantee":
-                return False
-        return True
-    except (ValueError, KeyError, TypeError):
-        return False

@@ -1,13 +1,16 @@
-"""Independent brute-force reference oracles.
+"""Independent brute-force reference oracles: all of chromcert's brute
+force lives here.
 
 Everything here answers by enumeration straight from the definitions, with
-none of the ordering heuristics, propagation or symmetry pruning the main
-oracles use.  The verification suites run both routes and demand exact
-agreement.
+none of the ordering heuristics, propagation or symmetry pruning of the
+exact engine (solver.extend, which also answers coloring.is_colourable and
+list_colour) or of the max-flow connectivity layer.  The verification
+suites and the tests run both routes and demand exact agreement.
 """
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Mapping
@@ -15,6 +18,11 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .graphs import Graph, induced_subgraph, is_connected
+from .solver import SolveResult, SolverStats
+from .templates import Palette, Template, respects, validate_template
+
+BRUTE_FORCE_VERTEX_CAP = 8
+BRUTE_FORCE_SPACE_CAP = 2_000_000
 
 
 @lru_cache(maxsize=32)
@@ -140,3 +148,30 @@ def canonical_list_assignments(g: Graph, s: int) -> Iterator[dict[int, frozenset
         assignment.pop(v, None)
 
     yield from rec(0, 0)
+
+
+def brute_force_extend(g: Graph, t: Template, palette: Palette) -> SolveResult:
+    """Enumerate every assignment of non-forbidden palette colours to the
+    uncoloured vertices, in lexicographic order, and test each against the
+    respects predicate: the reference for solver.extend."""
+    validate_template(g, t, palette)
+    if g.n > BRUTE_FORCE_VERTEX_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices")
+    order = sorted(t.forbidden)
+    domains = [sorted(palette.colours_of(v) - t.forbidden[v]) for v in order]
+    space = 1
+    for d in domains:
+        space *= len(d)
+        if space > BRUTE_FORCE_SPACE_CAP:
+            raise ValueError("brute force candidate space exceeds the cap")
+    stats = SolverStats()
+    start = time.perf_counter()
+    for assignment in product(*domains):
+        stats.decisions += 1
+        col = dict(t.precolour)
+        col.update(zip(order, assignment))
+        if respects(g, t, col, palette):
+            stats.elapsed = time.perf_counter() - start
+            return SolveResult("sat", col, stats)
+    stats.elapsed = time.perf_counter() - start
+    return SolveResult("unsat", None, stats)

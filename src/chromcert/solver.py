@@ -1,25 +1,30 @@
-"""The extensibility oracle: decide whether a proper palette (or list)
-colouring respecting a template exists, returning either a colouring or a
-definite UNSAT.  A budget exhaustion is a third, loudly distinct outcome.
+"""The extensibility oracle, chromcert's one exact colouring search: decide
+whether a proper palette (or list) colouring respecting a template exists,
+returning either a colouring or a definite UNSAT.  A budget exhaustion is a
+third, loudly distinct outcome.  coloring.is_colourable and list_colour are
+this search on the empty template; oracles.brute_force_extend is its
+brute-force reference.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
-candidate masks (bit i: the i-th smallest palette colour).  Vertices are
-ranked once by (-degree, id), so "fewest candidates, then larger degree,
-then smaller id" is the least score popcount * n + rank.
+candidate masks (bit i: the i-th smallest colour in g's lists).  Vertices
+are ranked once by (-degree, id), so "fewest candidates, then larger
+degree, then smaller id" is the least score popcount * n + rank.  Small
+and shallow calls are dominated by the setup, so it reads edges only at
+pre-coloured vertices: one mask per distinct list, pre-coloured
+neighbours' colours taken from the pre-coloured side, the anonymity
+classes found by inverting the distinct lists, and a vertex's neighbour
+ranks listed when it is first coloured.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from typing import Iterable
 
 from .errors import ResourceLimitError
 from .graphs import Graph
 from .templates import Palette, Template, respects, validate_template
-
-BRUTE_FORCE_VERTEX_CAP = 8
-BRUTE_FORCE_SPACE_CAP = 2_000_000
 
 _TIME_CHECK_EVERY = 512
 
@@ -56,33 +61,39 @@ class SolveResult:
             )
 
 
+_UNLIMITED = SolverBudget()
+
+
 class _BudgetExceeded(Exception):
     pass
 
 
-def _anonymity_classes(g: Graph, t: Template, palette: Palette) -> dict[int, int | None]:
-    """Group palette colours the template cannot tell apart.
+def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> dict[int, int | None]:
+    """Group the colours of g's distinct lists (one list in plain mode)
+    that the template cannot tell apart.
 
     A colour is anonymous when it is mentioned nowhere in the template
     (pre-colouring or forbidden lists); two anonymous colours belong to the
-    same class when exactly the same vertices carry them in their lists
-    (in plain mode every vertex carries every colour).  While searching,
-    at most one *unused* colour per class needs to be tried at any node:
-    swapping two unused same-class colours maps respecting colourings to
-    respecting colourings.  Mentioned colours map to None and are never
-    skipped.
+    same class when exactly the same vertices carry them in their lists.
+    Vertices with equal lists carry the same colours, so comparing which
+    distinct lists hold each colour suffices, found by inverting them.
+    While searching, at most one *unused* colour per class needs to be tried
+    at any node: swapping two unused same-class colours maps respecting
+    colourings to respecting colourings.  Mentioned colours map to None and
+    are never skipped.
     """
-    mentioned = set(t.precolour.values())
-    for fs in t.forbidden.values():
-        mentioned |= fs
-    order = g.sorted_vertices()
+    mentioned = set(t.precolour.values()).union(*t.forbidden.values())
+    carriers: dict[int, list[int]] = {}
+    for i, cs in enumerate(lists):
+        for c in cs:
+            carriers.setdefault(c, []).append(i)
     classes: dict[int, int | None] = {}
     keys: dict[tuple[int, ...], int] = {}
-    for c in sorted(palette.universe()):
+    for c in sorted(carriers):
         if c in mentioned:
             classes[c] = None
             continue
-        key = tuple(v for v in order if c in palette.colours_of(v))
+        key = tuple(carriers[c])
         if key not in keys:
             keys[key] = len(keys)
         classes[c] = keys[key]
@@ -100,7 +111,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     Unsat means the (pruned but exhaustive) search space is empty.
     """
     validate_template(g, t, palette)
-    budget = budget or SolverBudget()
+    budget = budget or _UNLIMITED
     stats = SolverStats()
     start = time.perf_counter()
 
@@ -108,17 +119,26 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     verts = sorted(t.forbidden, key=lambda v: (-len(adj[v]), v))
     n = len(verts)
     rank = {v: r for r, v in enumerate(verts)}
-    nbrs = [[rank[u] for u in adj[v] if u in rank] for v in verts]
-    classes = _anonymity_classes(g, t, palette)
+    nbrs: list[list[int] | None] = [None] * n  # uncoloured neighbour ranks, lazily
+    # g's distinct lists (one in plain mode), each with the vertices carrying it.
+    holders: dict[frozenset[int], list[int]] = {}
+    for v in g.vertices:
+        holders.setdefault(palette.colours_of(v), []).append(v)
+    classes = _anonymity_classes(t, holders)
     colours = sorted(classes)
     bit_of = {c: 1 << i for i, c in enumerate(colours)}
     cls_of = [classes[c] for c in colours]
     usage = [0] * len(colours)
-    remaining = []
-    for v in verts:
-        cand = set(palette.colours_of(v)) - t.forbidden[v]
-        cand -= {t.precolour[u] for u in adj[v] if u in t.precolour}
-        remaining.append(sum(bit_of[c] for c in cand))
+    remaining = [0] * n
+    for cs, vs in holders.items():
+        mask = sum(map(bit_of.__getitem__, cs))
+        for v in vs:
+            if v in rank:
+                remaining[rank[v]] = mask & ~sum(map(bit_of.__getitem__, t.forbidden[v]))
+    for u, c in t.precolour.items():
+        for w in adj[u]:
+            if w in rank:
+                remaining[rank[w]] &= ~bit_of[c]
     # A coloured vertex's score is lifted by `done`, above every uncoloured one.
     done = (len(colours) + 1) * n
     score = [m.bit_count() * n + r for r, m in enumerate(remaining)]
@@ -160,6 +180,8 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
                     raise _BudgetExceeded
             usage[ci] += 1
             score[v] += done
+            if nbrs[v] is None:
+                nbrs[v] = [rank[u] for u in adj[verts[v]] if u in rank]
             pruned = [u for u in nbrs[v] if score[u] < done and remaining[u] & bit]
             for u in pruned:
                 remaining[u] ^= bit
@@ -184,31 +206,3 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
     return SolveResult("sat", colour, stats)
-
-
-def brute_force_extend(g: Graph, t: Template, palette: Palette) -> SolveResult:
-    """Independent oracle: enumerate every assignment of non-forbidden
-    palette colours to the uncoloured vertices, in lexicographic order, and
-    test each against the respects predicate.  Intentionally free of the
-    search machinery used by extend."""
-    validate_template(g, t, palette)
-    if g.n > BRUTE_FORCE_VERTEX_CAP:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices")
-    order = sorted(t.forbidden)
-    domains = [sorted(palette.colours_of(v) - t.forbidden[v]) for v in order]
-    space = 1
-    for d in domains:
-        space *= len(d)
-        if space > BRUTE_FORCE_SPACE_CAP:
-            raise ValueError("brute force candidate space exceeds the cap")
-    stats = SolverStats()
-    start = time.perf_counter()
-    for assignment in product(*domains):
-        stats.decisions += 1
-        col = dict(t.precolour)
-        col.update(zip(order, assignment))
-        if respects(g, t, col, palette):
-            stats.elapsed = time.perf_counter() - start
-            return SolveResult("sat", col, stats)
-    stats.elapsed = time.perf_counter() - start
-    return SolveResult("unsat", None, stats)

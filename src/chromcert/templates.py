@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .coloring import ListAssignment
 from .errors import InternalContradiction, TemplateError
 from .graphs import Graph, induced_subgraph
 
 PLAIN = "plain"
 LIST = "list"
+
+ListAssignment = Mapping[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,10 @@ def validate_template(g: Graph, t: Template, palette: Palette) -> None:
         raise TemplateError(f"vertices {sorted(pre & forb)} both pre-coloured and forbidden")
     if pre | forb != g.vertices:
         raise TemplateError("template domains do not cover the vertex set exactly")
-    for u, v in g.edges:
-        if u in t.precolour and v in t.precolour and t.precolour[u] == t.precolour[v]:
-            raise TemplateError(f"pre-colouring improper on edge {(u, v)}")
+    for u, c in t.precolour.items():
+        for v in g.adj[u]:
+            if t.precolour.get(v) == c:
+                raise TemplateError(f"pre-colouring improper on edge {(min(u, v), max(u, v))}")
     for v, c in t.precolour.items():
         if c not in palette.colours_of(v):
             raise TemplateError(f"pre-colour {c} at vertex {v} outside its palette")

@@ -121,11 +121,16 @@ def test_list_colour_k24_spec_lists():
     assert list_colour(g, lists) is None
 
 
-def test_list_colour_backtracks_in_static_order():
-    # 1 takes 3 first, which leaves 2 no colour; the search returns to 1.
+def test_list_colour_choices_pinned_on_k24():
+    # The engine's choices, dict key order included: 0 takes 1, which
+    # leaves 2 only colour 3, and forward checking then forces 1 to 4.
+    g = k24()
     lists = {0: frozenset({1, 2}), 1: frozenset({3, 4}), 2: frozenset({1, 3}),
              3: frozenset({1, 2, 4}), 4: frozenset({2, 3}), 5: frozenset({2, 4})}
-    assert list(list_colour(k24(), lists).items()) == [(0, 1), (1, 4), (2, 3), (4, 2), (5, 2), (3, 2)]
+    col = list_colour(g, lists)
+    assert list(col.items()) == [(0, 1), (2, 3), (1, 4), (3, 2), (5, 2), (4, 2)]
+    assert proper(g, col) and all(col[v] in lists[v] for v in g.vertices)
+    assert brute_list_colour(g, lists) is not None
 
 
 def test_list_colour_rejects_missing_or_empty_lists():

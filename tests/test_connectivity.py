@@ -5,7 +5,6 @@ import pytest
 
 from chromcert import connectivity as conn
 from chromcert.connectivity import (
-    COMPLETE,
     connectivity,
     is_k_connected,
     min_vertex_cut,
@@ -26,7 +25,7 @@ def test_min_cut_glued_k5s_is_the_shared_vertex():
 
 
 def test_min_cut_complete_marker():
-    assert min_vertex_cut(generate(FamilySpec.complete(6))) is COMPLETE
+    assert min_vertex_cut(generate(FamilySpec.complete(6))) is None
 
 
 def test_min_cut_disconnected_is_empty():
@@ -108,7 +107,7 @@ def test_split_properties_random():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
         g = Graph.build(n, edges)
         cut = min_vertex_cut(g)
-        if cut is COMPLETE or len(cut) >= n - 1:
+        if cut is None or len(cut) >= n - 1:
             continue
         y, z = split_by_cut(g, cut)
         assert y | z == g.vertices - cut
@@ -128,7 +127,7 @@ def test_matches_brute_force_on_random_graphs():
         expected = brute_min_cut(g)
         got = min_vertex_cut(g)
         if expected is None:
-            assert got is COMPLETE
+            assert got is None
         else:
             assert (len(got), got) == expected
         for k in range(1, 5):
@@ -152,7 +151,7 @@ def _assert_matches_oracles(g):
     expected = brute_min_cut(g)
     got = min_vertex_cut(g)
     if expected is None:
-        assert got is COMPLETE
+        assert got is None
         assert connectivity(g) == g.n - 1
     else:
         assert (len(got), got) == expected

@@ -9,7 +9,8 @@ from chromcert.errors import NotInextensibleError, ResourceLimitError, TemplateE
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
-from chromcert.solver import SolverBudget, brute_force_extend, extend
+from chromcert.oracles import brute_colourable, brute_force_extend
+from chromcert.solver import SolverBudget, extend
 from chromcert.templates import Palette, Template, respects
 
 
@@ -46,8 +47,14 @@ def test_unsat_when_candidates_empty():
 
 def test_k8_with_seven_colours_unsat_cross_checked():
     g = generate(FamilySpec.complete(8))
-    assert is_colourable(g, 7) is None  # independent decision search
+    # is_colourable runs extend too, so only the brute-force route on K6
+    # (5^6 assignments) is independent of the engine.
+    assert is_colourable(g, 7) is None
     assert extend(g, Template.empty(g), Palette.plain(7)).outcome == "unsat"
+    k6 = generate(FamilySpec.complete(6))
+    assert is_colourable(k6, 5) is None
+    assert not brute_colourable(k6, 5)
+    assert brute_colourable(k6, 6) and is_colourable(k6, 6) is not None
 
 
 def test_empty_graph():
