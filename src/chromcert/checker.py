@@ -1,5 +1,10 @@
 """The certificate format and its checker.
 
+The format is the Certificate and DescentStep dataclasses: their fields,
+in order, are the JSON fields, and connectivity_evidence is the one
+builder of the connectivity record that extraction writes and the checker
+recomputes.
+
 verify_certificate re-checks a certificate from scratch against the graph.
 Its trust base is explicit and small: graph hashing and induced subgraphs
 (graphs), the max-flow minimum vertex cut (connectivity), and the exact
@@ -12,7 +17,7 @@ keeps it that way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .coloring import is_colourable, list_colour
 from .connectivity import min_vertex_cut
@@ -54,70 +59,39 @@ class Certificate:
     solver_backtracks: int
 
     def to_json(self) -> str:
-        doc = {
-            "format": CERTIFICATE_FORMAT,
-            "graph_hash": self.graph_hash,
-            "k": self.k,
-            "mode": self.mode,
-            "palette_size": self.palette_size,
-            "trace": [
-                {
-                    "cut": list(s.cut),
-                    "side_y": list(s.side_y),
-                    "side_z": list(s.side_z),
-                    "recursed": s.recursed,
-                    "template_degree": s.template_degree,
-                    "z_degree": s.z_degree,
-                    "derived_degree": s.derived_degree,
-                    "solver_decisions": s.solver_decisions,
-                    "solver_backtracks": s.solver_backtracks,
-                }
-                for s in self.trace
-            ],
-            "final_vertices": list(self.final_vertices),
-            "connectivity_evidence": self.connectivity_evidence,
-            "chromatic_evidence": self.chromatic_evidence,
-            "solver_decisions": self.solver_decisions,
-            "solver_backtracks": self.solver_backtracks,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps({"format": CERTIFICATE_FORMAT, **asdict(self)}, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
+        """Parse a certificate; an unknown or missing field is a TypeError."""
         doc = json.loads(text)
         if doc.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unknown certificate format {doc.get('format')!r}")
-        trace = tuple(
-            DescentStep(
-                cut=tuple(s["cut"]),
-                side_y=tuple(s["side_y"]),
-                side_z=tuple(s["side_z"]),
-                recursed=s["recursed"],
-                template_degree=s["template_degree"],
-                z_degree=s["z_degree"],
-                derived_degree=s["derived_degree"],
-                solver_decisions=s["solver_decisions"],
-                solver_backtracks=s["solver_backtracks"],
-            )
-            for s in doc["trace"]
-        )
-        return Certificate(
-            graph_hash=doc["graph_hash"],
-            k=doc["k"],
-            mode=doc["mode"],
-            palette_size=doc["palette_size"],
-            trace=trace,
-            final_vertices=tuple(doc["final_vertices"]),
-            connectivity_evidence=doc["connectivity_evidence"],
-            chromatic_evidence=doc["chromatic_evidence"],
-            solver_decisions=doc["solver_decisions"],
-            solver_backtracks=doc["solver_backtracks"],
-        )
+        del doc["format"]
+        cert = Certificate(**_tuples(doc))
+        return replace(cert, trace=tuple(DescentStep(**_tuples(s)) for s in cert.trace))
 
 
-def _k_connected(h: Graph, k: int, cut) -> bool:
-    """is_k_connected(h, k), read off h's min_vertex_cut."""
-    return h.n > k and (cut is None or len(cut) >= k)
+_TUPLE_FIELDS = ("cut", "side_y", "side_z", "final_vertices")
+
+
+def _tuples(doc: dict) -> dict:
+    """doc with the JSON lists of the tuple fields turned back into tuples."""
+    return {f: tuple(v) if f in _TUPLE_FIELDS else v for f, v in doc.items()}
+
+
+def connectivity_evidence(h: Graph) -> dict:
+    """The certificate's connectivity record of h: its order when h has no
+    vertex cut (h is complete), else its canonical minimum vertex cut."""
+    cut = min_vertex_cut(h)
+    if cut is None:
+        return {"kind": "complete", "order": h.n}
+    return {"kind": "cut", "size": len(cut), "cut": sorted(cut)}
+
+
+def _k_connected(h: Graph, k: int, evidence: dict) -> bool:
+    """is_k_connected(h, k), read off h's connectivity evidence."""
+    return h.n > k and (evidence["kind"] == "complete" or evidence["size"] >= k)
 
 
 def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
@@ -182,39 +156,25 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         h = induced_subgraph(g, current)
         if h.n == 0:
             return False
-        recomputed = min_vertex_cut(h)
-        if not _k_connected(h, k, recomputed):
+        evidence = connectivity_evidence(h)
+        if not _k_connected(h, k, evidence) or cert.connectivity_evidence != evidence:
             return False
-        evidence = cert.connectivity_evidence
         chrom = cert.chromatic_evidence
-        if not (isinstance(evidence, dict) and isinstance(chrom, dict)
-                and isinstance(chrom.get("lists", {}), dict)):
+        if not (isinstance(chrom, dict) and isinstance(chrom.get("lists", {}), dict)):
             return False
-        if recomputed is None:
-            if evidence.get("kind") != "complete" or evidence.get("order") != h.n:
-                return False
-        else:
-            if evidence.get("kind") != "cut" or evidence.get("size") != len(recomputed):
-                return False
-            if sorted(recomputed) != list(evidence.get("cut", [])):
-                return False
+        kind = chrom.get("kind")
         if cert.mode == PLAIN:
-            if chrom.get("kind") != "colouring_unsat" or chrom.get("colours") != k - 1:
+            if kind != "colouring_unsat" or chrom.get("colours") != k - 1:
                 return False
-            if is_colourable(h, k - 1) is not None:
+        elif kind == "choosability_witness":
+            if chrom.get("t") != k:
                 return False
-        else:
-            kind = chrom.get("kind")
-            if kind == "choosability_witness":
-                if chrom.get("t") != k:
-                    return False
-                lists = {int(v): frozenset(cs) for v, cs in chrom.get("lists", {}).items()}
-                if any(len(cs) != k - 1 for cs in lists.values()):
-                    return False
-                if not _witness_refutes(h, lists):
-                    return False
-            elif kind != "theorem_guarantee":
-                return False
-        return True
+            lists = {int(v): frozenset(cs) for v, cs in chrom.get("lists", {}).items()}
+            return all(len(cs) == k - 1 for cs in lists.values()) and _witness_refutes(h, lists)
+        elif kind != "theorem_guarantee" or chrom.get("t") != k:
+            return False
+        # Plain mode, or the list-mode guarantee: chi(H) >= k, which
+        # implies chi_ell(H) >= k.
+        return is_colourable(h, k - 1) is None
     except (ValueError, KeyError, TypeError):
         return False

@@ -53,16 +53,15 @@ def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None
     return colour
 
 
-def list_chromatic_at_least(
-    g: Graph, t: int, cap: int = CHOOSABILITY_CAP
-) -> tuple[bool, dict[int, frozenset[int]] | None]:
+def list_chromatic_at_least(g: Graph, t: int) -> tuple[bool, dict[int, frozenset[int]] | None]:
     """Decide chi_ell(g) >= t; on success also return a witness assignment
     of (t-1)-element lists admitting no proper list colouring.
 
     t = 1 and t = 2 have closed forms; for t >= 3 the graph must have at
-    most `cap` vertices and the search enumerates list assignments up to
-    colour renaming, after peeling vertices whose degree is below the list
-    size (they can always be coloured last, so no witness depends on them).
+    most CHOOSABILITY_CAP vertices and the search enumerates list
+    assignments up to colour renaming, after peeling vertices whose degree
+    is below the list size (they can always be coloured last, so no witness
+    depends on them).
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
@@ -74,8 +73,8 @@ def list_chromatic_at_least(
         if g.m >= 1:
             return True, {v: frozenset({0}) for v in g.vertices}
         return False, None
-    if g.n > cap:
-        raise ValueError(f"graph has {g.n} > {cap} vertices; cap exceeded for t >= 3")
+    if g.n > CHOOSABILITY_CAP:
+        raise ValueError(f"graph has {g.n} > {CHOOSABILITY_CAP} vertices; cap exceeded for t >= 3")
 
     s = t - 1
     core = g

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 # extract calls the self-verify through this module's verify_certificate
 # binding, and is_k_connected stays bound here, because perfbench/tracer.py
 # patches both names in this module.
-from .checker import Certificate, DescentStep, _k_connected, verify_certificate
+from .checker import Certificate, DescentStep, _k_connected, connectivity_evidence, verify_certificate
 from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
-from .errors import InternalContradiction, NotInextensibleError
+from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
 from .graphs import Graph, graph_hash, induced_subgraph
 from .solver import SolverBudget, SolveResult, extend
 from .templates import (
@@ -38,7 +38,6 @@ from .templates import (
     derive_separation_template,
     glue,
     interval_partition,
-    is_valid_witness,
     list_direct_completion,
     rainbow_small_case,
     respects,
@@ -67,8 +66,6 @@ class ExtractConfig:
     lists: dict[int, frozenset[int]] | None = None
     budget: SolverBudget = field(default_factory=SolverBudget)
     precondition: str = VERIFY
-    choosability_cap: int = CHOOSABILITY_CAP
-    debug_validate: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -172,8 +169,6 @@ def descend(
     h, t = wp.h, wp.t
     for _ in range(wp.h.n + 1):
         t = strengthen_witness(h, t, k, palette, cfg.budget)
-        if cfg.debug_validate and not is_valid_witness(h, t, k, palette, cfg.budget):
-            raise RuntimeError("descent invariant broken: current pair is not a witness")
         if h.n <= k:
             col = rainbow_small_case(h, t, k, palette)
             raise InternalContradiction(
@@ -196,50 +191,37 @@ def descend(
         res_y.raise_if_limited()
         totals.add(res_y)
         if res_y.outcome == "unsat":
-            trace.append(
-                DescentStep(
-                    cut=tuple(sorted(cut)),
-                    side_y=tuple(sorted(y)),
-                    side_z=tuple(sorted(z)),
-                    recursed="separation",
-                    template_degree=deg_t,
-                    z_degree=deg_z,
-                    derived_degree=degree(t_sep, k),
-                    solver_decisions=res_y.stats.decisions,
-                    solver_backtracks=res_y.stats.backtracks,
+            recursed, runs, h_next, t_next = "separation", (res_y,), sub_y, t_sep
+        else:
+            t_comp = derive_completion_template(h, t, cut, z, res_y.colouring, k)
+            sub_z = induced_subgraph(h, cut | z)
+            res_z = extend(sub_z, t_comp, palette, cfg.budget)
+            res_z.raise_if_limited()
+            totals.add(res_z)
+            if res_z.outcome != "unsat":
+                glued = glue(res_y.colouring, res_z.colouring)
+                if not respects(h, t, glued, palette):
+                    raise RuntimeError("glued colouring fails the respects check")
+                raise InternalContradiction(
+                    "both cut sides extend and glue into a respecting colouring; "
+                    "the witness claim was false",
+                    glued,
                 )
+            recursed, runs, h_next, t_next = "completion", (res_y, res_z), sub_z, t_comp
+        trace.append(
+            DescentStep(
+                cut=tuple(sorted(cut)),
+                side_y=tuple(sorted(y)),
+                side_z=tuple(sorted(z)),
+                recursed=recursed,
+                template_degree=deg_t,
+                z_degree=deg_z,
+                derived_degree=degree(t_next, k),
+                solver_decisions=sum(r.stats.decisions for r in runs),
+                solver_backtracks=sum(r.stats.backtracks for r in runs),
             )
-            h, t = sub_y, t_sep
-            continue
-        t_comp = derive_completion_template(h, t, cut, z, res_y.colouring, k)
-        sub_z = induced_subgraph(h, cut | z)
-        res_z = extend(sub_z, t_comp, palette, cfg.budget)
-        res_z.raise_if_limited()
-        totals.add(res_z)
-        if res_z.outcome == "unsat":
-            trace.append(
-                DescentStep(
-                    cut=tuple(sorted(cut)),
-                    side_y=tuple(sorted(y)),
-                    side_z=tuple(sorted(z)),
-                    recursed="completion",
-                    template_degree=deg_t,
-                    z_degree=deg_z,
-                    derived_degree=degree(t_comp, k),
-                    solver_decisions=res_y.stats.decisions + res_z.stats.decisions,
-                    solver_backtracks=res_y.stats.backtracks + res_z.stats.backtracks,
-                )
-            )
-            h, t = sub_z, t_comp
-            continue
-        glued = glue(res_y.colouring, res_z.colouring)
-        if not respects(h, t, glued, palette):
-            raise RuntimeError("glued colouring fails the respects check")
-        raise InternalContradiction(
-            "both cut sides extend and glue into a respecting colouring; "
-            "the witness claim was false",
-            glued,
         )
+        h, t = h_next, t_next
     raise RuntimeError("descent failed to terminate")
 
 
@@ -252,18 +234,17 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     (k-1)-colourable either (extract's self-verify checks h itself).  List
     mode: the direct completion must come back unsatisfiable.  Either
     construction succeeding raises InternalContradiction with the
-    completed colouring.
+    completed colouring.  List-mode evidence is a bad-list witness up to
+    CHOOSABILITY_CAP vertices (any size for k <= 2); past the cap it is
+    the guarantee chi(h) >= k, which implies chi_ell(h) >= k, and when h
+    is (k-1)-colourable no evidence is in reach: ResourceLimitError.
     Returns (connectivity_evidence, chromatic_evidence).
     """
     h, t, k = wp.h, wp.t, wp.k
     palette = cfg.palette_for(h)
-    cut = min_vertex_cut(h)
-    if not _k_connected(h, k, cut):
+    conn = connectivity_evidence(h)
+    if not _k_connected(h, k, conn):
         raise ValueError("finalize requires a k-connected witness pair")
-    if cut is None:
-        connectivity_evidence = {"kind": "complete", "order": h.n}
-    else:
-        connectivity_evidence = {"kind": "cut", "size": len(cut), "cut": sorted(cut)}
 
     if cfg.mode == PLAIN:
         rest = sorted(t.forbidden)
@@ -281,7 +262,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
                 "the witness claim was false",
                 full,
             )
-        return connectivity_evidence, {"kind": "colouring_unsat", "colours": k - 1}
+        return conn, {"kind": "colouring_unsat", "colours": k - 1}
 
     completion = list_direct_completion(h, t, k, palette, cfg.budget)
     if completion is not None:
@@ -290,13 +271,18 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
             "was false",
             completion,
         )
-    if k <= 2 or h.n <= cfg.choosability_cap:
-        holds, witness = list_chromatic_at_least(h, k, cfg.choosability_cap)
+    if k <= 2 or h.n <= CHOOSABILITY_CAP:
+        holds, witness = list_chromatic_at_least(h, k)
         if not holds:
             raise RuntimeError("final graph fails the guaranteed choosability bound")
         lists = {str(v): sorted(witness[v]) for v in sorted(witness)}
-        return connectivity_evidence, {"kind": "choosability_witness", "t": k, "lists": lists}
-    return connectivity_evidence, {"kind": "theorem_guarantee", "t": k}
+        return conn, {"kind": "choosability_witness", "t": k, "lists": lists}
+    if is_colourable(h, k - 1) is not None:
+        raise ResourceLimitError(
+            f"final graph has {h.n} > CHOOSABILITY_CAP = {CHOOSABILITY_CAP} vertices "
+            f"and is {k - 1}-colourable: no checkable list-chromatic evidence"
+        )
+    return conn, {"kind": "theorem_guarantee", "t": k}
 
 
 def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
@@ -306,7 +292,7 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     totals = StatTotals()
     wp = check_precondition(g, cfg, totals)
     trace, final = descend(wp, cfg, totals)
-    connectivity_evidence, chromatic_evidence = finalize_chromatic(final, cfg)
+    conn, chrom = finalize_chromatic(final, cfg)
     cert = Certificate(
         graph_hash=graph_hash(g),
         k=cfg.k,
@@ -314,8 +300,8 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
         palette_size=cfg.palette_for(g).size if cfg.mode == PLAIN else None,
         trace=tuple(trace),
         final_vertices=tuple(sorted(final.h.vertices)),
-        connectivity_evidence=connectivity_evidence,
-        chromatic_evidence=chromatic_evidence,
+        connectivity_evidence=conn,
+        chromatic_evidence=chrom,
         solver_decisions=totals.decisions,
         solver_backtracks=totals.backtracks,
     )

@@ -67,6 +67,11 @@ class Graph:
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical (comment-free, sorted) DIMACS form."""
+        return "sha256:" + hashlib.sha256(to_dimacs(self).encode("utf-8")).hexdigest()
+
     def neighbours(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
@@ -176,5 +181,6 @@ def write_dimacs(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
 
 
 def graph_hash(g: Graph) -> str:
-    """sha256 of the canonical (comment-free, sorted) DIMACS form."""
-    return "sha256:" + hashlib.sha256(to_dimacs(g).encode("utf-8")).hexdigest()
+    """sha256 of the canonical (comment-free, sorted) DIMACS form, computed
+    once per graph."""
+    return g.digest

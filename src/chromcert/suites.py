@@ -108,7 +108,7 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> tup
             is_colourable(h, cfg.k - 1) is None and not brute_colourable(h, cfg.k - 1)
         )
     else:
-        holds, witness = list_chromatic_at_least(h, cfg.k, cap=max(cfg.choosability_cap, 0))
+        holds, witness = list_chromatic_at_least(h, cfg.k)
         record["chromatic_ok"] = bool(holds) and _witness_refuted(h, witness)
     record["solver_decisions"] = cert.solver_decisions
     record["solver_backtracks"] = cert.solver_backtracks

@@ -466,15 +466,8 @@ def list_direct_completion(
 
 
 # ---------------------------------------------------------------------------
-# Text serialization: `k`, `mode`, plain palette size, then one line per
-# vertex (`precolour v c` or `forbid v c...`), plus `list v c...` lines in
-# list mode.  Round-trip stable.
+# Lists files: one `list <v> <colours...>` line per vertex, `c` comments.
 # ---------------------------------------------------------------------------
-
-def format_lists(lists: ListAssignment) -> str:
-    lines = [f"list {v} " + " ".join(str(c) for c in sorted(lists[v])) for v in sorted(lists)]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
-
 
 def parse_lists(text: str) -> dict[int, frozenset[int]]:
     lists: dict[int, frozenset[int]] = {}
@@ -487,58 +480,3 @@ def parse_lists(text: str) -> dict[int, frozenset[int]]:
             raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
         lists[int(parts[1])] = frozenset(int(c) for c in parts[2:])
     return lists
-
-
-def format_template(k: int, palette: Palette, t: Template) -> str:
-    lines = [f"k {k}", f"mode {palette.mode}"]
-    if palette.mode == PLAIN:
-        lines.append(f"palette {palette.size}")
-    else:
-        for v in sorted(palette.lists):
-            lines.append(("list " + str(v) + " " + " ".join(str(c) for c in sorted(palette.lists[v]))).rstrip())
-    for v in sorted(t.precolour):
-        lines.append(f"precolour {v} {t.precolour[v]}")
-    for v in sorted(t.forbidden):
-        lines.append(("forbid " + str(v) + " " + " ".join(str(c) for c in sorted(t.forbidden[v]))).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def parse_template(text: str) -> tuple[int, Palette, Template]:
-    k = None
-    mode = None
-    size = None
-    lists: dict[int, frozenset[int]] = {}
-    pre: dict[int, int] = {}
-    forb: dict[int, frozenset[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
-            continue
-        parts = line.split()
-        key = parts[0]
-        try:
-            if key == "k":
-                k = int(parts[1])
-            elif key == "mode":
-                mode = parts[1]
-            elif key == "palette":
-                size = int(parts[1])
-            elif key == "list":
-                lists[int(parts[1])] = frozenset(int(c) for c in parts[2:])
-            elif key == "precolour":
-                pre[int(parts[1])] = int(parts[2])
-            elif key == "forbid":
-                forb[int(parts[1])] = frozenset(int(c) for c in parts[2:])
-            else:
-                raise ValueError(f"unknown record {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if k is None or mode is None:
-        raise ValueError("template text must carry 'k' and 'mode' lines")
-    if mode == PLAIN:
-        if size is None:
-            raise ValueError("plain-mode template text must carry a 'palette' line")
-        palette = Palette.plain(size)
-    else:
-        palette = Palette(LIST, lists=lists)
-    return k, palette, Template(pre, forb)

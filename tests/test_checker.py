@@ -1,10 +1,22 @@
-"""Module boundaries read off the source: the checker's trust base, and a
-single exact colouring search behind coloring.py."""
+"""The certificate format and the checker: pinned certificate bytes, strict
+parsing, list-mode claims the checker re-checks, and module boundaries read
+off the source (the checker's trust base, and a single exact colouring
+search behind coloring.py)."""
 
 import ast
+import hashlib
+import json
+from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from chromcert import checker, coloring, extractor
+from chromcert.checker import Certificate, connectivity_evidence, verify_certificate
+from chromcert.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_REJECTED, EXIT_RESOURCE_LIMIT, main
+from chromcert.extractor import ExtractConfig, extract
+from chromcert.families import FamilySpec, generate
+from chromcert.graphs import Graph, graph_hash, write_dimacs
 
 # The chromcert modules checker.py may import, and the only names it may
 # take from templates.
@@ -43,6 +55,7 @@ def test_checker_imports_only_its_trust_base():
     # extractor takes the checker back instead of keeping its own.
     assert extractor.verify_certificate is checker.verify_certificate
     assert extractor.Certificate is checker.Certificate
+    assert extractor.connectivity_evidence is checker.connectivity_evidence
 
 
 def test_coloring_has_no_search_besides_the_witness_search():
@@ -53,3 +66,145 @@ def test_coloring_has_no_search_besides_the_witness_search():
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "extend" for n in nodes), name
     searching = {name for name, f in funcs.items() if any(isinstance(n, ast.While) for n in ast.walk(f))}
     assert searching <= WITNESS_SEARCH
+
+
+# -- certificate bytes -----------------------------------------------------------
+
+def k5_cycle7():
+    """K5 sharing vertex 4 with a 7-cycle: at palette 4 and k=2 the descent
+    recurses through the completion template into the clique."""
+    edges = list(combinations(range(5), 2))
+    ring = [4] + list(range(5, 11))
+    edges += [(ring[i], ring[(i + 1) % 7]) for i in range(7)]
+    return Graph.build(11, edges)
+
+
+# sha256 of to_json, recorded before the format was derived from the
+# dataclasses; one instance per trace branch and per chromatic evidence kind.
+PINNED = [
+    (lambda: generate(FamilySpec.glued_cliques((15, 15), 1)), ExtractConfig(k=2),
+     "separation", "colouring_unsat",
+     "8b820c665fb90f6143a0ead9e5a9c3ef52db4e7edee16165b7f4cde82a78d48a"),
+    (k5_cycle7, ExtractConfig(k=2, palette_size=4),
+     "completion", "colouring_unsat",
+     "509174d745ea9faa7a992201a1476174aafe6677b8d0ec70d130b183bc7affae"),
+    (lambda: generate(FamilySpec.glued_cliques((16, 16), 1)), ExtractConfig(k=2, mode="list"),
+     "separation", "choosability_witness",
+     "c6ebeef6fe3ac5aa76b263c917df1b266a52135d146c518f6c62e3ce5deaa016"),
+    (lambda: generate(FamilySpec.glued_cliques((13, 13), 2)), ExtractConfig(k=3, mode="list"),
+     "separation", "theorem_guarantee",
+     "7684c5b902f0a043809b74fa5350043cd865c1e2569aebdb669e3f6d42abbbf9"),
+]
+
+
+@pytest.mark.parametrize("make, cfg, recursed, kind, digest", PINNED)
+def test_certificate_bytes_pinned(make, cfg, recursed, kind, digest):
+    g = make()
+    cert = extract(g, cfg)
+    assert [s.recursed for s in cert.trace] == [recursed]
+    assert cert.chromatic_evidence["kind"] == kind
+    text = cert.to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    again = Certificate.from_json(text)
+    assert again == cert and verify_certificate(g, again)
+
+
+def test_from_json_rejects_unknown_and_missing_fields():
+    g = generate(FamilySpec.glued_cliques((15, 15), 1))
+    doc = json.loads(extract(g, ExtractConfig(k=2)).to_json())
+    with pytest.raises(TypeError):
+        Certificate.from_json(json.dumps({**doc, "note": "extra"}))
+    with pytest.raises(TypeError):
+        Certificate.from_json(json.dumps({f: v for f, v in doc.items() if f != "solver_backtracks"}))
+    step = doc["trace"][0]
+    with pytest.raises(TypeError):
+        Certificate.from_json(json.dumps({**doc, "trace": [{**step, "note": "extra"}]}))
+    with pytest.raises(TypeError):
+        Certificate.from_json(json.dumps({**doc, "trace": [{f: v for f, v in step.items() if f != "cut"}]}))
+
+
+# -- list-mode claims --------------------------------------------------------------
+
+def k44():
+    return Graph.build(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+
+
+def forged_k44_certificate() -> Certificate:
+    """Claims chi_ell(K4,4) >= 4 through the list-mode guarantee; in truth
+    chi_ell(K4,4) = 3.  Everything else in it is true."""
+    g = k44()
+    return Certificate(
+        graph_hash=graph_hash(g),
+        k=4,
+        mode="list",
+        palette_size=None,
+        trace=(),
+        final_vertices=tuple(range(8)),
+        connectivity_evidence=connectivity_evidence(g),
+        chromatic_evidence={"kind": "theorem_guarantee", "t": 4},
+        solver_decisions=0,
+        solver_backtracks=0,
+    )
+
+
+def test_unchecked_list_guarantee_is_rejected():
+    cert = forged_k44_certificate()
+    assert cert.connectivity_evidence == {"kind": "cut", "size": 4, "cut": [0, 1, 2, 3]}
+    assert not verify_certificate(k44(), cert)
+
+
+def test_list_guarantee_needs_t_equal_to_k():
+    g = generate(FamilySpec.glued_cliques((13, 13), 2))
+    doc = json.loads(extract(g, ExtractConfig(k=3, mode="list")).to_json())
+    assert verify_certificate(g, Certificate.from_json(json.dumps(doc)))
+    doc["chromatic_evidence"]["t"] = 4
+    assert not verify_certificate(g, Certificate.from_json(json.dumps(doc)))
+
+
+def bipartite_bad_lists():
+    """K5,5 with the bad 2-lists of K3,3 on three vertices of each side: not
+    colourable from its lists, 2-colourable, and past CHOOSABILITY_CAP."""
+    g = Graph.build(10, [(i, 5 + j) for i in range(5) for j in range(5)])
+    bad = [{1, 2}, {1, 3}, {2, 3}, {4, 5}, {4, 5}]
+    return g, {v: frozenset(bad[v % 5]) for v in g.vertices}
+
+
+
+# -- the CLI on these certificates --------------------------------------------------
+
+def cli(*argv):
+    return main(list(argv))
+
+
+def test_verify_unknown_or_missing_field_is_a_parse_error(tmp_path):
+    graph = tmp_path / "glued.col"
+    cert = tmp_path / "cert.json"
+    cli("gen", "glued", "15", "15", "--out", str(graph))
+    assert cli("extract", str(graph), "--k", "2", "--out", str(cert)) == EXIT_OK
+    good = json.loads(cert.read_text())
+    missing = {f: v for f, v in good.items() if f != "final_vertices"}
+    for doc in ({**good, "note": "extra"}, missing):
+        cert.write_text(json.dumps(doc))
+        assert cli("verify", str(graph), str(cert)) == EXIT_PARSE_ERROR
+
+
+def test_verify_rejects_forged_list_guarantee(tmp_path):
+    graph = tmp_path / "k44.col"
+    cert = tmp_path / "cert.json"
+    write_dimacs(k44(), str(graph))
+    cert.write_text(forged_k44_certificate().to_json())
+    assert cli("verify", str(graph), str(cert)) == EXIT_REJECTED
+
+
+def test_extract_without_checkable_list_evidence_exits_4(tmp_path, capsys):
+    g, lists = bipartite_bad_lists()
+    assert g.n > coloring.CHOOSABILITY_CAP
+    graph = tmp_path / "k55.col"
+    lists_file = tmp_path / "k55.lists"
+    write_dimacs(g, str(graph))
+    lists_file.write_text("".join(f"list {v} {' '.join(map(str, sorted(cs)))}\n"
+                                  for v, cs in sorted(lists.items())))
+    capsys.readouterr()
+    assert cli("extract", str(graph), "--k", "3", "--mode", "list",
+               "--lists", str(lists_file), "--out", str(tmp_path / "c.json")) == EXIT_RESOURCE_LIMIT
+    assert "CHOOSABILITY_CAP" in capsys.readouterr().err

@@ -91,9 +91,10 @@ def test_descend_zero_steps_on_complete_graph():
 
 
 def test_descend_glued_k15s_one_step():
-    cfg = ExtractConfig(k=2, debug_validate=True)
+    cfg = ExtractConfig(k=2)
     wp = check_precondition(glued15(), cfg)
     trace, final = descend(wp, cfg)
+    assert is_valid_witness(final.h, final.t, 2, cfg.palette_for(final.h))
     assert len(trace) == 1
     step = trace[0]
     assert step.cut == (0,)

@@ -101,3 +101,4 @@ def test_graph_hash_ignores_comments_but_not_structure():
     h = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert graph_hash(g) == graph_hash(from_dimacs(to_dimacs(g, comments=["x"])))
     assert graph_hash(g) != graph_hash(h)
+    assert graph_hash(g) is graph_hash(g)  # computed once per graph

@@ -14,14 +14,11 @@ from chromcert.templates import (
     degree,
     derive_completion_template,
     derive_separation_template,
-    format_lists,
-    format_template,
     glue,
     interval_partition,
     is_valid_witness,
     list_direct_completion,
     parse_lists,
-    parse_template,
     rainbow_small_case,
     respects,
     restrict,
@@ -417,37 +414,10 @@ def test_list_completion_never_unsat_below_choosability():
         assert col is not None and respects(g, Template({}, forb), col, pal)
 
 
-# -- serialization ----------------------------------------------------------------
-
-def test_template_round_trip_plain():
-    pal = Palette.plain(14)
-    t = Template({0: 3, 2: 0}, {1: frozenset({0, 5}), 3: frozenset()})
-    text = format_template(2, pal, t)
-    k, pal2, t2 = parse_template(text)
-    assert (k, pal2, t2) == (2, pal, t)
-    assert format_template(k, pal2, t2) == text
-
-
-def test_template_round_trip_list_mode():
-    pal = Palette.from_lists({0: {0, 1, 2}, 1: {1, 3}, 2: {0, 4}})
-    t = Template({0: 1}, {1: frozenset({3}), 2: frozenset()})
-    text = format_template(1, pal, t)
-    k, pal2, t2 = parse_template(text)
-    assert (k, pal2, t2) == (1, pal, t)
-    assert format_template(k, pal2, t2) == text
-
-
-def test_template_parse_errors():
-    with pytest.raises(ValueError):
-        parse_template("mode plain\npalette 7\n")  # missing k
-    with pytest.raises(ValueError):
-        parse_template("k 2\nmode plain\n")  # missing palette size
-    with pytest.raises(ValueError):
-        parse_template("k 2\nmode plain\npalette 7\nwhat 1\n")
-
+# -- lists files ---------------------------------------------------------------------
 
 def test_lists_round_trip():
-    lists = {0: frozenset({1, 2}), 5: frozenset({0})}
-    assert parse_lists(format_lists(lists)) == lists
+    text = "c two lists\nlist 0 2 1\n\nlist 5 0\nlist 7\n"
+    assert parse_lists(text) == {0: frozenset({1, 2}), 5: frozenset({0}), 7: frozenset()}
     with pytest.raises(ValueError):
         parse_lists("forbid 0 1\n")
