@@ -209,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--lists", help="list-mode lists file (default: {0..4k-1} everywhere)")
     p_ext.add_argument("--budget-decisions", type=int, default=0)
     p_ext.add_argument("--budget-seconds", type=float, default=0.0)
-    group = p_ext.add_mutually_exclusive_group()
-    group.add_argument("--verify-precondition", dest="trust_precondition",
-                       action="store_false", default=False)
-    group.add_argument("--trust-precondition", dest="trust_precondition",
-                       action="store_true")
+    p_ext.add_argument("--trust-precondition", action="store_true")
     p_ext.add_argument("--out", help="certificate path (default: <graph>.cert.json)")
 
     p_ver = sub.add_parser("verify", help="re-check a certificate against a graph")

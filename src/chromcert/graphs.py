@@ -72,9 +72,6 @@ class Graph:
         """sha256 of the canonical (comment-free, sorted) DIMACS form."""
         return "sha256:" + hashlib.sha256(to_dimacs(self).encode("utf-8")).hexdigest()
 
-    def neighbours(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -151,6 +148,8 @@ def from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4:
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+            if n is not None:
+                raise ValueError(f"line {lineno}: second problem line {line!r}")
             n = int(parts[2])
         elif parts[0] == "e":
             if len(parts) != 3:

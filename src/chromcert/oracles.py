@@ -1,21 +1,19 @@
 """Independent brute-force reference oracles: all of chromcert's brute
 force lives here.
 
-Everything here answers by enumeration straight from the definitions, with
-none of the ordering heuristics, propagation or symmetry pruning of the
-exact engine (solver.extend, which also answers coloring.is_colourable and
-list_colour) or of the max-flow connectivity layer.  The verification
-suites and the tests run both routes and demand exact agreement.
+Everything here answers straight from the definitions: colourability by
+plain backtracking in vertex id order, the other oracles by exhaustive
+enumeration.  None of them uses the ordering heuristics, propagation or
+symmetry breaking of the exact engine (solver.extend, which also answers
+coloring.is_colourable and list_colour) or the max-flow connectivity
+layer.  The verification suites and the tests run both routes and demand
+exact agreement.
 """
 
 from __future__ import annotations
 
-import time
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Mapping
-
-import numpy as np
 
 from .graphs import Graph, induced_subgraph, is_connected
 from .solver import SolveResult, SolverStats
@@ -25,30 +23,9 @@ BRUTE_FORCE_VERTEX_CAP = 8
 BRUTE_FORCE_SPACE_CAP = 2_000_000
 
 
-@lru_cache(maxsize=32)
-def _assignment_matrix(n: int, t: int) -> np.ndarray:
-    """All t^n colour assignments as a (t^n, n) array."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    grids = np.meshgrid(*[np.arange(t, dtype=np.int8)] * n, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def brute_colourable(g: Graph, t: int) -> bool:
-    """Is there a proper t-colouring?  Checks every one of the t^n
-    assignments against every edge."""
-    if g.n == 0:
-        return True
-    if t == 0:
-        return False
-    ranks = {v: i for i, v in enumerate(g.sorted_vertices())}
-    assignments = _assignment_matrix(g.n, t)
-    ok = np.ones(assignments.shape[0], dtype=bool)
-    for u, v in g.edges:
-        ok &= assignments[:, ranks[u]] != assignments[:, ranks[v]]
-        if not ok.any():
-            return False
-    return bool(ok.any())
+    """Is there a proper t-colouring?"""
+    return brute_first_colouring(g, t) is not None
 
 
 def brute_chromatic_number(g: Graph, upper: int) -> int | None:
@@ -165,13 +142,10 @@ def brute_force_extend(g: Graph, t: Template, palette: Palette) -> SolveResult:
         if space > BRUTE_FORCE_SPACE_CAP:
             raise ValueError("brute force candidate space exceeds the cap")
     stats = SolverStats()
-    start = time.perf_counter()
     for assignment in product(*domains):
         stats.decisions += 1
         col = dict(t.precolour)
         col.update(zip(order, assignment))
         if respects(g, t, col, palette):
-            stats.elapsed = time.perf_counter() - start
             return SolveResult("sat", col, stats)
-    stats.elapsed = time.perf_counter() - start
     return SolveResult("unsat", None, stats)

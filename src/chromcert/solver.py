@@ -45,7 +45,6 @@ class SolverBudget:
 class SolverStats:
     decisions: int = 0
     backtracks: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
             v = score.index(best)
             stack.append([v, remaining[v], set(), 0, None])
     except _BudgetExceeded:
-        stats.elapsed = time.perf_counter() - start
         return SolveResult("resource_limit", None, stats)
-    stats.elapsed = time.perf_counter() - start
     if n and not stack:
         return SolveResult("unsat", None, stats)
     colour = dict(t.precolour)

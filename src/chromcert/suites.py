@@ -53,8 +53,6 @@ from .templates import (
     validate_template,
 )
 
-SUITE_NAMES = ("theorem1", "theorem2", "oracles", "properties")
-
 
 def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"

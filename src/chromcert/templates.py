@@ -359,7 +359,6 @@ class IntervalPartition:
     independent set, produced by the two stopping rules."""
 
     intervals: tuple[tuple[int, ...], ...]
-    indep_sets: tuple[frozenset[int], ...]
 
 
 def interval_partition(
@@ -406,7 +405,7 @@ def interval_partition(
             current, current_sum = [], 0
     if current:
         intervals.append(tuple(current))
-    return IntervalPartition(tuple(intervals), tuple(sets))
+    return IntervalPartition(tuple(intervals))
 
 
 def colour_from_intervals(
@@ -478,5 +477,8 @@ def parse_lists(text: str) -> dict[int, frozenset[int]]:
         parts = line.split()
         if parts[0] != "list" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
-        lists[int(parts[1])] = frozenset(int(c) for c in parts[2:])
+        v = int(parts[1])
+        if v in lists:
+            raise ValueError(f"line {lineno}: second list for vertex {v}")
+        lists[v] = frozenset(int(c) for c in parts[2:])
     return lists

@@ -6,6 +6,7 @@ search behind coloring.py)."""
 import ast
 import hashlib
 import json
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -66,6 +67,19 @@ def test_coloring_has_no_search_besides_the_witness_search():
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "extend" for n in nodes), name
     searching = {name for name, f in funcs.items() if any(isinstance(n, ast.While) for n in ast.walk(f))}
     assert searching <= WITNESS_SEARCH
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted(Path(checker.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 # -- certificate bytes -----------------------------------------------------------

@@ -129,6 +129,16 @@ def test_extract_lists_not_covering_graph(tmp_path):
                "--lists", str(lists)) == 2
 
 
+def test_extract_lists_with_repeated_vertex(tmp_path, capsys):
+    graph = tmp_path / "k5.col"
+    lists = tmp_path / "twice.txt"
+    run("gen", "complete", "5", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3\n" for v in (0, 1, 2, 3, 4, 0)))
+    assert run("extract", str(graph), "--k", "1", "--mode", "list",
+               "--lists", str(lists)) == EXIT_PARSE_ERROR
+    assert "line 6: second list for vertex 0" in capsys.readouterr().err
+
+
 def test_verify_rejects_tampered_certificate(tmp_path):
     graph = tmp_path / "glued.col"
     cert = tmp_path / "cert.json"

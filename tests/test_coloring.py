@@ -75,6 +75,17 @@ def test_is_colourable_matches_enumeration_on_random_graphs():
             assert (is_colourable(g, t) is not None) == brute_colourable(g, t)
 
 
+def test_brute_colourable_matches_the_definition():
+    # Every labelled graph on at most 5 vertices, against all t^n assignments.
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for t in range(4):
+                expected = any(proper(g, c) for c in product(range(t), repeat=n))
+                assert brute_colourable(g, t) == expected, (sorted(g.edges), t)
+
+
 def test_is_colourable_choices_pinned():
     # DSATUR order and colour choices, dict key order included.
     pet = generate(FamilySpec.kneser(5, 2))

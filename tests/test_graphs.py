@@ -89,10 +89,11 @@ def test_dimacs_parses_one_based_ids():
         "p edge 2 1\ne 1 5\n",  # out of range
         "p edge\n",  # malformed header
         "p edge 2 0\nq 1 2\n",  # unknown record
+        "p edge 3 1\ne 1 2\np edge 6 0\n",  # second header
     ],
 )
 def test_dimacs_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line \d+: "):
         from_dimacs(text)
 
 

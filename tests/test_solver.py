@@ -160,7 +160,6 @@ def test_stats_populated():
     res = extend(g, Template.empty(g), Palette.plain(5))
     assert res.outcome == "sat"
     assert res.stats.decisions >= 5
-    assert res.stats.elapsed >= 0.0
 
 
 @pytest.mark.parametrize("spec, size, outcome, decisions, backtracks", [

@@ -421,3 +421,5 @@ def test_lists_round_trip():
     assert parse_lists(text) == {0: frozenset({1, 2}), 5: frozenset({0}), 7: frozenset()}
     with pytest.raises(ValueError):
         parse_lists("forbid 0 1\n")
+    with pytest.raises(ValueError, match="line 2: second list for vertex 0"):
+        parse_lists("list 0 1 2\nlist 0 3 4\n")
