@@ -26,7 +26,7 @@ from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
 from .graphs import Graph, graph_hash, induced_subgraph
-from .solver import SolverBudget, SolveResult, extend
+from .solver import SolverBudget, SolverStats, extend
 from .templates import (
     LIST,
     PLAIN,
@@ -95,19 +95,7 @@ class WitnessPair:
     mode: str
 
 
-class StatTotals:
-    """Deterministic solver-work counters accumulated across a pipeline."""
-
-    def __init__(self):
-        self.decisions = 0
-        self.backtracks = 0
-
-    def add(self, result: SolveResult) -> None:
-        self.decisions += result.stats.decisions
-        self.backtracks += result.stats.backtracks
-
-
-def check_precondition(g: Graph, cfg: ExtractConfig, totals: StatTotals | None = None) -> WitnessPair:
+def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None = None) -> WitnessPair:
     """Initial witness pair: the empty template on g.
 
     Under the verify policy the solver confirms that no palette colouring
@@ -121,8 +109,7 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: StatTotals | None =
     if cfg.precondition == VERIFY:
         result = extend(g, t, palette, cfg.budget)
         if totals is not None:
-            totals.add(result)
-        result.raise_if_limited()
+            totals.add(result.stats)
         if result.outcome == "sat":
             raise NotInextensibleError(
                 "graph admits a proper palette colouring; the extraction "
@@ -151,7 +138,7 @@ def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
 
 
 def descend(
-    wp: WitnessPair, cfg: ExtractConfig, totals: StatTotals | None = None
+    wp: WitnessPair, cfg: ExtractConfig, totals: SolverStats | None = None
 ) -> tuple[list[DescentStep], WitnessPair]:
     """Run the descent until the witness pair is k-connected.
 
@@ -164,7 +151,7 @@ def descend(
     """
     k = cfg.k
     palette = cfg.palette_for(wp.h)
-    totals = totals if totals is not None else StatTotals()
+    totals = totals if totals is not None else SolverStats()
     trace: list[DescentStep] = []
     h, t = wp.h, wp.t
     for _ in range(wp.h.n + 1):
@@ -188,16 +175,15 @@ def descend(
         t_sep = derive_separation_template(h, t, cut, y, z, k)
         sub_y = induced_subgraph(h, cut | y)
         res_y = extend(sub_y, t_sep, palette, cfg.budget)
-        res_y.raise_if_limited()
-        totals.add(res_y)
+        work = SolverStats()
+        work.add(res_y.stats)
         if res_y.outcome == "unsat":
-            recursed, runs, h_next, t_next = "separation", (res_y,), sub_y, t_sep
+            recursed, h_next, t_next = "separation", sub_y, t_sep
         else:
             t_comp = derive_completion_template(h, t, cut, z, res_y.colouring, k)
             sub_z = induced_subgraph(h, cut | z)
             res_z = extend(sub_z, t_comp, palette, cfg.budget)
-            res_z.raise_if_limited()
-            totals.add(res_z)
+            work.add(res_z.stats)
             if res_z.outcome != "unsat":
                 glued = glue(res_y.colouring, res_z.colouring)
                 if not respects(h, t, glued, palette):
@@ -207,7 +193,8 @@ def descend(
                     "the witness claim was false",
                     glued,
                 )
-            recursed, runs, h_next, t_next = "completion", (res_y, res_z), sub_z, t_comp
+            recursed, h_next, t_next = "completion", sub_z, t_comp
+        totals.add(work)
         trace.append(
             DescentStep(
                 cut=tuple(sorted(cut)),
@@ -217,8 +204,8 @@ def descend(
                 template_degree=deg_t,
                 z_degree=deg_z,
                 derived_degree=degree(t_next, k),
-                solver_decisions=sum(r.stats.decisions for r in runs),
-                solver_backtracks=sum(r.stats.backtracks for r in runs),
+                solver_decisions=work.decisions,
+                solver_backtracks=work.backtracks,
             )
         )
         h, t = h_next, t_next
@@ -289,7 +276,7 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     """check_precondition, descend, finalize; the result is self-verified
     against verify_certificate before being returned.  The recorded solver
     stats cover the precondition check and the descent."""
-    totals = StatTotals()
+    totals = SolverStats()
     wp = check_precondition(g, cfg, totals)
     trace, final = descend(wp, cfg, totals)
     conn, chrom = finalize_chromatic(final, cfg)

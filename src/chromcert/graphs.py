@@ -125,7 +125,8 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DIMACS-style files: `c` comments, `p edge <n> <m>`, `e <u> <v>` (1-based).
+# DIMACS-style files: `c` comments, `p edge <n> <m>`, then m `e <u> <v>`
+# lines (1-based).  A malformed record raises ValueError naming its line.
 # ---------------------------------------------------------------------------
 
 def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -135,6 +136,14 @@ def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
     for u, v in sorted((ranks[a], ranks[b]) for a, b in g.edges):
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def int_fields(lineno: int, fields: list[str]) -> list[int]:
+    """A record's fields as integers, or ValueError naming its line."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
 
 
 def from_dimacs(text: str) -> Graph:
@@ -150,22 +159,30 @@ def from_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
             if n is not None:
                 raise ValueError(f"line {lineno}: second problem line {line!r}")
-            n = int(parts[2])
+            n, m = int_fields(lineno, parts[2:4])
+            if n < 0 or m < 0:
+                raise ValueError(f"line {lineno}: negative count in {line!r}")
+            p_lineno = lineno
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
             if n is None:
                 raise ValueError(f"line {lineno}: edge line before problem line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = (x - 1 for x in int_fields(lineno, parts[1:]))
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"line {lineno}: vertex out of range in {line!r}")
-            edges.add(_normalise_edge(u, v))
+            edge = _normalise_edge(u, v)
+            if edge in edges:
+                raise ValueError(f"line {lineno}: repeated edge {line!r}")
+            edges.add(edge)
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if n is None:
         raise ValueError("missing 'p edge <n> <m>' line")
+    if len(edges) != m:
+        raise ValueError(f"line {p_lineno}: {m} edges declared, {len(edges)} 'e' lines found")
     return Graph.build(n, edges)
 
 

@@ -1,9 +1,9 @@
 """The extensibility oracle, chromcert's one exact colouring search: decide
 whether a proper palette (or list) colouring respecting a template exists,
-returning either a colouring or a definite UNSAT.  A budget exhaustion is a
-third, loudly distinct outcome.  coloring.is_colourable and list_colour are
-this search on the empty template; oracles.brute_force_extend is its
-brute-force reference.
+returning either a colouring or a definite UNSAT.  An exhausted budget is
+never an answer: extend raises ResourceLimitError.  coloring.is_colourable
+and list_colour are this search on the empty template;
+oracles.brute_force_extend is its brute-force reference.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
 candidate masks (bit i: the i-th smallest colour in g's lists).  Vertices
@@ -43,28 +43,24 @@ class SolverBudget:
 
 @dataclass
 class SolverStats:
+    """Deterministic search-work counters: of one run, or summed with add."""
+
     decisions: int = 0
     backtracks: int = 0
+
+    def add(self, other: "SolverStats") -> None:
+        self.decisions += other.decisions
+        self.backtracks += other.backtracks
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    outcome: str  # "sat" | "unsat" | "resource_limit"
+    outcome: str  # "sat" | "unsat"; an exhausted budget raises instead
     colouring: dict[int, int] | None
     stats: SolverStats = field(default_factory=SolverStats)
 
-    def raise_if_limited(self) -> None:
-        if self.outcome == "resource_limit":
-            raise ResourceLimitError(
-                f"solver budget exhausted after {self.stats.decisions} decisions"
-            )
-
 
 _UNLIMITED = SolverBudget()
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> dict[int, int | None]:
@@ -107,7 +103,8 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     colours are tried in increasing order with interchangeable unused
     colours collapsed to their smallest representative.  A Sat answer is
     re-verified against the respects predicate before being returned;
-    Unsat means the (pruned but exhaustive) search space is empty.
+    Unsat means the (pruned but exhaustive) search space is empty.  Raises
+    ResourceLimitError once the budget is exhausted.
     """
     validate_template(g, t, palette)
     budget = budget or _UNLIMITED
@@ -148,53 +145,51 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     if n:
         v = score.index(min(score))
         stack.append([v, remaining[v], set(), 0, None])
-    try:
-        while stack:
-            v, todo, seen, bit, pruned = frame = stack[-1]
-            if bit:  # take back the colour tried last
-                for u in pruned:
-                    remaining[u] |= bit
-                    score[u] += n
-                score[v] -= done
-                usage[bit.bit_length() - 1] -= 1
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                ci = bit.bit_length() - 1
-                cls = cls_of[ci]
-                if cls is None or usage[ci]:
-                    break
-                if cls not in seen:
-                    seen.add(cls)
-                    break
-            else:
-                stats.backtracks += 1
-                stack.pop()
-                continue
-            stats.decisions += 1
-            if budget.max_decisions and stats.decisions > budget.max_decisions:
-                raise _BudgetExceeded
-            if budget.wall_clock_seconds and stats.decisions % _TIME_CHECK_EVERY == 0:
-                if time.perf_counter() - start > budget.wall_clock_seconds:
-                    raise _BudgetExceeded
-            usage[ci] += 1
-            score[v] += done
-            if nbrs[v] is None:
-                nbrs[v] = [rank[u] for u in adj[verts[v]] if u in rank]
-            pruned = [u for u in nbrs[v] if score[u] < done and remaining[u] & bit]
+    while stack:
+        v, todo, seen, bit, pruned = frame = stack[-1]
+        if bit:  # take back the colour tried last
             for u in pruned:
-                remaining[u] ^= bit
-                score[u] -= n
-            frame[1], frame[3], frame[4] = todo, bit, pruned
-            if not all(map(remaining.__getitem__, pruned)):
-                continue  # wipeout: the next pass takes the colour back
-            best = min(score)
-            if best >= done:
+                remaining[u] |= bit
+                score[u] += n
+            score[v] -= done
+            usage[bit.bit_length() - 1] -= 1
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            ci = bit.bit_length() - 1
+            cls = cls_of[ci]
+            if cls is None or usage[ci]:
                 break
-            v = score.index(best)
-            stack.append([v, remaining[v], set(), 0, None])
-    except _BudgetExceeded:
-        return SolveResult("resource_limit", None, stats)
+            if cls not in seen:
+                seen.add(cls)
+                break
+        else:
+            stats.backtracks += 1
+            stack.pop()
+            continue
+        stats.decisions += 1
+        if (budget.max_decisions and stats.decisions > budget.max_decisions) or (
+            budget.wall_clock_seconds
+            and stats.decisions % _TIME_CHECK_EVERY == 0
+            and time.perf_counter() - start > budget.wall_clock_seconds
+        ):
+            raise ResourceLimitError(f"solver budget exhausted after {stats.decisions} decisions")
+        usage[ci] += 1
+        score[v] += done
+        if nbrs[v] is None:
+            nbrs[v] = [rank[u] for u in adj[verts[v]] if u in rank]
+        pruned = [u for u in nbrs[v] if score[u] < done and remaining[u] & bit]
+        for u in pruned:
+            remaining[u] ^= bit
+            score[u] -= n
+        frame[1], frame[3], frame[4] = todo, bit, pruned
+        if not all(map(remaining.__getitem__, pruned)):
+            continue  # wipeout: the next pass takes the colour back
+        best = min(score)
+        if best >= done:
+            break
+        v = score.index(best)
+        stack.append([v, remaining[v], set(), 0, None])
     if n and not stack:
         return SolveResult("unsat", None, stats)
     colour = dict(t.precolour)

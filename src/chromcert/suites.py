@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from functools import partial
 from itertools import combinations
 
 from .coloring import (
@@ -68,11 +70,19 @@ def _witness_refuted(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
     return brute_list_colour(h, lists) is None
 
 
-def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> tuple[dict, float]:
-    import time
+def _run_sections(sections) -> tuple[dict, dict[str, float]]:
+    """Run each (name, fn) in order: the results and the wall times, by name."""
+    results: dict = {}
+    timings: dict[str, float] = {}
+    for name, fn in sections:
+        t0 = time.perf_counter()
+        results[name] = fn()
+        timings[name] = time.perf_counter() - t0
+    return results, timings
 
+
+def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> dict:
     g = generate(spec)
-    t0 = time.perf_counter()
     record = {
         "id": instance_id,
         "family": spec.label(),
@@ -93,7 +103,7 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> tup
         cert = extract(g, cfg)
     except Exception as exc:  # includes InternalContradiction: reported, not raised
         record["outcome"] = f"error:{type(exc).__name__}"
-        return record, time.perf_counter() - t0
+        return record
     h = induced_subgraph(g, cert.final_vertices)
     record["h_size"] = h.n
     evidence = cert.connectivity_evidence
@@ -113,7 +123,7 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> tup
     record["certificate"] = json.loads(cert.to_json())
     if record["verified"] and record["kappa_ok"] and record["chromatic_ok"]:
         record["outcome"] = "pass"
-    return record, time.perf_counter() - t0
+    return record
 
 
 def theorem1_instances() -> list[tuple[str, FamilySpec, ExtractConfig]]:
@@ -148,13 +158,10 @@ def theorem2_instances() -> list[tuple[str, FamilySpec, ExtractConfig]]:
 
 
 def _run_instance_suite(name: str, instances) -> tuple[dict, dict[str, float]]:
-    records = []
-    timings: dict[str, float] = {}
-    for instance_id, spec, cfg in instances:
-        record, seconds = _run_instance(instance_id, spec, cfg)
-        records.append(record)
-        timings[instance_id] = seconds
-    records.sort(key=lambda r: r["id"])
+    by_id, timings = _run_sections(
+        (iid, partial(_run_instance, iid, spec, cfg)) for iid, spec, cfg in instances
+    )
+    records = [by_id[iid] for iid in sorted(by_id)]
     passed = sum(1 for r in records if r["outcome"] == "pass")
     report = {
         "suite": name,
@@ -428,27 +435,14 @@ def _choosability_ground_truth() -> dict:
 
 
 def run_oracles() -> tuple[dict, dict[str, float]]:
-    import time
-
-    timings: dict[str, float] = {}
-    sections = {}
-    for name, fn in (
+    sections, timings = _run_sections((
         ("extend_vs_bruteforce_exhaustive", _solver_equivalence_exhaustive),
         ("extend_vs_bruteforce_random", _solver_equivalence_random),
         ("colourability_all_graphs_n6", _colourability_ground_truth),
         ("min_cut_ground_truth", _min_cut_ground_truth),
         ("choosability_ground_truth", _choosability_ground_truth),
-    ):
-        t0 = time.perf_counter()
-        sections[name] = fn()
-        timings[name] = time.perf_counter() - t0
-    ok = (
-        sections["extend_vs_bruteforce_exhaustive"]["mismatches"] == 0
-        and sections["extend_vs_bruteforce_random"]["mismatches"] == 0
-        and sections["colourability_all_graphs_n6"]["mismatches"] == 0
-        and sections["min_cut_ground_truth"]["mismatches"] == 0
-        and not sections["choosability_ground_truth"]["failures"]
-    )
+    ))
+    ok = all(not s.get("mismatches") and not s.get("failures") for s in sections.values())
     report = {"suite": "oracles", "sections": sections, "ok": ok}
     return report, timings
 
@@ -704,31 +698,17 @@ def _prop_mutations(count: int) -> dict:
 
 
 def run_properties(trials: int = 1000, mutations: int = 100) -> tuple[dict, dict[str, float]]:
-    import time
-
-    timings: dict[str, float] = {}
-    sections = {}
-    for name, fn in (
-        ("degree_additivity", lambda: _prop_degree_additivity(trials)),
-        ("strengthen_witness", lambda: _prop_strengthen(trials)),
-        ("derive_separation", lambda: _prop_separation(trials)),
-        ("derive_completion_glue", lambda: _prop_completion_and_glue(trials)),
-        ("interval_partition", lambda: _prop_intervals(trials)),
-        ("rainbow_small_case", lambda: _prop_rainbow(trials)),
-        ("mutated_witnesses", lambda: _prop_mutations(mutations)),
-    ):
-        t0 = time.perf_counter()
-        sections[name] = fn()
-        timings[name] = time.perf_counter() - t0
-    ok = all(sections[name]["violations"] == 0 for name in (
-        "degree_additivity",
-        "strengthen_witness",
-        "derive_separation",
-        "derive_completion_glue",
-        "interval_partition",
-        "rainbow_small_case",
+    sections, timings = _run_sections((
+        ("degree_additivity", partial(_prop_degree_additivity, trials)),
+        ("strengthen_witness", partial(_prop_strengthen, trials)),
+        ("derive_separation", partial(_prop_separation, trials)),
+        ("derive_completion_glue", partial(_prop_completion_and_glue, trials)),
+        ("interval_partition", partial(_prop_intervals, trials)),
+        ("rainbow_small_case", partial(_prop_rainbow, trials)),
+        ("mutated_witnesses", partial(_prop_mutations, mutations)),
     ))
     muts = sections["mutated_witnesses"]
+    ok = all(not s.get("violations") for s in sections.values())
     ok = ok and muts["contradictions"] == muts["count"] == muts["respecting_colourings"]
     report = {"suite": "properties", "sections": sections, "ok": ok}
     return report, timings

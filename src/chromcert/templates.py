@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InternalContradiction, TemplateError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, int_fields
 
 PLAIN = "plain"
 LIST = "list"
@@ -87,10 +87,6 @@ class Template:
     @staticmethod
     def empty(g: Graph) -> "Template":
         return Template({}, {v: frozenset() for v in g.vertices})
-
-    @property
-    def s(self) -> frozenset[int]:
-        return frozenset(self.precolour)
 
 
 def validate_template(g: Graph, t: Template, palette: Palette) -> None:
@@ -174,22 +170,25 @@ def is_valid_witness(g: Graph, t: Template, k: int, palette: Palette, budget=Non
         return False
     if any(len(fs) > 2 * k for fs in t.forbidden.values()):
         return False
-    result = _extend(g, t, palette, budget)
-    result.raise_if_limited()
-    return result.outcome == "unsat"
+    return _extend(g, t, palette, budget).outcome == "unsat"
 
 
-def _strengthen_candidate(g: Graph, t: Template, v: int, palette: Palette) -> int | None:
-    """Smallest colour that can pre-colour v without touching the template's
-    other guarantees.  Plain mode avoids every colour used on S; list mode
-    only needs to dodge pre-coloured neighbours, since properness is a
+def _free_colours(g: Graph, t: Template, v: int, palette: Palette) -> frozenset[int]:
+    """The colours a construction may give the uncoloured vertex v without
+    touching the template's other guarantees: v's palette colours minus
+    F(v), minus every colour used on S in plain mode, or in list mode only
+    the colours of v's pre-coloured neighbours, since properness is a
     purely local constraint."""
     if palette.mode == PLAIN:
-        blocked = set(t.precolour.values()) | t.forbidden[v]
+        blocked = set(t.precolour.values())
     else:
-        blocked = {t.precolour[u] for u in g.adj[v] if u in t.precolour} | t.forbidden[v]
-    eligible = palette.colours_of(v) - blocked
-    return min(eligible) if eligible else None
+        blocked = {t.precolour[u] for u in g.adj[v] if u in t.precolour}
+    return palette.colours_of(v) - t.forbidden[v] - blocked
+
+
+def _palette_too_small(what: str, v: int, k: int, palette: Palette) -> ValueError:
+    kind, size = ("palette", palette.size) if palette.mode == PLAIN else ("list", len(palette.colours_of(v)))
+    return ValueError(f"{what} for vertex {v}: {kind} size {size} is too small for k = {k}")
 
 
 def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=None) -> Template:
@@ -200,7 +199,8 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
     the degree cannot increase (the |S| term grows by k, the list term
     shrinks by at least k).  If anything changed, the result is re-checked
     UNSAT; a respecting colouring at that point disproves the input witness
-    and is raised as an InternalContradiction.
+    and is raised as an InternalContradiction.  No eligible colour means the
+    palette is too small for k: ValueError.
     """
     pre = dict(t.precolour)
     forb = dict(t.forbidden)
@@ -210,14 +210,10 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
         if not heavy:
             break
         v = heavy[0]
-        work = Template(pre, forb)
-        colour = _strengthen_candidate(g, work, v, palette)
-        if colour is None:
-            raise RuntimeError(
-                f"no eligible colour to pre-colour vertex {v}; "
-                "palette too small for the witness shape"
-            )
-        pre[v] = colour
+        eligible = _free_colours(g, Template(pre, forb), v, palette)
+        if not eligible:
+            raise _palette_too_small("no eligible colour", v, k, palette)
+        pre[v] = min(eligible)
         del forb[v]
         changed = True
     out = Template(pre, forb)
@@ -225,7 +221,6 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
         if degree(out, k) > degree(t, k):
             raise RuntimeError("strengthening increased the template degree")
         result = _extend(g, out, palette, budget)
-        result.raise_if_limited()
         if result.outcome == "sat":
             raise InternalContradiction(
                 "strengthened template admits a respecting colouring; "
@@ -329,8 +324,9 @@ def rainbow_small_case(h: Graph, t: Template, k: int, palette: Palette) -> dict[
     """Respecting colouring of a graph on at most k vertices, giving the
     uncoloured vertices pairwise distinct colours from their available
     lists (greedy by vertex id, smallest colour first).  Room is guaranteed
-    for any witness-shaped template, complete host or not, because the
-    construction never relies on a non-edge."""
+    for any witness-shaped template from a palette of the theorem's size,
+    complete host or not, because the construction never relies on a
+    non-edge; a smaller palette can run out (ValueError)."""
     if h.n > k:
         raise ValueError(f"small case needs at most k = {k} vertices, got {h.n}")
     if any(len(fs) > k - 1 for fs in t.forbidden.values()):
@@ -338,16 +334,11 @@ def rainbow_small_case(h: Graph, t: Template, k: int, palette: Palette) -> dict[
     col = dict(t.precolour)
     used: set[int] = set()
     for v in sorted(t.forbidden):
-        if palette.mode == PLAIN:
-            avail = palette.colours_of(v) - set(t.precolour.values()) - t.forbidden[v]
-        else:
-            nbr_pre = {t.precolour[u] for u in h.adj[v] if u in t.precolour}
-            avail = palette.colours_of(v) - nbr_pre - t.forbidden[v]
-        choices = sorted(avail - used)
+        choices = _free_colours(h, t, v, palette) - used
         if not choices:
-            raise RuntimeError(f"no rainbow colour left for vertex {v}")
-        col[v] = choices[0]
-        used.add(choices[0])
+            raise _palette_too_small("no rainbow colour left", v, k, palette)
+        col[v] = min(choices)
+        used.add(col[v])
     if not respects(h, t, col, palette):
         raise RuntimeError("rainbow construction produced a non-respecting colouring")
     return col
@@ -423,7 +414,8 @@ def colour_from_intervals(
         banned = s_colours.union(*(t.forbidden[v] for v in interval))
         choices = sorted(palette.universe() - banned - used)
         if not choices:
-            raise RuntimeError("ran out of interval colours; palette too small")
+            raise ValueError(f"ran out of interval colours for vertex {interval[0]}: "
+                             f"palette size {palette.size} is too small")
         for v in interval:
             col[v] = choices[0]
         used.add(choices[0])
@@ -446,15 +438,11 @@ def list_direct_completion(
     rest = sorted(t.forbidden)
     if not rest:
         return dict(t.precolour)
-    avail: dict[int, frozenset[int]] = {}
-    for v in rest:
-        nbr_pre = {t.precolour[u] for u in h.adj[v] if u in t.precolour}
-        avail[v] = palette.colours_of(v) - t.forbidden[v] - nbr_pre
-        if not avail[v]:
-            return None
+    avail = {v: _free_colours(h, t, v, palette) for v in rest}
+    if not all(avail.values()):
+        return None
     sub = induced_subgraph(h, rest)
     result = _extend(sub, Template.empty(sub), Palette.from_lists(avail), budget)
-    result.raise_if_limited()
     if result.outcome == "unsat":
         return None
     col = dict(t.precolour)
@@ -477,8 +465,8 @@ def parse_lists(text: str) -> dict[int, frozenset[int]]:
         parts = line.split()
         if parts[0] != "list" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
-        v = int(parts[1])
+        v, *colours = int_fields(lineno, parts[1:])
         if v in lists:
             raise ValueError(f"line {lineno}: second list for vertex {v}")
-        lists[v] = frozenset(int(c) for c in parts[2:])
+        lists[v] = frozenset(colours)
     return lists

@@ -2,6 +2,8 @@
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -s` (or
 `chromcert reproduce <suite>` for the underlying machinery)."""
 
+import hashlib
+
 import pytest
 
 from chromcert.suites import (
@@ -125,3 +127,21 @@ def test_criterion_7_determinism(theorem1):
     firsts = {r["id"]: r["certificate"] for r in first_report["instances"]}
     seconds = {r["id"]: r["certificate"] for r in second_report["instances"]}
     assert firsts == seconds
+
+
+# sha256 of each suite's report, as `chromcert reproduce <suite> --out` writes it.
+REPORT_SHA256 = {
+    "theorem1": "d759590e3c9fc59bc4d63dd5d624fd1d3f270bb743198cc5bd218edbdcf4cc62",
+    "theorem2": "67b1afcfaebdce3eb0869d81d11dbccd3a84c08fa60c5ab1eb7cebb8c7cefedf",
+    "oracles": "a8af2b9049948ae87954de53a77f93afcdd3869d60f8b905324b73527d16d7bc",
+    "properties": "50a2bbba355adb57157f4082703c20c4f60a00f93592d46609603d7956ad20e2",
+}
+
+
+def test_suite_reports_pinned(theorem1, theorem2, oracles, properties):
+    reports = {"theorem1": theorem1, "theorem2": theorem2, "oracles": oracles, "properties": properties}
+    digests = {
+        name: hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        for name, (report, _) in reports.items()
+    }
+    assert digests == REPORT_SHA256

@@ -1,11 +1,14 @@
 import json
 
+import pytest
+
 from chromcert.cli import (
     EXIT_NOT_INEXTENSIBLE,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_REJECTED,
     EXIT_RESOURCE_LIMIT,
+    EXIT_USAGE,
     main,
 )
 from chromcert.graphs import read_dimacs
@@ -88,6 +91,27 @@ def test_extract_budget_exhaustion(tmp_path):
     run("gen", "glued", "15", "15", "--out", str(graph))
     code = run("extract", str(graph), "--k", "2", "--budget-decisions", "3")
     assert code == EXIT_RESOURCE_LIMIT
+
+
+@pytest.mark.parametrize("family, params, mode", [
+    ("glued", ("15", "15"), "plain"),  # runs out in the descent's side solve
+    ("complete", ("9",), "list"),  # runs out in the list-mode direct completion
+])
+def test_extract_budget_exhaustion_past_the_precondition(tmp_path, family, params, mode):
+    graph = tmp_path / "g.col"
+    run("gen", family, *params, "--out", str(graph))
+    code = run("extract", str(graph), "--k", "2", "--mode", mode,
+               "--trust-precondition", "--budget-decisions", "1")
+    assert code == EXIT_RESOURCE_LIMIT
+
+
+def test_extract_palette_too_small_is_a_usage_error(tmp_path, capsys):
+    # Groetzsch graph, chi = 4: a 3-colour palette leaves the rainbow small
+    # case without a colour, which is a configuration error, not exit 5.
+    graph = tmp_path / "groetzsch.col"
+    run("gen", "mycielski", "4", "--out", str(graph))
+    assert run("extract", str(graph), "--k", "4", "--palette-size", "3") == EXIT_USAGE
+    assert "no rainbow colour left for vertex 6: palette size 3 is too small for k = 4" in capsys.readouterr().err
 
 
 def test_extract_list_mode_with_lists_file(tmp_path):

@@ -82,6 +82,15 @@ def test_precondition_budget_surfaces_limit():
 
 # -- descend -------------------------------------------------------------------
 
+def test_descend_side_solve_budget_surfaces_limit():
+    # No heavy list, so strengthening runs no solve: the first solve is the
+    # separation side's, and it needs more than one decision.
+    cfg = ExtractConfig(k=2, budget=SolverBudget(max_decisions=1), precondition="trust")
+    wp = check_precondition(glued15(), cfg)
+    with pytest.raises(ResourceLimitError, match="after 2 decisions"):
+        descend(wp, cfg)
+
+
 def test_descend_zero_steps_on_complete_graph():
     cfg = ExtractConfig(k=2)
     wp = check_precondition(generate(FamilySpec.complete(15)), cfg)
@@ -212,6 +221,13 @@ def test_finalize_contradiction_on_bipartite_fake_witness():
     with pytest.raises(InternalContradiction) as exc:
         finalize_chromatic(WitnessPair(g, Template.empty(g), 3, "plain"), cfg)
     assert respects(g, Template.empty(g), exc.value.colouring, cfg.palette_for(g))
+
+
+def test_finalize_list_completion_budget_surfaces_limit():
+    g = generate(FamilySpec.complete(9))
+    cfg = ExtractConfig(k=2, mode="list", budget=SolverBudget(max_decisions=1))
+    with pytest.raises(ResourceLimitError, match="after 2 decisions"):
+        finalize_chromatic(WitnessPair(g, Template.empty(g), 2, "list"), cfg)
 
 
 def test_finalize_requires_connectivity():

@@ -90,6 +90,11 @@ def test_dimacs_parses_one_based_ids():
         "p edge\n",  # malformed header
         "p edge 2 0\nq 1 2\n",  # unknown record
         "p edge 3 1\ne 1 2\np edge 6 0\n",  # second header
+        "p edge x 0\n",  # vertex count not an integer
+        "p edge 3 1\ne 1 b\n",  # edge endpoint not an integer
+        "p edge -2 0\n",  # negative vertex count
+        "p edge 3 5\ne 1 2\n",  # fewer edge lines than declared
+        "p edge 3 2\ne 1 2\ne 2 1\n",  # one edge given twice
     ],
 )
 def test_dimacs_rejects_malformed(text):

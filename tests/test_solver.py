@@ -135,11 +135,8 @@ def test_deterministic_colourings():
 
 def test_budget_exhaustion_is_distinct():
     g = generate(FamilySpec.glued_cliques((15, 15), 1))
-    res = extend(g, Template.empty(g), Palette.plain(14), SolverBudget(max_decisions=3))
-    assert res.outcome == "resource_limit"
-    assert res.colouring is None
-    with pytest.raises(ResourceLimitError):
-        res.raise_if_limited()
+    with pytest.raises(ResourceLimitError, match="^solver budget exhausted after 4 decisions$"):
+        extend(g, Template.empty(g), Palette.plain(14), SolverBudget(max_decisions=3))
     # same instance, unconstrained: a definite answer, not a limit
     assert extend(g, Template.empty(g), Palette.plain(14)).outcome == "unsat"
 
@@ -150,9 +147,8 @@ def test_wall_clock_budget():
     from chromcert.families import generate as gen
 
     g = gen(FamilySpec.join(*[FamilySpec.cycle(5)] * 5))
-    res = extend(g, Template.empty(g), Palette.plain(14),
-                 SolverBudget(wall_clock_seconds=1e-9))
-    assert res.outcome == "resource_limit"
+    with pytest.raises(ResourceLimitError, match="after 512 decisions"):
+        extend(g, Template.empty(g), Palette.plain(14), SolverBudget(wall_clock_seconds=1e-9))
 
 
 def test_stats_populated():

@@ -178,6 +178,13 @@ def test_strengthen_degree_balance():
     assert all(len(fs) <= 1 for fs in out.forbidden.values())
 
 
+def test_strengthen_palette_too_small_is_a_value_error():
+    g = generate(FamilySpec.complete(2))
+    t = Template({}, {0: frozenset({0, 1}), 1: frozenset()})
+    with pytest.raises(ValueError, match="^no eligible colour for vertex 0: palette size 2 is too small for k = 2$"):
+        strengthen_witness(g, t, 2, Palette.plain(2))
+
+
 def test_strengthen_reverifies_unsat():
     g = generate(FamilySpec.complete(8))
     pal = Palette.plain(7)
@@ -322,6 +329,15 @@ def test_rainbow_k3_matches_brute_force():
     assert valid and col in valid
 
 
+def test_rainbow_palette_too_small_is_a_value_error():
+    g = generate(FamilySpec.complete(3))
+    with pytest.raises(ValueError, match="^no rainbow colour left for vertex 2: palette size 2 is too small for k = 3$"):
+        rainbow_small_case(g, Template.empty(g), 3, Palette.plain(2))
+    pal = Palette.from_lists({v: range(2) for v in g.vertices})
+    with pytest.raises(ValueError, match="^no rainbow colour left for vertex 2: list size 2 is too small for k = 3$"):
+        rainbow_small_case(g, Template.empty(g), 3, pal)
+
+
 def test_rainbow_rejects_oversized_graph():
     g = generate(FamilySpec.complete(4))
     with pytest.raises(ValueError):
@@ -378,6 +394,14 @@ def test_colour_from_intervals_single_interval():
     assert col == {0: 0, 1: 0}
 
 
+def test_colour_from_intervals_palette_too_small_is_a_value_error():
+    g = Graph.build(6, [])
+    t = Template.empty(g)
+    parts = interval_partition(g, t, 3, [[0, 1], [2, 3], [4, 5]])
+    with pytest.raises(ValueError, match="^ran out of interval colours for vertex 4: palette size 2 is too small$"):
+        colour_from_intervals(g, t, parts, Palette.plain(2))
+
+
 # -- list-mode direct completion -------------------------------------------------
 
 def test_list_completion_everything_precoloured():
@@ -423,3 +447,7 @@ def test_lists_round_trip():
         parse_lists("forbid 0 1\n")
     with pytest.raises(ValueError, match="line 2: second list for vertex 0"):
         parse_lists("list 0 1 2\nlist 0 3 4\n")
+    with pytest.raises(ValueError, match="^line 1: "):
+        parse_lists("list a 1\n")
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_lists("c vertex ok, colour not\nlist 1 x\n")
