@@ -14,7 +14,7 @@ from .errors import (
     TemplateError,
 )
 from .extractor import ExtractConfig, extract
-from .families import FamilySpec, generate, parse_atom
+from .families import generate, parse_family
 from .graphs import read_dimacs, to_dimacs, write_dimacs
 from .solver import SolverBudget
 from .suites import SUITES, report_to_json
@@ -29,39 +29,12 @@ EXIT_VERIFY_FAILED = 5
 EXIT_PARSE_ERROR = 6
 
 
-def _family_from_args(args: argparse.Namespace) -> FamilySpec | None:
-    fam = args.family
-    params = args.params
-    try:
-        if fam == "complete":
-            return FamilySpec.complete(int(params[0]))
-        if fam == "cycle":
-            return FamilySpec.cycle(int(params[0]))
-        if fam == "kneser":
-            return FamilySpec.kneser(int(params[0]), int(params[1]))
-        if fam == "mycielski":
-            return FamilySpec.mycielski(int(params[0]))
-        if fam == "glued":
-            return FamilySpec.glued_cliques(tuple(int(p) for p in params), args.shared)
-        if fam == "random":
-            return FamilySpec.random(int(params[0]), float(params[1]), args.seed)
-        if fam == "join":
-            return FamilySpec.join(*(parse_atom(p) for p in params))
-    except (IndexError, ValueError) as exc:
-        print(f"gen: bad parameters for family {fam!r}: {exc}", file=sys.stderr)
-        return None
-    print(f"gen: unknown family {fam!r}", file=sys.stderr)
-    return None
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = _family_from_args(args)
-    if spec is None:
-        return EXIT_USAGE
     try:
+        spec = parse_family(args.family, args.params, args.shared, args.seed)
         g = generate(spec)
     except ValueError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
+        print(f"gen {args.family}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     comments = [spec.label()]
     if args.out:

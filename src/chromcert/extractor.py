@@ -74,6 +74,10 @@ class ExtractConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.precondition not in (VERIFY, TRUST):
             raise ValueError(f"unknown precondition policy {self.precondition!r}")
+        if self.lists is not None and self.mode != LIST:
+            raise ValueError("lists are only used in list mode")
+        if self.palette_size is not None and self.mode != PLAIN:
+            raise ValueError("a palette size is only used in plain mode")
 
     def palette_for(self, g: Graph) -> Palette:
         if self.mode == PLAIN:
@@ -100,11 +104,15 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
 
     Under the verify policy the solver confirms that no palette colouring
     exists at all, which is exactly the chromatic-threshold hypothesis; a
-    colouring instead raises NotInextensibleError carrying it.
+    colouring instead raises NotInextensibleError carrying it.  In list
+    mode the lists must name exactly g's vertices, else ValueError.
     """
     if g.n == 0:
         raise NotInextensibleError("the empty graph is trivially colourable", {})
     palette = cfg.palette_for(g)
+    if cfg.mode == LIST and palette.lists.keys() != g.vertices:
+        stray, missing = sorted(palette.lists.keys() - g.vertices), sorted(g.vertices - palette.lists.keys())
+        raise ValueError(f"the lists must name exactly the graph's vertices: stray {stray}, missing {missing}")
     t = Template.empty(g)
     if cfg.precondition == VERIFY:
         result = extend(g, t, palette, cfg.budget)

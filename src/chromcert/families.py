@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
@@ -11,62 +11,49 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A recipe for a generated graph; equal specs generate equal graphs."""
+    """A recipe for a generated graph: a family tag and the arguments of its
+    generator (join's are the part specs); equal specs generate equal graphs."""
 
     tag: str
-    sizes: tuple[int, ...] = ()
-    shared: int = 0
-    p: float = 0.0
-    seed: int = 0
-    rounds: int = 0
-    parts: tuple["FamilySpec", ...] = field(default=())
+    args: tuple = ()
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def complete(n: int) -> "FamilySpec":
-        return FamilySpec("complete", sizes=(n,))
+        return FamilySpec("complete", (n,))
 
     @staticmethod
     def cycle(n: int) -> "FamilySpec":
-        return FamilySpec("cycle", sizes=(n,))
+        return FamilySpec("cycle", (n,))
 
     @staticmethod
     def kneser(n: int, r: int) -> "FamilySpec":
-        return FamilySpec("kneser", sizes=(n, r))
+        return FamilySpec("kneser", (n, r))
 
     @staticmethod
     def mycielski(rounds: int) -> "FamilySpec":
-        return FamilySpec("mycielski", rounds=rounds)
+        return FamilySpec("mycielski", (rounds,))
 
     @staticmethod
     def glued_cliques(sizes: tuple[int, ...], shared: int) -> "FamilySpec":
-        return FamilySpec("glued_cliques", sizes=tuple(sizes), shared=shared)
+        return FamilySpec("glued_cliques", (tuple(sizes), shared))
 
     @staticmethod
     def join(*parts: "FamilySpec") -> "FamilySpec":
-        return FamilySpec("join", parts=tuple(parts))
+        return FamilySpec("join", parts)
 
     @staticmethod
     def random(n: int, p: float, seed: int = 0) -> "FamilySpec":
-        return FamilySpec("random", sizes=(n,), p=p, seed=seed)
+        return FamilySpec("random", (n, p, seed))
 
     def label(self) -> str:
-        if self.tag == "complete":
-            return f"complete({self.sizes[0]})"
-        if self.tag == "cycle":
-            return f"cycle({self.sizes[0]})"
-        if self.tag == "kneser":
-            return f"kneser({self.sizes[0]},{self.sizes[1]})"
-        if self.tag == "mycielski":
-            return f"mycielski({self.rounds})"
         if self.tag == "glued_cliques":
-            inner = ",".join(str(s) for s in self.sizes)
-            return f"glued_cliques([{inner}],s={self.shared})"
-        if self.tag == "join":
-            return "join(" + ",".join(p.label() for p in self.parts) + ")"
+            sizes, shared = self.args
+            return f"glued_cliques([{','.join(map(str, sizes))}],s={shared})"
         if self.tag == "random":
-            return f"random({self.sizes[0]},p={self.p},seed={self.seed})"
-        return self.tag
+            return "random({},p={},seed={})".format(*self.args)
+        inner = ",".join(a.label() if isinstance(a, FamilySpec) else str(a) for a in self.args)
+        return f"{self.tag}({inner})"
 
 
 def _complete(n: int) -> Graph:
@@ -136,7 +123,7 @@ def _glued_cliques(sizes: tuple[int, ...], shared: int) -> Graph:
     return Graph.build(next_id, edges)
 
 
-def _join(parts: tuple[FamilySpec, ...]) -> Graph:
+def _join(*parts: FamilySpec) -> Graph:
     if not parts:
         raise ValueError("join needs at least one part")
     graphs = [generate(p) for p in parts]
@@ -156,52 +143,67 @@ def _join(parts: tuple[FamilySpec, ...]) -> Graph:
     return Graph.build(len(vertices), edges)
 
 
+def random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p) drawn from rng.  Pairs are visited in lexicographic order, so
+    the edge set is a pure function of (n, p) and the rng's state."""
+    return Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
 def _random(n: int, p: float, seed: int) -> Graph:
     if n < 0:
         raise ValueError("random graph needs n >= 0")
     if not (0.0 <= p <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    # Pairs visited in lexicographic order so the edge set is a pure
-    # function of (n, p, seed).
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph.build(n, edges)
+    return random_graph(n, p, random.Random(seed))
+
+
+_GENERATORS = {
+    "complete": _complete,
+    "cycle": _cycle,
+    "kneser": _kneser,
+    "mycielski": _mycielski,
+    "glued_cliques": _glued_cliques,
+    "join": _join,
+    "random": _random,
+}
+
+# Families whose parameters are a fixed number of integers, spelled on the
+# command line as the spec's tag; these are also the families a join atom
+# may name.
+_INTEGER_ARITY = {"complete": 1, "cycle": 1, "kneser": 2, "mycielski": 1}
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Generate the graph described by spec.  Deterministic."""
-    if spec.tag == "complete":
-        return _complete(*spec.sizes)
-    if spec.tag == "cycle":
-        return _cycle(*spec.sizes)
-    if spec.tag == "kneser":
-        return _kneser(*spec.sizes)
-    if spec.tag == "mycielski":
-        return _mycielski(spec.rounds)
-    if spec.tag == "glued_cliques":
-        return _glued_cliques(spec.sizes, spec.shared)
-    if spec.tag == "join":
-        return _join(spec.parts)
-    if spec.tag == "random":
-        return _random(spec.sizes[0], spec.p, spec.seed)
-    raise ValueError(f"unknown family tag {spec.tag!r}")
+    if spec.tag not in _GENERATORS:
+        raise ValueError(f"unknown family tag {spec.tag!r}")
+    return _GENERATORS[spec.tag](*spec.args)
+
+
+def parse_family(name: str, params: list[str], shared: int = 1, seed: int = 0) -> FamilySpec:
+    """The spec that `gen <name> <params...>` names; `shared` applies to
+    glued cliques, `seed` to random graphs and join parts are atoms."""
+    if name == "glued":
+        return FamilySpec.glued_cliques(tuple(int(x) for x in params), shared)
+    if name == "join":
+        return FamilySpec.join(*(parse_atom(a) for a in params))
+    arity = 2 if name == "random" else _INTEGER_ARITY.get(name)
+    if arity is None:
+        raise ValueError(f"unknown family {name!r}")
+    if len(params) != arity:
+        raise ValueError(f"takes {arity} parameter(s), got {len(params)}")
+    if name == "random":
+        return FamilySpec.random(int(params[0]), float(params[1]), seed)
+    return FamilySpec(name, tuple(int(x) for x in params))
 
 
 def parse_atom(atom: str) -> FamilySpec:
     """Parse compact family atoms like 'complete:5', 'cycle:5' or
     'kneser:5:2' (used for the parts of a join on the command line)."""
-    parts = atom.split(":")
-    tag = parts[0]
-    args = parts[1:]
+    name, *params = atom.split(":")
+    if name not in _INTEGER_ARITY:
+        raise ValueError(f"bad family atom {atom!r}")
     try:
-        if tag == "complete" and len(args) == 1:
-            return FamilySpec.complete(int(args[0]))
-        if tag == "cycle" and len(args) == 1:
-            return FamilySpec.cycle(int(args[0]))
-        if tag == "kneser" and len(args) == 2:
-            return FamilySpec.kneser(int(args[0]), int(args[1]))
-        if tag == "mycielski" and len(args) == 1:
-            return FamilySpec.mycielski(int(args[0]))
+        return parse_family(name, params)
     except ValueError as exc:
         raise ValueError(f"bad family atom {atom!r}: {exc}") from exc
-    raise ValueError(f"bad family atom {atom!r}")

@@ -155,8 +155,8 @@ def from_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 4:
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"line {lineno}: expected 'p edge <n> <m>', got {line!r}")
             if n is not None:
                 raise ValueError(f"line {lineno}: second problem line {line!r}")
             n, m = int_fields(lineno, parts[2:4])

@@ -28,7 +28,7 @@ from .extractor import (
     finalize_chromatic,
     verify_certificate,
 )
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, random_graph
 from .graphs import Graph, induced_subgraph
 from .oracles import (
     brute_chromatic_number,
@@ -185,11 +185,6 @@ def run_theorem2() -> tuple[dict, dict[str, float]]:
 # Random instance helpers shared by the oracle and property suites
 # ---------------------------------------------------------------------------
 
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph.build(n, edges)
-
-
 def _random_proper_precolouring(
     g: Graph, palette: Palette, rng: random.Random, candidates: list[int], limit: int
 ) -> dict[int, int]:
@@ -338,7 +333,7 @@ def _solver_equivalence_random(trials: int = 500) -> dict:
     mismatches = 0
     for _ in range(trials):
         n = rng.randint(1, 7)
-        g = _random_graph(rng, n, rng.uniform(0.1, 0.9))
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         palette = Palette.plain(rng.randint(2, 4))
         t = _random_template(g, palette, rng, s_limit=3, f_limit=2)
         fast = extend(g, t, palette)
@@ -379,7 +374,7 @@ def _min_cut_ground_truth() -> dict:
     samples = list(named)
     for _ in range(250):
         n = rng.randint(2, 8)
-        samples.append(_random_graph(rng, n, rng.uniform(0.15, 0.95)))
+        samples.append(random_graph(n, rng.uniform(0.15, 0.95), rng))
     checked = 0
     mismatches = 0
     for g in samples:
@@ -457,7 +452,7 @@ def _prop_degree_additivity(trials: int) -> dict:
     for _ in range(trials):
         k = rng.randint(1, 4)
         n = rng.randint(1, 10)
-        g = _random_graph(rng, n, rng.uniform(0.1, 0.9))
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         palette = Palette.plain(7 * k)
         t = _random_template(g, palette, rng, s_limit=4, f_limit=3)
         xs = frozenset(v for v in g.vertices if rng.random() < 0.5)
@@ -498,8 +493,6 @@ def _prop_separation(trials: int) -> dict:
     for _ in range(trials):
         k = rng.randint(2, 4)
         g, t, palette, x, y, z = _random_separated_instance(rng, k)
-        if degree(restrict(t, z), k) > k * k:
-            y, z = z, y
         t_sep = derive_separation_template(g, t, x, y, z, k)
         if degree(t_sep, k) > degree(t, k):
             violations += 1
@@ -518,8 +511,6 @@ def _prop_completion_and_glue(trials: int) -> dict:
     for _ in range(trials):
         k = rng.randint(2, 4)
         g, t, palette, x, y, z = _random_separated_instance(rng, k)
-        if degree(restrict(t, z), k) > k * k:
-            y, z = z, y
         t_sep = derive_separation_template(g, t, x, y, z, k)
         sub_y = induced_subgraph(g, x | y)
         res_y = extend(sub_y, t_sep, palette)
@@ -577,10 +568,9 @@ def _interval_instance(rng: random.Random, k: int):
         pool = sorted(palette.colours_of(v))
         forb[v] = frozenset(rng.sample(pool, size))
         budget -= size
-    uncoloured_sets = [[v for v in js if v not in pre] for js in sets]
     t = Template(pre, forb)
     validate_template(g, t, palette)
-    return g, t, palette, [js for js in uncoloured_sets]
+    return g, t, palette, [[v for v in js if v not in pre] for js in sets]
 
 
 def _prop_intervals(trials: int) -> dict:
@@ -613,7 +603,7 @@ def _prop_rainbow(trials: int) -> dict:
     for _ in range(trials):
         k = rng.randint(2, 5)
         n = rng.randint(1, k)
-        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng)
         palette = Palette.plain(7 * k)
         t = _random_template(g, palette, rng, s_limit=n, f_limit=k - 1)
         col = rainbow_small_case(g, t, k, palette)
@@ -665,7 +655,7 @@ def _mutated_witnesses(count: int):
         elif kind == "rainbow":
             k = rng.choice((3, 4, 5))
             n = rng.randint(1, k)
-            g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+            g = random_graph(n, rng.uniform(0.2, 0.9), rng)
             palette = Palette.plain(7 * k)
             t = _random_template(g, palette, rng, s_limit=n, f_limit=k - 1)
             cfg = ExtractConfig(k=k, precondition="trust")

@@ -59,6 +59,9 @@ def test_gen_usage_errors():
     assert run("gen", "complete", "x") == 2     # non-numeric parameter
     assert run("gen", "nosuchfamily", "3") == 2
     assert run("gen", "kneser", "3", "2") == 2  # invalid for the family
+    assert run("gen", "complete", "4", "9") == 2  # one parameter too many
+    assert run("gen", "kneser", "5") == 2
+    assert run("gen", "random", "20") == 2
 
 
 def test_extract_and_verify_round_trip(tmp_path, capsys):
@@ -151,6 +154,25 @@ def test_extract_lists_not_covering_graph(tmp_path):
     lists.write_text("list 0 0 1 2 3\n")  # four vertices missing
     assert run("extract", str(graph), "--k", "1", "--mode", "list",
                "--lists", str(lists)) == 2
+
+
+def test_extract_lists_naming_a_stray_vertex(tmp_path, capsys):
+    graph = tmp_path / "k5.col"
+    lists = tmp_path / "stray.txt"
+    run("gen", "complete", "5", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3\n" for v in (0, 1, 2, 3, 4, 99)))
+    assert run("extract", str(graph), "--k", "1", "--mode", "list",
+               "--lists", str(lists)) == EXIT_USAGE
+    assert "stray [99], missing []" in capsys.readouterr().err
+
+
+def test_extract_option_unused_by_the_mode(tmp_path):
+    graph = tmp_path / "k5.col"
+    lists = tmp_path / "lists.txt"
+    run("gen", "complete", "5", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3\n" for v in range(5)))
+    assert run("extract", str(graph), "--k", "1", "--mode", "list", "--palette-size", "2") == EXIT_USAGE
+    assert run("extract", str(graph), "--k", "1", "--lists", str(lists)) == EXIT_USAGE  # plain mode
 
 
 def test_extract_lists_with_repeated_vertex(tmp_path, capsys):

@@ -363,6 +363,10 @@ def test_extract_config_validation():
         ExtractConfig(k=1, mode="banana")
     with pytest.raises(ValueError):
         ExtractConfig(k=1, precondition="hope")
+    with pytest.raises(ValueError, match="only used in list mode"):
+        ExtractConfig(k=1, lists={0: frozenset({0})})
+    with pytest.raises(ValueError, match="only used in plain mode"):
+        ExtractConfig(k=1, mode="list", palette_size=2)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from chromcert.coloring import is_colourable
 from chromcert.connectivity import min_vertex_cut
-from chromcert.families import FamilySpec, generate, parse_atom
-from chromcert.graphs import induced_subgraph
+from chromcert.families import FamilySpec, generate, parse_atom, parse_family
+from chromcert.graphs import graph_hash, induced_subgraph
 
 
 def test_complete():
@@ -115,3 +117,32 @@ def test_parse_atom():
         parse_atom("complete")
     with pytest.raises(ValueError):
         parse_atom("glued:3")
+    with pytest.raises(ValueError, match="takes 2 parameter"):
+        parse_atom("kneser:5:2:1")
+
+
+def test_parse_family_matches_the_constructors():
+    assert parse_family("glued", ["15", "15"], shared=1) == FamilySpec.glued_cliques((15, 15), 1)
+    assert parse_family("random", ["20", "0.5"], seed=7) == FamilySpec.random(20, 0.5, seed=7)
+    assert parse_family("join", ["cycle:5", "complete:5"]) == FamilySpec.join(
+        FamilySpec.cycle(5), FamilySpec.complete(5))
+    assert [f.name for f in fields(FamilySpec)] == ["tag", "args"]
+
+
+# One spec of each family, with the label and graph hash the generators
+# gave before the family table held its generators' arguments.
+@pytest.mark.parametrize("spec, label, digest", [
+    (FamilySpec.complete(5), "complete(5)", "8f4c604b43ffa7d1b516bef5f880230a97da39b16ae08b8e036140caa42c8fce"),
+    (FamilySpec.cycle(7), "cycle(7)", "c54f81957d34f47c49e9ad9a31703f38338723700e754bae0fefb63cb99196b5"),
+    (FamilySpec.kneser(5, 2), "kneser(5,2)", "1b02cd626b9319abfdcd928d5db8e1d9c67c0e0550c643ce433c0540a0cd5842"),
+    (FamilySpec.mycielski(4), "mycielski(4)", "b617a3edc5a894eacaea9cd1b7c9e641b8058308b5a83ffc79d2a9f90efd145f"),
+    (FamilySpec.glued_cliques((4, 5), 2), "glued_cliques([4,5],s=2)",
+     "8febadb43157440d81132f440e2344bf97b4d50cccc90ea6bd8eed167f2db771"),
+    (FamilySpec.join(FamilySpec.cycle(5), FamilySpec.complete(3)), "join(cycle(5),complete(3))",
+     "76ad7534597c828100351529932e84e1f741778810cf6e8bb96ab9cc421a0ec8"),
+    (FamilySpec.random(20, 0.5, seed=7), "random(20,p=0.5,seed=7)",
+     "e2ab8cf5f8e13f22d942a9328128af6e42eadeae3afcd7b896c8ca3b7ce15a10"),
+])
+def test_family_labels_and_graphs_pinned(spec, label, digest):
+    assert spec.label() == label
+    assert graph_hash(generate(spec)) == "sha256:" + digest

@@ -95,6 +95,8 @@ def test_dimacs_parses_one_based_ids():
         "p edge -2 0\n",  # negative vertex count
         "p edge 3 5\ne 1 2\n",  # fewer edge lines than declared
         "p edge 3 2\ne 1 2\ne 2 1\n",  # one edge given twice
+        "p col 3 0\n",  # format word other than edge
+        "p edge 3 0 9\n",  # extra field on the problem line
     ],
 )
 def test_dimacs_rejects_malformed(text):
