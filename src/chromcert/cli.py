@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a DIMACS graph from a family spec")
     p_gen.add_argument("family", help="complete|cycle|kneser|mycielski|glued|random|join")
     p_gen.add_argument("params", nargs="*", help="family parameters")
-    p_gen.add_argument("--shared", type=int, default=1, help="shared vertices for glued")
-    p_gen.add_argument("--seed", type=int, default=0, help="seed for random")
+    p_gen.add_argument("--shared", type=int, help="shared vertices for glued (default 1)")
+    p_gen.add_argument("--seed", type=int, help="seed for random (default 0)")
     p_gen.add_argument("--out", help="output path (default: stdout)")
 
     p_ext = sub.add_parser("extract", help="run an extraction and write its certificate")

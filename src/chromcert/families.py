@@ -180,11 +180,17 @@ def generate(spec: FamilySpec) -> Graph:
     return _GENERATORS[spec.tag](*spec.args)
 
 
-def parse_family(name: str, params: list[str], shared: int = 1, seed: int = 0) -> FamilySpec:
-    """The spec that `gen <name> <params...>` names; `shared` applies to
-    glued cliques, `seed` to random graphs and join parts are atoms."""
+def parse_family(name: str, params: list[str], shared: int | None = None,
+                 seed: int | None = None) -> FamilySpec:
+    """The spec that `gen <name> <params...>` names; `shared` (default 1)
+    applies only to glued cliques, `seed` (default 0) only to random graphs,
+    and join parts are atoms.  An option the family does not use is an error."""
+    if shared is not None and name != "glued":
+        raise ValueError("--shared applies only to glued")
+    if seed is not None and name != "random":
+        raise ValueError("--seed applies only to random")
     if name == "glued":
-        return FamilySpec.glued_cliques(tuple(int(x) for x in params), shared)
+        return FamilySpec.glued_cliques(tuple(int(x) for x in params), 1 if shared is None else shared)
     if name == "join":
         return FamilySpec.join(*(parse_atom(a) for a in params))
     arity = 2 if name == "random" else _INTEGER_ARITY.get(name)
@@ -193,7 +199,7 @@ def parse_family(name: str, params: list[str], shared: int = 1, seed: int = 0) -
     if len(params) != arity:
         raise ValueError(f"takes {arity} parameter(s), got {len(params)}")
     if name == "random":
-        return FamilySpec.random(int(params[0]), float(params[1]), seed)
+        return FamilySpec.random(int(params[0]), float(params[1]), 0 if seed is None else seed)
     return FamilySpec(name, tuple(int(x) for x in params))
 
 

@@ -6,14 +6,18 @@ and list_colour are this search on the empty template;
 oracles.brute_force_extend is its brute-force reference.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
-candidate masks (bit i: the i-th smallest colour in g's lists).  Vertices
-are ranked once by (-degree, id), so "fewest candidates, then larger
-degree, then smaller id" is the least score popcount * n + rank.  Small
-and shallow calls are dominated by the setup, so it reads edges only at
-pre-coloured vertices: one mask per distinct list, pre-coloured
-neighbours' colours taken from the pre-coloured side, the anonymity
-classes found by inverting the distinct lists, and a vertex's neighbour
-ranks listed when it is first coloured.
+bitsets, after San Segundo's bitboard DSATUR (2012): per rank its candidate
+colours (bit i: the i-th smallest colour in g's lists), per colour the ranks
+whose candidates hold it, and per count p the uncoloured ranks with p
+candidates.  Ranks order vertices by (-degree, id), so Brelaz's rule "fewest
+candidates, then larger degree, then smaller id" picks the lowest rank of
+the lowest non-empty bucket.  Colouring v with i prunes neighbours(v) &
+uncoloured & holders(i), a wipeout when one of them is in bucket 1, so a
+decision costs O(pruned ranks).  Small calls are dominated by the setup, so
+it reads edges only at pre-coloured vertices: the masks come from g's
+distinct lists less the template's forbidden colours and pre-coloured
+neighbours' colours, and a vertex's neighbour mask is built when it is
+first coloured.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class SolveResult:
 _UNLIMITED = SolverBudget()
 
 
-def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> dict[int, int | None]:
+def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> tuple[list[int], list[int]]:
     """Group the colours of g's distinct lists (one list in plain mode)
     that the template cannot tell apart.
 
@@ -74,25 +78,22 @@ def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> dict[int
     distinct lists hold each colour suffices, found by inverting them.
     While searching, at most one *unused* colour per class needs to be tried
     at any node: swapping two unused same-class colours maps respecting
-    colourings to respecting colourings.  Mentioned colours map to None and
-    are never skipped.
+    colourings to respecting colourings.
+
+    Returns the colours in increasing order and per colour the mask of its
+    class (bit i: the i-th colour), 0 for a mentioned one: it is never skipped.
     """
     mentioned = set(t.precolour.values()).union(*t.forbidden.values())
-    carriers: dict[int, list[int]] = {}
+    carriers: dict[int, int] = {}  # colour -> mask of the lists holding it
     for i, cs in enumerate(lists):
         for c in cs:
-            carriers.setdefault(c, []).append(i)
-    classes: dict[int, int | None] = {}
-    keys: dict[tuple[int, ...], int] = {}
-    for c in sorted(carriers):
-        if c in mentioned:
-            classes[c] = None
-            continue
-        key = tuple(carriers[c])
-        if key not in keys:
-            keys[key] = len(keys)
-        classes[c] = keys[key]
-    return classes
+            carriers[c] = carriers.get(c, 0) | 1 << i
+    colours = sorted(carriers)
+    masks: dict[int, int] = {}
+    for i, c in enumerate(colours):
+        if c not in mentioned:
+            masks[carriers[c]] = masks.get(carriers[c], 0) | 1 << i
+    return colours, [0 if c in mentioned else masks[carriers[c]] for c in colours]
 
 
 def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None = None) -> SolveResult:
@@ -108,93 +109,121 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     """
     validate_template(g, t, palette)
     budget = budget or _UNLIMITED
-    stats = SolverStats()
+    cap, seconds = budget.max_decisions, budget.wall_clock_seconds
+    decisions = backtracks = 0
     start = time.perf_counter()
 
     adj = g.adj
     verts = sorted(t.forbidden, key=lambda v: (-len(adj[v]), v))
     n = len(verts)
     rank = {v: r for r, v in enumerate(verts)}
-    nbrs: list[list[int] | None] = [None] * n  # uncoloured neighbour ranks, lazily
+    nbm: list[int | None] = [None] * n  # neighbour-rank masks, lazily
     # g's distinct lists (one in plain mode), each with the vertices carrying it.
     holders: dict[frozenset[int], list[int]] = {}
     for v in g.vertices:
         holders.setdefault(palette.colours_of(v), []).append(v)
-    classes = _anonymity_classes(t, holders)
-    colours = sorted(classes)
-    bit_of = {c: 1 << i for i, c in enumerate(colours)}
-    cls_of = [classes[c] for c in colours]
-    usage = [0] * len(colours)
-    remaining = [0] * n
+    colours, peers = _anonymity_classes(t, holders)
+    index = {c: i for i, c in enumerate(colours)}
+    anon = sum(set(peers))  # the anonymous colours; distinct classes are disjoint
+    remaining = [0] * n  # per rank, its candidate colour mask
+    has = [0] * len(colours)  # per colour, the ranks holding it as a candidate
     for cs, vs in holders.items():
-        mask = sum(map(bit_of.__getitem__, cs))
+        mask = held = 0
+        for c in cs:
+            mask |= 1 << index[c]
         for v in vs:
             if v in rank:
-                remaining[rank[v]] = mask & ~sum(map(bit_of.__getitem__, t.forbidden[v]))
+                remaining[rank[v]] = mask
+                held |= 1 << rank[v]
+        for c in cs:
+            has[index[c]] |= held
+    for v, fs in t.forbidden.items():
+        for c in fs:
+            remaining[rank[v]] &= ~(1 << index[c])
+            has[index[c]] &= ~(1 << rank[v])
     for u, c in t.precolour.items():
         for w in adj[u]:
             if w in rank:
-                remaining[rank[w]] &= ~bit_of[c]
-    # A coloured vertex's score is lifted by `done`, above every uncoloured one.
-    done = (len(colours) + 1) * n
-    score = [m.bit_count() * n + r for r, m in enumerate(remaining)]
+                remaining[rank[w]] &= ~(1 << index[c])
+                has[index[c]] &= ~(1 << rank[w])
+    unc = (1 << n) - 1  # uncoloured ranks
+    bucket = [0] * (len(colours) + 1)  # uncoloured ranks by candidate count
+    for r, m in enumerate(remaining):
+        bucket[m.bit_count()] |= 1 << r
 
     # One frame per vertex on the current path: [rank, colours left to try,
-    # classes seen, colour bit in use (0 for none), ranks it pruned].
+    # colour bit in use (0 for none), the ranks it pruned as a mask and as a
+    # list, colours used below].  The colours used below a frame are fixed
+    # while it is on the stack, and so are its colours to try: each candidate
+    # mentioned or used below, and the least unused one of each class.
     stack: list[list] = []
-    if n:
-        v = score.index(min(score))
-        stack.append([v, remaining[v], set(), 0, None])
-    while stack:
-        v, todo, seen, bit, pruned = frame = stack[-1]
-        if bit:  # take back the colour tried last
-            for u in pruned:
-                remaining[u] |= bit
-                score[u] += n
-            score[v] -= done
-            usage[bit.bit_length() - 1] -= 1
-        while todo:
+    used = 0
+    while unc:  # push the lowest rank of the lowest non-empty bucket
+        b = next(filter(None, bucket))
+        vb = b & -b
+        bucket[bucket.index(b)] = b ^ vb
+        unc ^= vb
+        v = vb.bit_length() - 1
+        todo = remaining[v]
+        free = todo & anon & ~used
+        todo ^= free
+        while free:
+            b = free & -free
+            todo |= b
+            free &= ~peers[b.bit_length() - 1]
+        stack.append([v, todo, 0, 0, None, used])
+        while stack:
+            v, todo, bit, pruned, pruned_ranks, below = frame = stack[-1]
+            if bit:  # take back the colour tried last
+                has[bit.bit_length() - 1] |= pruned
+                for u in pruned_ranks:
+                    p = remaining[u].bit_count()
+                    remaining[u] |= bit
+                    bucket[p] ^= 1 << u
+                    bucket[p + 1] |= 1 << u
+            if not todo:
+                backtracks += 1
+                stack.pop()
+                unc |= 1 << v
+                bucket[remaining[v].bit_count()] |= 1 << v
+                continue
             bit = todo & -todo
             todo ^= bit
+            decisions += 1
+            if (cap and decisions > cap) or (seconds and decisions % _TIME_CHECK_EVERY == 0
+                                             and time.perf_counter() - start > seconds):
+                raise ResourceLimitError(f"solver budget exhausted after {decisions} decisions")
             ci = bit.bit_length() - 1
-            cls = cls_of[ci]
-            if cls is None or usage[ci]:
-                break
-            if cls not in seen:
-                seen.add(cls)
-                break
-        else:
-            stats.backtracks += 1
-            stack.pop()
-            continue
-        stats.decisions += 1
-        if (budget.max_decisions and stats.decisions > budget.max_decisions) or (
-            budget.wall_clock_seconds
-            and stats.decisions % _TIME_CHECK_EVERY == 0
-            and time.perf_counter() - start > budget.wall_clock_seconds
-        ):
-            raise ResourceLimitError(f"solver budget exhausted after {stats.decisions} decisions")
-        usage[ci] += 1
-        score[v] += done
-        if nbrs[v] is None:
-            nbrs[v] = [rank[u] for u in adj[verts[v]] if u in rank]
-        pruned = [u for u in nbrs[v] if score[u] < done and remaining[u] & bit]
-        for u in pruned:
-            remaining[u] ^= bit
-            score[u] -= n
-        frame[1], frame[3], frame[4] = todo, bit, pruned
-        if not all(map(remaining.__getitem__, pruned)):
-            continue  # wipeout: the next pass takes the colour back
-        best = min(score)
-        if best >= done:
+            m = nbm[v]
+            if m is None:
+                m = 0
+                for u in adj[verts[v]]:
+                    if u in rank:
+                        m |= 1 << rank[u]
+                nbm[v] = m
+            pruned = m & unc & has[ci]
+            if pruned & bucket[1]:  # wipeout: a pruned vertex had no other candidate
+                frame[1], frame[2] = todo, 0
+                continue
+            has[ci] ^= pruned
+            pruned_ranks = []
+            frame[1], frame[2], frame[3], frame[4] = todo, bit, pruned, pruned_ranks
+            while pruned:
+                ub = pruned & -pruned
+                pruned ^= ub
+                u = ub.bit_length() - 1
+                pruned_ranks.append(u)
+                p = remaining[u].bit_count()
+                remaining[u] ^= bit
+                bucket[p] ^= ub
+                bucket[p - 1] |= ub
+            used = below | bit
             break
-        v = score.index(best)
-        stack.append([v, remaining[v], set(), 0, None])
-    if n and not stack:
-        return SolveResult("unsat", None, stats)
+        else:
+            return SolveResult("unsat", None, SolverStats(decisions, backtracks))
     colour = dict(t.precolour)
     for frame in stack:
-        colour[verts[frame[0]]] = colours[frame[3].bit_length() - 1]
+        colour[verts[frame[0]]] = colours[frame[2].bit_length() - 1]
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
-    return SolveResult("sat", colour, stats)
+    return SolveResult("sat", colour, SolverStats(decisions, backtracks))

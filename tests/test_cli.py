@@ -62,6 +62,8 @@ def test_gen_usage_errors():
     assert run("gen", "complete", "4", "9") == 2  # one parameter too many
     assert run("gen", "kneser", "5") == 2
     assert run("gen", "random", "20") == 2
+    assert run("gen", "complete", "3", "--shared", "5") == 2  # option the family ignores
+    assert run("gen", "complete", "3", "--seed", "9") == 2
 
 
 def test_extract_and_verify_round_trip(tmp_path, capsys):

@@ -173,6 +173,59 @@ def test_search_counts_pinned(spec, size, outcome, decisions, backtracks):
     assert (res.outcome, res.stats.decisions, res.stats.backtracks) == (outcome, decisions, backtracks)
 
 
+def _join3c5_template():
+    # colours 0-5 are mentioned, so they have no anonymity class
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(5)] * 3))
+    pre = {0: 0, 5: 3}
+    forb = {v: frozenset() for v in g.vertices if v not in pre}
+    forb.update({1: frozenset({1}), 11: frozenset({2, 4}), 12: frozenset({5})})
+    return g, Template(pre, forb)
+
+
+def _kernel_case(name):
+    c5 = generate(FamilySpec.cycle(5))
+    if name == "template_p7":
+        return (*_join3c5_template(), Palette.plain(7))
+    if name == "template_p9":
+        return (*_join3c5_template(), Palette.plain(9))
+    if name == "kneser_three_lists":
+        g = generate(FamilySpec.kneser(6, 2))
+        lists = {v: frozenset({v % 3, v % 3 + 1, 4}) for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    if name == "join_four_lists":
+        g = generate(FamilySpec.join(FamilySpec.cycle(5), FamilySpec.cycle(5)))
+        lists = {v: frozenset({0, 1, 2, 3, 4} - {v % 4}) for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    if name == "no_candidates":
+        # vertex 1 loses colour 0 to its pre-coloured neighbour, 1 and 2 to F
+        forb = {1: frozenset({1, 2}), 2: frozenset(), 3: frozenset(), 4: frozenset()}
+        return c5, Template({0: 0}, forb), Palette.plain(3)
+    if name == "all_precoloured":
+        return c5, Template({0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, {}), Palette.plain(3)
+    assert name == "join_c7x6_p17"  # the search workload's instance
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(7)] * 6))
+    return g, Template.empty(g), Palette.plain(17)
+
+
+@pytest.mark.parametrize("name, outcome, colouring, decisions, backtracks", [
+    ("template_p7", "unsat", None, 687, 538),
+    ("template_p9", "sat", {0: 0, 5: 3, 11: 1, 12: 2, 1: 4, 6: 5, 2: 0, 3: 4, 4: 6, 7: 3,
+                            8: 5, 9: 7, 10: 2, 13: 1, 14: 8}, 13, 0),
+    ("kneser_three_lists", "sat", {0: 0, 9: 1, 3: 0, 4: 2, 7: 4, 1: 2, 13: 1, 10: 4, 6: 1,
+                                   8: 3, 2: 2, 11: 3, 5: 3, 14: 4, 12: 1}, 21, 5),
+    ("join_four_lists", "unsat", None, 237, 191),
+    ("no_candidates", "unsat", None, 0, 1),
+    ("all_precoloured", "sat", {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, 0, 0),
+    ("join_c7x6_p17", "unsat", None, 23419, 19780),
+])
+def test_kernel_pinned(name, outcome, colouring, decisions, backtracks):
+    # Templates, lists and edge cases the benchmark's certificates do not
+    # reach; the answer and the search work must not depend on the kernel.
+    res = extend(*_kernel_case(name))
+    assert (res.outcome, res.colouring, res.stats.decisions, res.stats.backtracks) == (
+        outcome, colouring, decisions, backtracks)
+
+
 def test_deep_instance_needs_no_recursion():
     g = generate(FamilySpec.cycle(1500))
     res = extend(g, Template.empty(g), Palette.plain(3))
