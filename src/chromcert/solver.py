@@ -18,6 +18,13 @@ it reads edges only at pre-coloured vertices: the masks come from g's
 distinct lists less the template's forbidden colours and pre-coloured
 neighbours' colours, and a vertex's neighbour mask is built when it is
 first coloured.
+
+Within one call, each subtree proven UNSAT in at least
+_REPLAY_MIN_DECISIONS decisions is kept by the exact search state at its
+push and replayed by count when that state recurs (state caching, after
+B. M. Smith, CP 2005).  So SolverStats count the nodes of the DSATUR tree,
+replayed ones included, and a budget stops at the decision it would stop
+at without replay.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .graphs import Graph
 from .templates import Palette, Template, respects, validate_template
 
 _TIME_CHECK_EVERY = 512
+_REPLAY_MIN_DECISIONS = 64  # smallest UNSAT subtree the state table keeps
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     start = time.perf_counter()
 
     adj = g.adj
-    verts = sorted(t.forbidden, key=lambda v: (-len(adj[v]), v))
+    verts = sorted(sorted(t.forbidden), key=lambda v: len(adj[v]), reverse=True)  # (-degree, id)
     n = len(verts)
     rank = {v: r for r, v in enumerate(verts)}
     nbm: list[int | None] = [None] * n  # neighbour-rank masks, lazily
@@ -153,27 +161,49 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
 
     # One frame per vertex on the current path: [rank, colours left to try,
     # colour bit in use (0 for none), the ranks it pruned as a mask and as a
-    # list, colours used below].  The colours used below a frame are fixed
-    # while it is on the stack, and so are its colours to try: each candidate
-    # mentioned or used below, and the least unused one of each class.
+    # list, colours used below, decisions and backtracks before its push].
+    # The colours used below a frame are fixed while it is on the stack, and
+    # so are its colours to try: each candidate mentioned or used below, and
+    # the least unused one of each class.
     stack: list[list] = []
     used = 0
-    while unc:  # push the lowest rank of the lowest non-empty bucket
-        b = next(filter(None, bucket))
-        vb = b & -b
-        bucket[bucket.index(b)] = b ^ vb
-        unc ^= vb
-        v = vb.bit_length() - 1
-        todo = remaining[v]
-        free = todo & anon & ~used
-        todo ^= free
-        while free:
-            b = free & -free
-            todo |= b
-            free &= ~peers[b.bit_length() - 1]
-        stack.append([v, todo, 0, 0, None, used])
+    # Proven-UNSAT subtrees by the state at their push: table[unc][(used &
+    # anon, *(has[i] & unc))] = (decisions, backtracks).  The subtree below
+    # a push reads nothing else that varies: the rank it picks and every
+    # candidate mask and bucket follow from has[i] & unc, the colours it may
+    # try from used & anon, and it only ever changes bits of unc, all of
+    # them restored when its root pops.  So a recurring state is replayed by
+    # count, and the counters stay those of the whole DSATUR tree.
+    table: dict[int, dict[tuple, tuple[int, int]]] = {}
+    while unc:
+        known = table.get(unc)
+        hit = known and known.get((used & anon, *map(unc.__and__, has)))
+        if hit:  # replay: the budget checks its decisions would have made
+            last = decisions + hit[0]
+            stop = cap + 1 if cap and last > cap else last + 1
+            tick = (decisions // _TIME_CHECK_EVERY + 1) * _TIME_CHECK_EVERY
+            if seconds and tick < stop and time.perf_counter() - start > seconds:
+                stop = tick
+            if stop <= last:
+                raise ResourceLimitError(f"solver budget exhausted after {stop} decisions")
+            decisions = last
+            backtracks += hit[1]
+        else:  # push the lowest rank of the lowest non-empty bucket
+            b = next(filter(None, bucket))
+            vb = b & -b
+            bucket[bucket.index(b)] = b ^ vb
+            unc ^= vb
+            v = vb.bit_length() - 1
+            todo = remaining[v]
+            free = todo & anon & ~used
+            todo ^= free
+            while free:
+                b = free & -free
+                todo |= b
+                free &= ~peers[b.bit_length() - 1]
+            stack.append([v, todo, 0, 0, None, used, decisions, backtracks])
         while stack:
-            v, todo, bit, pruned, pruned_ranks, below = frame = stack[-1]
+            v, todo, bit, pruned, pruned_ranks, below, d0, b0 = frame = stack[-1]
             if bit:  # take back the colour tried last
                 has[bit.bit_length() - 1] |= pruned
                 for u in pruned_ranks:
@@ -186,6 +216,9 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
                 stack.pop()
                 unc |= 1 << v
                 bucket[remaining[v].bit_count()] |= 1 << v
+                if decisions - d0 >= _REPLAY_MIN_DECISIONS:  # the state is back to the push's
+                    table.setdefault(unc, {})[(below & anon, *map(unc.__and__, has))] = (
+                        decisions - d0, backtracks - b0)
                 continue
             bit = todo & -todo
             todo ^= bit

@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from chromcert import solver
 from chromcert.cli import EXIT_NOT_INEXTENSIBLE, main
 from chromcert.coloring import is_colourable
 from chromcert.errors import NotInextensibleError, ResourceLimitError, TemplateError
@@ -224,6 +226,69 @@ def test_kernel_pinned(name, outcome, colouring, decisions, backtracks):
     res = extend(*_kernel_case(name))
     assert (res.outcome, res.colouring, res.stats.decisions, res.stats.backtracks) == (
         outcome, colouring, decisions, backtracks)
+
+
+def _replay_case(name):
+    # Each needs more decisions than the smallest subtree the state table
+    # keeps, and each recurs to a kept state, so part of it is replayed.
+    c5 = FamilySpec.cycle(5)
+    if name == "template_join5":
+        # colours 0, 1 and 3 are mentioned, so they have no anonymity class
+        g = generate(FamilySpec.join(*[c5] * 5))
+        forb = {v: frozenset() for v in g.vertices if v not in (0, 5)}
+        forb[1] = frozenset({1})
+        return g, Template({0: 0, 5: 3}, forb), Palette.plain(14)
+    if name == "three_lists_join4":
+        g = generate(FamilySpec.join(*[c5] * 4))
+        lists = {v: frozenset(range(11)) - {v % 3} for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    if name == "two_isolated_first":
+        # Two isolated vertices with a shorter list go first, with one colour
+        # or two, so join(C5, C5) is searched from equal states that differ
+        # only in the anonymous colours used.
+        h = generate(FamilySpec.join(c5, c5))
+        g = Graph.build(12, list(h.edges))
+        lists = {v: frozenset(range(5 if v < 10 else 4)) for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    assert name == "apex_two_lists"  # colour 0 at the apex leaves join(C5 x 5) 14 colours
+    g = generate(FamilySpec.join(FamilySpec.complete(1), *[c5] * 5))
+    lists = {v: frozenset(range(15)) for v in g.vertices}
+    lists[0] = frozenset({0, 15})
+    return g, Template.empty(g), Palette.from_lists(lists)
+
+
+@pytest.mark.parametrize("name, outcome, items, decisions, backtracks", [
+    ("template_join5", "unsat", None, 5631, 4433),
+    ("three_lists_join4", "unsat", None, 34561, 26959),
+    ("two_isolated_first", "unsat", None, 1116, 877),
+    ("apex_two_lists", "sat", [(0, 15), (1, 0), (2, 1), (6, 2), (7, 3), (11, 4), (12, 5), (16, 6),
+                               (17, 7), (21, 8), (22, 9), (3, 0), (4, 1), (5, 10), (8, 2), (9, 3),
+                               (10, 11), (13, 4), (14, 5), (15, 12), (18, 6), (19, 7), (20, 13),
+                               (23, 8), (24, 9), (25, 14)], 551, 416),
+])
+def test_replay_pinned(name, outcome, items, decisions, backtracks):
+    # Replaying a proven-UNSAT subtree by count keeps the answer, the
+    # colouring in its dict order and the counters of the whole tree.
+    res = extend(*_replay_case(name))
+    assert (res.outcome, res.colouring and list(res.colouring.items()),
+            res.stats.decisions, res.stats.backtracks) == (outcome, items, decisions, backtracks)
+
+
+@pytest.mark.parametrize("cap", [571, 857, 1714])  # 1/3, 1/2 and all but one of 1715 decisions
+def test_replayed_decisions_count_against_the_cap(cap):
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(5)] * 6))
+    with pytest.raises(ResourceLimitError, match=f"^solver budget exhausted after {cap + 1} decisions$"):
+        extend(g, Template.empty(g), Palette.plain(17), SolverBudget(max_decisions=cap))
+
+
+def test_replayed_decisions_poll_the_clock(monkeypatch):
+    # The clock runs out after the poll at decision 512; the next poll due
+    # is at 1024, and on join(C7 x 5) that decision falls in a replayed subtree.
+    calls = iter([0.0, 0.0])  # the start, the poll at 512
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(calls, 1.0)))
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(7)] * 5))
+    with pytest.raises(ResourceLimitError, match="^solver budget exhausted after 1024 decisions$"):
+        extend(g, Template.empty(g), Palette.plain(14), SolverBudget(wall_clock_seconds=0.5))
 
 
 def test_deep_instance_needs_no_recursion():
