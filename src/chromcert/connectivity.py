@@ -1,16 +1,18 @@
 """Vertex connectivity oracles.
 
 Local connectivity of non-adjacent s, t is a unit-capacity max flow on the
-vertex-split digraph, built once per graph in flat int arrays.  Each flow
-starts from a copy of the base capacities (a deleted vertex has its
-internal arc zeroed), is seeded with the s-w-t paths, and stops at the cap
-its caller needs.  kappa uses Even's pair reduction (SIAM J. Comput. 1975):
-in id order, the first vertex outside a minimum cut S has index at most
-|S| and precedes every vertex of another component of G - S, so a cut
-smaller than b shows up in a flow from one of the first b vertices.  The
-lexicographically smallest minimum cut is built greedily in id order,
-keeping v when kappa(G - C - v) < kappa - |C| for the chosen set C, which
-holds exactly when some minimum cut contains C + {v}.
+vertex-split digraph, held implicitly as one int neighbour mask per vertex
+rank.  A deleted vertex is a cleared bit of an `alive` mask, and a search
+claims every unreached neighbour of a node in one mask operation, so it
+costs O(n) steps however dense the graph is.  Each flow starts from the
+s-w-t paths and stops at the cap its caller needs.  kappa uses Even's pair
+reduction (SIAM J. Comput. 1975): in id order, the first vertex outside a
+minimum cut S has index at most |S| and precedes every vertex of another
+component of G - S, so a cut smaller than b shows up in a flow from one of
+the first b vertices.  The lexicographically smallest minimum cut is built
+greedily in id order, keeping v when kappa(G - C - v) < kappa - |C| for
+the chosen set C, which holds exactly when some minimum cut contains
+C + {v}.
 
 Two kinds of query run on the network.  is_k_connected, connectivity and
 the first step of min_vertex_cut compute min(cap, kappa) exactly.  The
@@ -27,66 +29,63 @@ from .graphs import Graph, connected_components, induced_subgraph, is_connected
 
 class _SplitNetwork:
     """The vertex-split digraph of g over vertex ranks (id order): rank i
-    has in-node 2i and out-node 2i+1 joined by the unit arc 2i, and arc
-    arc[u][w] = u_out -> w_in has capacity n.  Arc a ^ 1 reverses arc a."""
+    has an in-node and an out-node joined by a unit arc in(i) -> out(i),
+    and each edge uw gives uncapacitated arcs out(u) -> in(w) and
+    out(w) -> in(u).  Only nbm[i], the mask of i's neighbour ranks, is kept."""
 
     def __init__(self, g: Graph):
         self.ids = g.sorted_vertices()
         rank = {v: i for i, v in enumerate(self.ids)}
-        n = len(self.ids)
-        self.nbrs = [frozenset(rank[u] for u in g.adj[v]) for v in self.ids]
-        head = [a ^ 1 for a in range(2 * n)]
-        cap = [1, 0] * n
-        self.out = [[a] for a in range(2 * n)]
-        self.arc: list[dict[int, int]] = [{} for _ in range(n)]
-        for u in range(n):
-            for w in sorted(self.nbrs[u]):
-                a = len(head)
-                head += [2 * w, 2 * u + 1]
-                cap += [n, 0]
-                self.out[2 * u + 1].append(a)
-                self.out[2 * w].append(a + 1)
-                self.arc[u][w] = a
-        self.head = head
-        self.base = cap
+        self.nbm = [sum(1 << rank[u] for u in g.adj[v]) for v in self.ids]
 
-    def flow(self, base: list[int], s: int, t: int, limit: int) -> int:
+    def flow(self, alive: int, s: int, t: int, limit: int) -> int:
         """min(limit, number of internally disjoint s-t paths) through the
-        vertices whose internal arc is open in `base`; s, t non-adjacent."""
-        cap = base[:]
-        head, out = self.head, self.out
-        flow = 0
-        arc_s = self.arc[s]
-        for w in self.nbrs[s] & self.nbrs[t]:
-            if flow == limit:
-                return flow
-            if cap[2 * w]:
-                for a in (arc_s[w], 2 * w, self.arc[w][t]):
-                    cap[a] -= 1
-                    cap[a ^ 1] += 1
-                flow += 1
-        source, sink = 2 * s + 1, 2 * t
+        vertices of the mask `alive`; s, t non-adjacent.
+
+        The common neighbours carry s-w-t paths that no augmenting path can
+        reroute, so the search runs on the rest.  pred[w] is the rank whose
+        out-arc carries w's unit, and w itself when w is free.  The search
+        is breadth-first: out(u) claims its unreached in-nodes in one mask
+        operation, in(w) leads to out(pred[w]), and out(v) of a used v
+        also leads back to in(v)."""
+        nbm = self.nbm
+        common = nbm[s] & nbm[t] & alive
+        flow = common.bit_count()
+        if flow >= limit:
+            return limit
+        # parent[w]: the out-node that claimed in(w), w itself for the
+        # reversed internal arc; came[v]: the in-node that led to out(v).
+        pred, parent, came = list(range(len(nbm))), [0] * len(nbm), [0] * len(nbm)
+        start = alive & ~common & ~(1 << s)
         while flow < limit:
-            via = [-1] * len(out)
-            via[source] = source
-            queue = [source]
-            for x in queue:
-                for a in out[x]:
-                    if cap[a]:
-                        y = head[a]
-                        if via[y] < 0:
-                            via[y] = a
-                            queue.append(y)
-                if via[sink] >= 0:
-                    break
+            queue, unreached = [(s, nbm[s] & start)], start & ~nbm[s]
+            for u, m in queue:
+                while m:
+                    low = m & -m
+                    m ^= low
+                    w = low.bit_length() - 1
+                    parent[w] = u
+                    v = pred[w]
+                    if v == s:
+                        continue
+                    came[v] = w
+                    new = nbm[v] & unreached
+                    if v != w:
+                        new |= 1 << v & unreached
+                    if new >> t & 1:
+                        break
+                    unreached ^= new
+                    queue.append((v, new))
+                else:
+                    continue
+                break
             else:
                 return flow
-            y = sink
-            while y != source:
-                a = via[y]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                y = head[a ^ 1]
+            # Walk back from in(t): each in-node w on the path now takes its
+            # unit from parent[w], and none when it was entered from out(w).
+            while v != s:
+                w = came[v]
+                v = pred[w] = parent[w]
             flow += 1
         return flow
 
@@ -98,30 +97,30 @@ class _SplitNetwork:
         it returns the first bound below limit that it meets (the minimum
         degree or one capped flow, both upper bounds on kappa) and limit
         when there is none, so only the comparison with limit is exact."""
-        live = [i for i in range(len(self.ids)) if i not in dead]
+        nbm = self.nbm
+        alive = (1 << len(nbm)) - 1 - sum(1 << v for v in dead)
+        live = [v for v in range(len(nbm)) if alive >> v & 1]
         if len(live) <= 1:
             return 0
         if dead:
-            seen, stack = {live[0]}, [live[0]]
-            while stack:
-                new = self.nbrs[stack.pop()] - dead - seen
+            seen = frontier = alive & -alive
+            while frontier:
+                low = frontier & -frontier
+                new = nbm[low.bit_length() - 1] & alive & ~seen
                 seen |= new
-                stack += new
-            if len(seen) < len(live):
+                frontier ^= low | new
+            if seen != alive:
                 return 0
-        best = min(limit, min(len(self.nbrs[v] - dead) for v in live))
+        best = min(limit, min((nbm[v] & alive).bit_count() for v in live))
         # Connected, so kappa >= 1 and a bound of 1 is already exact; a
         # threshold query is settled by any bound below its limit.
         stop = 1 if exact else max(1, limit - 1)
         if best <= stop:
             return best
-        base = self.base[:]
-        for v in dead:
-            base[2 * v] = 0
         for i, s in enumerate(live):
             for t in live[i + 1:]:
-                if t not in self.nbrs[s]:
-                    best = self.flow(base, s, t, best)
+                if not nbm[s] >> t & 1:
+                    best = self.flow(alive, s, t, best)
                     if best <= stop:
                         return best
             # Sources 0..best-1 are done, which rules out a cut below best.

@@ -207,16 +207,24 @@ def _dense_graphs(rng):
         yield generate(FamilySpec.join(*[FamilySpec.cycle(c) for c in sizes]))
 
 
+def _count_flows(monkeypatch):
+    """A one-item list counting the calls of _SplitNetwork.flow from now on."""
+    flow, calls = conn._SplitNetwork.flow, [0]
+
+    def counting_flow(self, *args):
+        calls[0] += 1
+        return flow(self, *args)
+
+    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
+    return calls
+
+
 def test_matches_brute_force_on_dense_graphs(monkeypatch):
     # Record how each greedy step of min_vertex_cut ends: accepted on the
     # minimum degree alone, accepted on a flow, or rejected after the scan.
     outcomes = set()
-    kappa, flow = conn._SplitNetwork.kappa, conn._SplitNetwork.flow
-    flows = [0]
-
-    def counting_flow(self, *args):
-        flows[0] += 1
-        return flow(self, *args)
+    kappa = conn._SplitNetwork.kappa
+    flows = _count_flows(monkeypatch)
 
     def recording_kappa(self, dead, limit, exact=True):
         before = flows[0]
@@ -225,11 +233,15 @@ def test_matches_brute_force_on_dense_graphs(monkeypatch):
             outcomes.add("rejected" if got >= limit else "flow" if flows[0] > before else "degree")
         return got
 
-    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
     monkeypatch.setattr(conn._SplitNetwork, "kappa", recording_kappa)
     for g in _dense_graphs(random.Random(4242)):
         _assert_matches_oracles(g)
     assert outcomes == {"degree", "flow", "rejected"}
+
+
+# Flow counts of min_vertex_cut, recorded with an earlier flow kernel: they
+# depend only on Even's pair scan and the greedy cut above the kernel.
+CYCLE_JOIN_FLOWS = {(5, 10): 49, (5, 9): 44, (7, 6): 78}
 
 
 @pytest.mark.parametrize("cycle, copies", [(5, 10), (5, 9), (7, 6)])
@@ -238,13 +250,77 @@ def test_min_cut_of_cycle_joins_takes_linearly_many_flows(monkeypatch, cycle, co
     # cycle.  The lexicographically smallest minimum cut is every vertex
     # before the last cycle plus that cycle's vertices 0 and 2.
     g = generate(FamilySpec.join(*[FamilySpec.cycle(cycle)] * copies))
-    flow, calls = conn._SplitNetwork.flow, [0]
-
-    def counting_flow(self, *args):
-        calls[0] += 1
-        return flow(self, *args)
-
-    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
+    calls = _count_flows(monkeypatch)
     last = cycle * (copies - 1)
     assert min_vertex_cut(g) == frozenset(range(last + 1)) | {last + 2}
     assert calls[0] <= 2 * g.n
+    assert calls[0] == CYCLE_JOIN_FLOWS[cycle, copies]
+
+
+def test_min_cut_of_a_dense_random_graph_is_pinned(monkeypatch):
+    # kappa = 81: the uncapped cut that finalize and verify run on a dense H.
+    # The cut and the flow count were recorded as CYCLE_JOIN_FLOWS were.
+    g = generate(FamilySpec.random(100, 0.9, 3))
+    calls = _count_flows(monkeypatch)
+    outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
+    assert min_vertex_cut(g) == frozenset(range(100)) - outside
+    assert calls[0] == 4488
+
+
+def _brute_kappa(g):
+    """kappa(g) by subset enumeration, with kappa(K_m) = m - 1."""
+    if g.n <= 1:
+        return 0
+    found = brute_min_cut(g)
+    return g.n - 1 if found is None else found[0]
+
+
+def test_kernel_kappa_matches_brute_force_with_dead_vertices():
+    rng = random.Random(1975)
+    checked = 0
+    while checked < 120:
+        n = rng.randint(2, 9)
+        labels = rng.sample(range(30), n)
+        p = rng.uniform(0.3, 0.95)
+        g = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+        if not is_connected(g):
+            continue
+        net = conn._SplitNetwork(g)
+        for _ in range(4):
+            dead = set(rng.sample(range(n), rng.randint(0, n - 1)))
+            kappa = _brute_kappa(induced_subgraph(g, [net.ids[i] for i in range(n) if i not in dead]))
+            for limit in range(1, n + 1):
+                assert net.kappa(dead, limit) == min(limit, kappa)
+                # A threshold answer is an upper bound on kappa, below the
+                # limit exactly when kappa is.
+                got = net.kappa(dead, limit, exact=False)
+                assert min(limit, kappa) <= got <= limit
+                assert (got < limit) == (kappa < limit)
+        checked += 1
+
+
+def test_flow_undoes_a_path_through_a_reverse_arc():
+    # s = 0, t = 5.  The search visits in-nodes in id order, so the first
+    # augmenting path is 0-1-3-5, after which no path avoids 1 and 3.  The
+    # second must enter out(1) backwards from in(3), cancelling the arc
+    # 1 -> 3, to reach 0-1-4-5 and 0-2-3-5.
+    g = Graph.build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+    assert not is_connected(induced_subgraph(g, {0, 2, 4, 5}))
+    net = conn._SplitNetwork(g)
+    alive = (1 << 6) - 1
+    assert net.flow(alive, 0, 5, 1) == 1
+    assert net.flow(alive, 0, 5, 3) == 2
+    assert net.flow(alive & ~(1 << 4), 0, 5, 3) == 1
+
+
+def test_flow_reroutes_through_a_reversed_internal_arc():
+    # s = 1, t = 3.  The first path is 1-4-2-7-3.  The second, 1-8-6-7, can
+    # only go on backwards: from in(7) to out(2), from out(2) to in(2)
+    # against 2's own unit, and from in(2) to out(4), which reaches 9-0-3.
+    # The result is 1-8-6-7-3 and 1-4-9-0-3.
+    g = Graph.build([0, 1, 2, 3, 4, 6, 7, 8, 9],
+                    [(0, 3), (0, 9), (1, 4), (1, 8), (2, 4), (2, 7), (3, 7), (4, 9), (6, 7), (6, 8)])
+    net = conn._SplitNetwork(g)
+    rank = {v: i for i, v in enumerate(net.ids)}
+    assert net.flow((1 << 9) - 1, rank[1], rank[3], 3) == 2
+    assert min_vertex_cut(g) == brute_min_cut(g)[1]
