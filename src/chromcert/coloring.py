@@ -6,16 +6,19 @@ chromcert has one exact colouring search.  Its brute-force references live
 in oracles.py.
 
 list_chromatic_at_least finds a bad list assignment by one iterative search
-over int bitmasks (bit c stands for colour c).  It walks the assignments up
-to colour renaming in the order of oracles.canonical_list_assignments,
-keeps a first-fit colour per prefix, so a changed list costs one first-fit
-step, and runs an exact bitmask search only where first-fit fails.
+over int bitmasks (bit c stands for colour c), in the order of
+oracles.canonical_list_assignments.  It skips only subtrees whose every
+assignment has a colouring, so the first refuted assignment stays the
+first in that order: at the last vertex, the lists not inside the colours
+its neighbours get in every colouring of the prefix; below an inner prefix,
+all lists once some colouring of it leaves first-fit room everywhere after.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from .graphs import Graph, induced_subgraph
 from .solver import extend
@@ -108,12 +111,13 @@ def _list_choices(used: int, s: int) -> tuple[tuple[int, int], ...]:
                  for j in range(min(s, used), -1, -1) for old in combinations(range(used), j))
 
 
-def _refuted(lists: list[int], earlier: list[list[int]]) -> bool:
-    """True when no proper colouring from the bitmask lists exists: exact
-    search in position order, untried[d] the colours left to try at d."""
-    n = len(lists)
-    chosen = [0] * n
-    untried = [lists[0]] + [0] * (n - 1)
+def _colourings(lists: list[int], earlier: list[list[int]], size: int, jump: int) -> Iterator[list[int]]:
+    """The proper colourings of positions 0..size-1 from the bitmask lists,
+    by exact search in position order, each as the chosen colour bits (one
+    list, reused).  After each the search resumes at position jump, so of
+    the colourings that agree on positions 0..jump only the first is seen."""
+    chosen = [0] * size
+    untried = [lists[0]] + [0] * (size - 1)
     d = 0
     while d >= 0:
         free = untried[d]
@@ -123,43 +127,75 @@ def _refuted(lists: list[int], earlier: list[list[int]]) -> bool:
         chosen[d] = bit = free & -free
         untried[d] = free ^ bit
         d += 1
-        if d == n:
-            return False
-        blocked = 0
+        if d == size:
+            yield chosen
+            d = jump
+            continue
+        blocked = 0  # _colours_on inline: this is the hot loop
         for u in earlier[d]:
             blocked |= chosen[u]
         untried[d] = lists[d] & ~blocked
-    return True
+
+
+def _colours_on(chosen: list[int], positions: list[int]) -> int:
+    """The colour bits chosen at the positions, as one mask."""
+    bits = 0
+    for u in positions:
+        bits |= chosen[u]
+    return bits
 
 
 def _first_refuted_assignment(g: Graph, s: int) -> list[int] | None:
     """The first canonical s-list assignment (bitmasks in id order) that g
-    cannot be coloured from, or None when g is s-choosable.
+    cannot be coloured from, or None when g is s-choosable.  Two cuts skip
+    only assignments that have a colouring, so the answer is unchanged.
 
-    fit[d] is the first-fit colour bit of position d under the lists of
-    positions 0..d, or 0 once first-fit has failed at or before d.  The last
-    position is scanned in one loop: a list meeting its free colours is
-    first-fit colourable, and only the others get the exact test.
+    (a) At the last position a list is refuted exactly when every colouring
+    of the fixed prefix puts all its colours on the last vertex's
+    neighbours, that is when it lies inside `meet`, the AND of those colours
+    over the prefix colourings (all ones when there is none).  The pass
+    stops once meet has fewer than s colours.  Colourings that agree up to
+    the deepest neighbour put the same colours there: one stands for all.
+
+    (b) Below inner position d, a later q has room s minus its earlier
+    neighbours after d.  If some colouring of 0..d puts fewer colours than
+    its room on the prefix neighbours of every q, first-fit in position
+    order colours each q from any s-list, so nothing below is refuted.
+    Colourings that agree up to jumps[d], the deepest prefix neighbour,
+    block the same colours.  checks[d] holds (prefix neighbours, room) for
+    the q with prefix neighbours, or None when some q has room 0, or room 1
+    and a prefix neighbour, and the test cannot pass.  Position last - 1 is
+    left to (a), which stops no later.
     """
     order = g.sorted_vertices()
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[pos[u] for u in g.adj[v] if pos[u] < i] for i, v in enumerate(order)]
-    last = len(order) - 1
-    lists, fit, nxt = [0] * len(order), [0] * len(order), [0] * len(order)
+    n = len(order)
+    last = n - 1
+    checks: list[list[tuple[list[int], int]] | None] = [None] * n
+    jumps = [0] * n
+    for d in range(last - 1):
+        later = [([u for u in earlier[q] if u <= d], s - sum(u > d for u in earlier[q]))
+                 for q in range(d + 1, n)]
+        if all(room > bool(nbrs) for nbrs, room in later):
+            checks[d] = [(nbrs, room) for nbrs, room in later if nbrs]
+            jumps[d] = max((u for nbrs, _ in checks[d] for u in nbrs), default=0)
+
+    lists, nxt = [0] * n, [0] * n
     options = [_list_choices(0, s)] + [()] * last
     d = 0
     while d >= 0:
-        blocked = 0
-        for u in earlier[d]:
-            blocked |= fit[u]
-        prefix_fits = d == 0 or fit[d - 1]
         if d == last:
-            for mask, _ in options[d]:
-                if prefix_fits and mask & ~blocked:
-                    continue
-                lists[d] = mask
-                if _refuted(lists, earlier):
-                    return lists
+            meet = -1
+            for chosen in _colourings(lists, earlier, last, max(earlier[last])):
+                meet &= _colours_on(chosen, earlier[last])
+                if meet.bit_count() < s:
+                    break
+            else:
+                for mask, _ in options[last]:
+                    if not mask & ~meet:
+                        lists[last] = mask
+                        return lists
             d -= 1
         elif nxt[d] == len(options[d]):
             d -= 1
@@ -167,9 +203,10 @@ def _first_refuted_assignment(g: Graph, s: int) -> list[int] | None:
             mask, used = options[d][nxt[d]]
             nxt[d] += 1
             lists[d] = mask
-            free = mask & ~blocked if prefix_fits else 0
-            fit[d] = free & -free
-            d += 1
-            options[d] = _list_choices(used, s)
-            nxt[d] = 0
+            if checks[d] is None or not any(
+                    all(_colours_on(chosen, nbrs).bit_count() < room for nbrs, room in checks[d])
+                    for chosen in _colourings(lists, earlier, d + 1, jumps[d])):
+                d += 1
+                options[d] = _list_choices(used, s)
+                nxt[d] = 0
     return None

@@ -25,7 +25,7 @@ CHECKER_IMPORTS = {"graphs", "connectivity", "coloring", "templates", "errors"}
 TEMPLATE_NAMES = {"PLAIN", "LIST"}
 
 # coloring.py's only loops that search: the choosability witness search.
-WITNESS_SEARCH = {"list_chromatic_at_least", "_refuted", "_first_refuted_assignment"}
+WITNESS_SEARCH = {"list_chromatic_at_least", "_colourings", "_first_refuted_assignment"}
 
 
 def _tree(module):

@@ -285,3 +285,45 @@ def test_choosability_witness_matches_reference_on_random_dense_graphs():
         ok, witness = list_chromatic_at_least(g, 3)
         assert ok == (expected is not None)
         assert witness == expected
+
+
+def test_choosability_witness_matches_reference_on_random_sparse_graphs():
+    # Sparse and bipartite graphs with minimum degree >= 2, so nothing is
+    # peeled.  Most sparse ones hold an odd cycle, which the first assignment
+    # refutes; on the bipartite ones the first refuted assignment lies deep
+    # in the enumeration, past subtrees that both cuts skip.
+    rng = random.Random(61)
+    checked = 0
+    while checked < 34:
+        n = rng.randint(4, 7)
+        labels = sorted(rng.sample(range(3, 60), n))
+        if checked % 2:
+            edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.45]
+        else:
+            side = {v: rng.random() < 0.5 for v in labels}
+            edges = [(u, v) for u, v in combinations(labels, 2)
+                     if side[u] != side[v] and rng.random() < 0.75]
+        g = Graph.build(labels, edges)
+        if min(g.degree(v) for v in g.vertices) < 2:
+            continue
+        checked += 1
+        expected = first_refuted_by_reference(g, 3)
+        ok, witness = list_chromatic_at_least(g, 3)
+        assert ok == (expected is not None)
+        assert witness == expected
+        if witness is not None:
+            assert list(witness) == list(expected)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (2, 6, [{0, 1}, {2, 3}, {0, 1}, {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}]),
+    (3, 5, [{0, 1}, {0, 1}, {2, 3}, {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}]),
+])
+def test_choosability_witness_of_larger_bipartite_graphs_pinned(a, b, expected):
+    # Recorded from an exhaustive search without subtree cuts (K2,6 took
+    # about 20 s); the reference enumeration is too slow at eight vertices.
+    g = complete_bipartite(a, b)
+    ok, witness = list_chromatic_at_least(g, 3)
+    assert ok
+    assert list(witness.items()) == [(v, frozenset(cs)) for v, cs in enumerate(expected)]
+    assert brute_list_colour(g, witness) is None
