@@ -6,25 +6,28 @@ and list_colour are this search on the empty template;
 oracles.brute_force_extend is its brute-force reference.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
-bitsets, after San Segundo's bitboard DSATUR (2012): per rank its candidate
-colours (bit i: the i-th smallest colour in g's lists), per colour the ranks
-whose candidates hold it, and per count p the uncoloured ranks with p
-candidates.  Ranks order vertices by (-degree, id), so Brelaz's rule "fewest
-candidates, then larger degree, then smaller id" picks the lowest rank of
-the lowest non-empty bucket.  Colouring v with i prunes neighbours(v) &
-uncoloured & holders(i), a wipeout when one of them is in bucket 1, so a
-decision costs O(pruned ranks).  Small calls are dominated by the setup, so
-it reads edges only at pre-coloured vertices: the masks come from g's
-distinct lists less the template's forbidden colours and pre-coloured
-neighbours' colours, and a vertex's neighbour mask is built when it is
-first coloured.
+bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
+colour-by-rank holder matrix (bit i*n + r: rank r still holds colour i, the
+i-th smallest colour in g's lists), and the candidate counts are bit-sliced
+over the ranks into about log2(C) planes.  Ranks order vertices by
+(-degree, id), so Brelaz's rule "fewest candidates, then larger degree, then
+smaller id" picks the lowest uncoloured rank of least count, found by
+scanning the planes from the top.  Colouring v with i prunes neighbours(v) &
+uncoloured & holders(i), a wipeout when one of them had one candidate; one
+ripple borrow over the planes counts them down and one ripple carry counts
+them up on the undo, so a decision costs O(log C) mask operations.  Small
+calls are dominated by the setup, so it reads edges only at pre-coloured
+vertices: the matrix and the counts come from g's distinct lists less the
+template's forbidden colours and pre-coloured neighbours' colours, a
+vertex's neighbour mask is built at its first push, and the empty template
+skips validate_template, which has nothing to check there.
 
 Within one call, each subtree proven UNSAT in at least
 _REPLAY_MIN_DECISIONS decisions is kept by the exact search state at its
-push and replayed by count when that state recurs (state caching, after
-B. M. Smith, CP 2005).  So SolverStats count the nodes of the DSATUR tree,
-replayed ones included, and a budget stops at the decision it would stop
-at without replay.
+push, two ints, and replayed by count when that state recurs (state
+caching, after B. M. Smith, CP 2005).  So SolverStats count the nodes of
+the DSATUR tree, replayed ones included, and a budget stops at the decision
+it would stop at without replay.
 """
 
 from __future__ import annotations
@@ -115,7 +118,9 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     Unsat means the (pruned but exhaustive) search space is empty.  Raises
     ResourceLimitError once the budget is exhausted.
     """
-    validate_template(g, t, palette)
+    empty = not t.precolour and not any(t.forbidden.values()) and t.forbidden.keys() == g.vertices
+    if not empty:  # the empty template leaves validate_template nothing to check
+        validate_template(g, t, palette)
     budget = budget or _UNLIMITED
     cap, seconds = budget.max_decisions, budget.wall_clock_seconds
     decisions = backtracks = 0
@@ -126,58 +131,60 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     n = len(verts)
     rank = {v: r for r, v in enumerate(verts)}
     nbm: list[int | None] = [None] * n  # neighbour-rank masks, lazily
-    # g's distinct lists (one in plain mode), each with the vertices carrying it.
-    holders: dict[frozenset[int], list[int]] = {}
-    for v in g.vertices:
-        holders.setdefault(palette.colours_of(v), []).append(v)
+    # g's distinct lists (one in plain mode), each with the ranks carrying it;
+    # a missing list raises in validate_template's order.
+    holders: dict[frozenset[int], int] = {}
+    for v in t.forbidden:
+        cs = palette.colours_of(v)
+        holders[cs] = holders.get(cs, 0) | 1 << rank[v]
+    for v in t.precolour:
+        holders.setdefault(palette.colours_of(v), 0)
     colours, peers = _anonymity_classes(t, holders)
     index = {c: i for i, c in enumerate(colours)}
     anon = sum(set(peers))  # the anonymous colours; distinct classes are disjoint
-    remaining = [0] * n  # per rank, its candidate colour mask
-    has = [0] * len(colours)  # per colour, the ranks holding it as a candidate
-    for cs, vs in holders.items():
-        mask = held = 0
+    held = rep = 0  # bit i*n + r of held: rank r holds colour i; of rep: i's slot
+    # Rank r's candidate count: bit r of odd is its bit 0, of planes[j] its bit j + 1.
+    odd, planes = 0, [0] * max(0, len(colours).bit_length() - 1)
+    for cs, ranks in holders.items():
+        row = 0
         for c in cs:
-            mask |= 1 << index[c]
-        for v in vs:
-            if v in rank:
-                remaining[rank[v]] = mask
-                held |= 1 << rank[v]
-        for c in cs:
-            has[index[c]] |= held
-    for v, fs in t.forbidden.items():
-        for c in fs:
-            remaining[rank[v]] &= ~(1 << index[c])
-            has[index[c]] &= ~(1 << rank[v])
-    for u, c in t.precolour.items():
-        for w in adj[u]:
-            if w in rank:
-                remaining[rank[w]] &= ~(1 << index[c])
-                has[index[c]] &= ~(1 << rank[w])
+            row |= 1 << index[c] * n
+        rep |= row
+        held |= ranks * row
+        odd |= ranks if len(cs) & 1 else 0
+        for j in range(len(planes)):
+            planes[j] |= ranks if len(cs) >> j + 1 & 1 else 0
+    if not empty:  # rank r loses colour c: count it down
+        for r, c in [(rank[v], c) for v, fs in t.forbidden.items() for c in fs] + [
+                (rank[w], c) for u, c in t.precolour.items() for w in adj[u] if w in rank]:
+            bit = 1 << index[c] * n + r
+            if held & bit:
+                held ^= bit
+                b, odd = 1 << r & ~odd, odd ^ 1 << r
+                for j, p in enumerate(planes):
+                    planes[j], b = p ^ b, b & ~p
     unc = (1 << n) - 1  # uncoloured ranks
-    bucket = [0] * (len(colours) + 1)  # uncoloured ranks by candidate count
-    for r, m in enumerate(remaining):
-        bucket[m.bit_count()] |= 1 << r
 
-    # One frame per vertex on the current path: [rank, colours left to try,
-    # colour bit in use (0 for none), the ranks it pruned as a mask and as a
-    # list, colours used below, decisions and backtracks before its push].
-    # The colours used below a frame are fixed while it is on the stack, and
-    # so are its colours to try: each candidate mentioned or used below, and
-    # the least unused one of each class.
+    # One frame per vertex on the current path, no int in it wider than n or
+    # C bits: [rank, colours left to try, shift i*n of the colour i in use,
+    # ranks it pruned, its uncoloured neighbours, those with at most one
+    # candidate, colours used below, decisions and backtracks before its
+    # push].  Each try starts from the state at the push, so the neighbour
+    # masks and colours used below stay fixed, and so do its colours to try:
+    # each candidate mentioned or used below, and the least unused per class.
     stack: list[list] = []
     used = 0
     # Proven-UNSAT subtrees by the state at their push: table[unc][(used &
-    # anon, *(has[i] & unc))] = (decisions, backtracks).  The subtree below
-    # a push reads nothing else that varies: the rank it picks and every
-    # candidate mask and bucket follow from has[i] & unc, the colours it may
-    # try from used & anon, and it only ever changes bits of unc, all of
-    # them restored when its root pops.  So a recurring state is replayed by
-    # count, and the counters stay those of the whole DSATUR tree.
-    table: dict[int, dict[tuple, tuple[int, int]]] = {}
+    # anon, held & unc * rep)] = (decisions, backtracks).  The subtree below
+    # a push reads nothing else that varies: the rank it picks, every
+    # candidate set and count follow from the holder matrix on unc, the
+    # colours it may try from used & anon, and it only ever changes bits of
+    # unc, all of them restored when its root pops.  So a recurring state is
+    # replayed by count, and the counters stay those of the whole tree.
+    table: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
     while unc:
         known = table.get(unc)
-        hit = known and known.get((used & anon, *map(unc.__and__, has)))
+        hit = known and known.get((used & anon, held & unc * rep))
         if hit:  # replay: the budget checks its decisions would have made
             last = decisions + hit[0]
             stop = cap + 1 if cap and last > cap else last + 1
@@ -188,36 +195,52 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
                 raise ResourceLimitError(f"solver budget exhausted after {stop} decisions")
             decisions = last
             backtracks += hit[1]
-        else:  # push the lowest rank of the lowest non-empty bucket
-            b = next(filter(None, bucket))
-            vb = b & -b
-            bucket[bucket.index(b)] = b ^ vb
+        else:  # push the lowest uncoloured rank with the fewest candidates
+            hi = 0
+            for p in planes:
+                hi |= p
+            low = unc & ~hi  # the uncoloured ranks with at most one candidate
+            if not low:  # the least count, from its top bit down
+                low = unc
+                for p in reversed(planes):
+                    low = low & ~p or low
+            low = low & ~odd or low
+            vb = low & -low
             unc ^= vb
             v = vb.bit_length() - 1
-            todo = remaining[v]
+            x, todo = held >> v & rep, 0  # v's candidates i at bits i*n, folded to bits i
+            while x:
+                k = x.bit_length() - 1
+                x, todo = x ^ 1 << k, todo | 1 << k // n
             free = todo & anon & ~used
             todo ^= free
             while free:
                 b = free & -free
                 todo |= b
                 free &= ~peers[b.bit_length() - 1]
-            stack.append([v, todo, 0, 0, None, used, decisions, backtracks])
+            nb = nbm[v]
+            if nb is None:
+                nb = 0
+                for u in adj[verts[v]]:
+                    if u in rank:
+                        nb |= 1 << rank[u]
+                nbm[v] = nb
+            nb &= unc
+            stack.append([v, todo, 0, 0, nb, nb & ~hi, used, decisions, backtracks])
         while stack:
-            v, todo, bit, pruned, pruned_ranks, below, d0, b0 = frame = stack[-1]
-            if bit:  # take back the colour tried last
-                has[bit.bit_length() - 1] |= pruned
-                for u in pruned_ranks:
-                    p = remaining[u].bit_count()
-                    remaining[u] |= bit
-                    bucket[p] ^= 1 << u
-                    bucket[p + 1] |= 1 << u
+            v, todo, sh, pruned, nb, crit, below, d0, b0 = frame = stack[-1]
+            if pruned:  # take back the colour tried last and count its ranks up
+                held |= pruned << sh
+                c, odd, j = pruned & odd, odd ^ pruned, 0
+                while c:
+                    p = planes[j]
+                    planes[j], c, j = p ^ c, c & p, j + 1
             if not todo:
                 backtracks += 1
                 stack.pop()
                 unc |= 1 << v
-                bucket[remaining[v].bit_count()] |= 1 << v
                 if decisions - d0 >= _REPLAY_MIN_DECISIONS:  # the state is back to the push's
-                    table.setdefault(unc, {})[(below & anon, *map(unc.__and__, has))] = (
+                    table.setdefault(unc, {})[(below & anon, held & unc * rep)] = (
                         decisions - d0, backtracks - b0)
                 continue
             bit = todo & -todo
@@ -226,37 +249,24 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
             if (cap and decisions > cap) or (seconds and decisions % _TIME_CHECK_EVERY == 0
                                              and time.perf_counter() - start > seconds):
                 raise ResourceLimitError(f"solver budget exhausted after {decisions} decisions")
-            ci = bit.bit_length() - 1
-            m = nbm[v]
-            if m is None:
-                m = 0
-                for u in adj[verts[v]]:
-                    if u in rank:
-                        m |= 1 << rank[u]
-                nbm[v] = m
-            pruned = m & unc & has[ci]
-            if pruned & bucket[1]:  # wipeout: a pruned vertex had no other candidate
-                frame[1], frame[2] = todo, 0
+            sh = (bit.bit_length() - 1) * n
+            pruned = nb & held >> sh
+            if pruned & crit:  # wipeout: a pruned vertex, holding i, had no other candidate
+                frame[1], frame[3] = todo, 0
                 continue
-            has[ci] ^= pruned
-            pruned_ranks = []
-            frame[1], frame[2], frame[3], frame[4] = todo, bit, pruned, pruned_ranks
-            while pruned:
-                ub = pruned & -pruned
-                pruned ^= ub
-                u = ub.bit_length() - 1
-                pruned_ranks.append(u)
-                p = remaining[u].bit_count()
-                remaining[u] ^= bit
-                bucket[p] ^= ub
-                bucket[p - 1] |= ub
+            held ^= pruned << sh
+            frame[1], frame[2], frame[3] = todo, sh, pruned
+            b, odd, j = pruned & ~odd, odd ^ pruned, 0  # count the pruned ranks down
+            while b:
+                p = planes[j]
+                planes[j], b, j = p ^ b, b & ~p, j + 1
             used = below | bit
             break
         else:
             return SolveResult("unsat", None, SolverStats(decisions, backtracks))
     colour = dict(t.precolour)
     for frame in stack:
-        colour[verts[frame[0]]] = colours[frame[2].bit_length() - 1]
+        colour[verts[frame[0]]] = colours[frame[2] // n]
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
     return SolveResult("sat", colour, SolverStats(decisions, backtracks))

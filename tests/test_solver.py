@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from types import SimpleNamespace
@@ -307,3 +308,87 @@ def test_cli_extract_on_deep_colourable_instance(tmp_path):
     graph = tmp_path / "c1500.col"
     main(["gen", "cycle", "1500", "--out", str(graph)])
     assert main(["extract", str(graph), "--k", "1"]) == EXIT_NOT_INEXTENSIBLE
+
+
+def _plane_case(name):
+    if name == "mycielski5_p4":  # needs no replay: the kernel alone
+        g = generate(FamilySpec.mycielski(5))
+        return g, Template.empty(g), Palette.plain(4)
+    if name == "c5_p20":  # more colours than ranks
+        g = generate(FamilySpec.cycle(5))
+        return g, Template.empty(g), Palette.plain(20)
+    if name == "k36_forty_lists":  # counts fall from 38 past 32: borrows cross all six count bits
+        g = generate(FamilySpec.complete(36))
+        lists = {v: frozenset(range(40)) - {v % 5, v % 7 + 5} for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    if name == "join_k26_c5x3_lists":  # 35 colours, backtracking over counts above 32
+        c5 = FamilySpec.cycle(5)
+        g = generate(FamilySpec.join(FamilySpec.complete(26), c5, c5, c5))
+        lists = {v: frozenset(range(34)) if v >= 26 else frozenset(range(35)) - {v % 4} for v in g.vertices}
+        return g, Template.empty(g), Palette.from_lists(lists)
+    g = Graph.build([7], [])
+    assert name in ("one_vertex_p1", "one_vertex_p0")
+    return g, Template.empty(g), Palette.plain(int(name[-1]))
+
+
+@pytest.mark.parametrize("name, outcome, items, decisions, backtracks", [
+    ("mycielski5_p4", "unsat", None, 895, 767),
+    ("c5_p20", "sat", [(0, 0), (1, 1), (2, 0), (3, 1), (4, 2)], 5, 0),
+    ("k36_forty_lists", "sat", [(0, 1), (2, 0), (3, 2), (4, 3), (9, 5), (19, 6), (24, 7), (34, 8),
+                                (5, 4), (6, 9), (12, 11), (26, 12), (33, 13), (1, 10), (7, 14),
+                                (8, 15), (10, 16), (11, 17), (13, 18), (14, 19), (15, 20),
+                                (16, 21), (17, 22), (18, 23), (20, 24), (21, 25), (22, 26),
+                                (23, 27), (25, 28), (27, 29), (28, 30), (29, 31), (30, 32),
+                                (31, 33), (32, 34), (35, 35)], 36, 0),
+    ("join_k26_c5x3_lists", "sat", [(0, 1), (2, 0), (3, 2), (7, 4), (11, 5), (15, 6), (19, 7),
+                                    (23, 8), (26, 3), (27, 9), (31, 10), (32, 11), (36, 12),
+                                    (37, 13), (1, 14), (4, 15), (5, 16), (6, 17), (8, 18), (9, 19),
+                                    (10, 20), (12, 21), (13, 22), (14, 23), (16, 24), (17, 25),
+                                    (18, 26), (20, 27), (21, 28), (22, 29), (24, 30), (25, 34),
+                                    (28, 3), (29, 9), (30, 31), (33, 10), (34, 11), (35, 32),
+                                    (38, 12), (39, 13), (40, 33)], 87, 36),
+    ("one_vertex_p1", "sat", [(7, 0)], 1, 0),
+    ("one_vertex_p0", "unsat", None, 0, 1),
+])
+def test_candidate_counts_pinned(name, outcome, items, decisions, backtracks):
+    # The edges of the bit-sliced candidate counts: more colours than ranks,
+    # counts above 32, a single rank; certificates record these counters.
+    res = extend(*_plane_case(name))
+    assert (res.outcome, res.colouring and list(res.colouring.items()),
+            res.stats.decisions, res.stats.backtracks) == (outcome, items, decisions, backtracks)
+
+
+def _differential_case(rng):
+    caps = (0, 0, 0, 5, 50, 500)
+    if rng.random() < 0.3:  # joins of odd cycles one colour short, deep enough to replay
+        parts = [FamilySpec.cycle(rng.choice((5, 7))) for _ in range(rng.randint(3, 5))]
+        g = generate(FamilySpec.join(*parts))
+        return g, Template.empty(g), Palette.plain(3 * len(parts) - 1), SolverBudget(rng.choice(caps))
+    labels = rng.sample(range(40), rng.randint(1, 12))
+    p = rng.choice((0.3, 0.5, 0.7, 0.9))
+    g = Graph.build(labels, [(u, v) for u, v in combinations(labels, 2) if rng.random() < p])
+    size = rng.randint(1, 3 * len(labels) // 4 + 2)
+    if rng.random() < 0.5:
+        palette = Palette.plain(rng.randint(0, 45) if rng.random() < 0.2 else size)
+    else:
+        k = rng.randint(size, 45)
+        palette = Palette.from_lists({v: rng.sample(range(k), rng.randint(1, size)) for v in labels})
+    t = random_template(g, palette, rng, rng.choice((0, 1, 2, 4))) if rng.random() < 0.6 else Template.empty(g)
+    return g, t, palette, SolverBudget(rng.choice(caps))
+
+
+def test_seeded_differential_digest():
+    # 300 seeded cases over plain and list palettes up to 45 colours, random
+    # templates and decision caps; one digest pins every outcome, colouring
+    # in dict order, counter and budget message.
+    rng = random.Random(2014)
+    lines = []
+    for _ in range(300):
+        try:
+            res = extend(*_differential_case(rng))
+            lines.append(repr((res.outcome, res.colouring and list(res.colouring.items()),
+                               res.stats.decisions, res.stats.backtracks)))
+        except ResourceLimitError as exc:
+            lines.append(str(exc))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "47d18d3b806232701141a5c4ea486cef622f1bdd764c750c8ecb9dc7865edc5a"
