@@ -125,6 +125,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"verify: cannot parse certificate: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except RecursionError:
+        print("verify: cannot parse certificate: its JSON is nested too deeply", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     if verify_certificate(g, cert):
         print("certificate accepted")
         return EXIT_OK

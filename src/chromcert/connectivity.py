@@ -24,7 +24,7 @@ candidate is usually accepted after a single flow or none.
 
 from __future__ import annotations
 
-from .graphs import Graph, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, is_connected, reach
 
 
 class _SplitNetwork:
@@ -35,8 +35,8 @@ class _SplitNetwork:
 
     def __init__(self, g: Graph):
         self.ids = g.sorted_vertices()
-        rank = {v: i for i, v in enumerate(self.ids)}
-        self.nbm = [sum(1 << rank[u] for u in g.adj[v]) for v in self.ids]
+        bit = {v: 1 << i for i, v in enumerate(self.ids)}
+        self.nbm = [sum(map(bit.__getitem__, g.adj[v])) for v in self.ids]
 
     def flow(self, alive: int, s: int, t: int, limit: int) -> int:
         """min(limit, number of internally disjoint s-t paths) through the
@@ -178,7 +178,8 @@ def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset
     """Split V - x into (Y, Z) with no Y-Z edges.
 
     Y is the connected component of g - x containing the smallest vertex
-    id; Z is everything else.  Raises if x does not disconnect g.
+    id, grown over g's adjacency with x blocked; Z is everything else.
+    Raises if x does not disconnect g.
     """
     stray = set(x) - g.vertices
     if stray:
@@ -186,9 +187,7 @@ def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset
     rest = g.vertices - x
     if not rest:
         raise ValueError("removing x leaves no vertices")
-    comps = connected_components(induced_subgraph(g, rest))
-    if len(comps) < 2:
+    y = frozenset(reach(g, min(rest), frozenset(x)))
+    if len(y) == len(rest):
         raise ValueError(f"{sorted(x)} is not a vertex cut")
-    y = comps[0]
-    z = frozenset().union(*comps[1:])
-    return y, z
+    return y, rest - y

@@ -2,13 +2,15 @@
 
 Vertices of a freshly built graph are 0..n-1; induced subgraphs keep the
 original identifiers so pre-colourings and forbidden lists restrict without
-any renaming.
+any renaming.  An induced subgraph inherits its parent's adjacency: its
+neighbour sets are the parent's intersected with the kept vertices, and its
+edges are read off them, so it costs the subgraph's size, not the parent's.
+Its edges still pass the constructor's validation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -94,8 +96,26 @@ def induced_subgraph(g: Graph, x: Iterable[int]) -> Graph:
     stray = xs - g.vertices
     if stray:
         raise ValueError(f"vertices {sorted(stray)} are not in the graph")
-    edges = frozenset(e for e in g.edges if e[0] in xs and e[1] in xs)
-    return Graph(xs, edges)
+    adj = {v: g.adj[v] & xs for v in xs}
+    h = Graph(xs, frozenset((u, w) for u, nbrs in adj.items() for w in nbrs if u < w))
+    h.__dict__["adj"] = adj  # the slot the cached_property fills
+    return h
+
+
+def reach(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> set[int]:
+    """The vertex set of the component of g - blocked that holds start,
+    grown one whole neighbourhood frontier at a time."""
+    adj = g.adj
+    comp, frontier = {start}, {start}
+    while frontier:
+        new = set()
+        for v in frontier:
+            new |= adj[v]
+        new -= comp
+        new -= blocked
+        comp |= new
+        frontier = new
+    return comp
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -105,14 +125,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     for start in g.sorted_vertices():
         if start in seen:
             continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
+        comp = reach(g, start)
         seen |= comp
         comps.append(frozenset(comp))
     return comps

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection
 
 from .errors import ResourceLimitError
 from .graphs import Graph
@@ -78,7 +78,7 @@ class SolveResult:
 _UNLIMITED = SolverBudget()
 
 
-def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> tuple[list[int], list[int]]:
+def _anonymity_classes(t: Template, lists: Collection[frozenset[int]]) -> tuple[list[int], list[int]]:
     """Group the colours of g's distinct lists (one list in plain mode)
     that the template cannot tell apart.
 
@@ -93,7 +93,12 @@ def _anonymity_classes(t: Template, lists: Iterable[frozenset[int]]) -> tuple[li
 
     Returns the colours in increasing order and per colour the mask of its
     class (bit i: the i-th colour), 0 for a mentioned one: it is never skipped.
+    A template that mentions no colour over a single list (the plain-mode
+    empty template) has one class holding every colour.
     """
+    if len(lists) == 1 and not t.precolour and not any(t.forbidden.values()):
+        colours = sorted(next(iter(lists)))
+        return colours, [(1 << len(colours)) - 1] * len(colours)
     mentioned = set(t.precolour.values()).union(*t.forbidden.values())
     carriers: dict[int, int] = {}  # colour -> mask of the lists holding it
     for i, cs in enumerate(lists):

@@ -235,9 +235,9 @@ def _check_partition(h: Graph, x: frozenset[int], y: frozenset[int], z: frozense
         raise ValueError("x, y, z must partition the vertex set")
     if not y or not z:
         raise ValueError("both cut sides must be nonempty")
-    for u, v in h.edges:
-        if (u in y and v in z) or (u in z and v in y):
-            raise ValueError(f"edge {(u, v)} crosses the cut sides")
+    crossing = [(min(u, w), max(u, w)) for u in y for w in h.adj[u] & z]
+    if crossing:
+        raise ValueError(f"edge {min(crossing)} crosses the cut sides")
 
 
 def derive_separation_template(

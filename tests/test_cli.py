@@ -216,6 +216,17 @@ def test_verify_parse_failure_distinct_from_rejection(tmp_path):
     assert run("verify", str(graph), str(junk)) == EXIT_PARSE_ERROR
 
 
+def test_verify_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys):
+    graph = tmp_path / "k4.col"
+    deep = tmp_path / "deep.json"
+    run("gen", "complete", "4", "--out", str(graph))
+    deep.write_text('{"format": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    capsys.readouterr()
+    assert run("verify", str(graph), str(deep)) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_reproduce_theorem2_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run("reproduce", "theorem2", "--out", str(report)) == EXIT_OK

@@ -11,7 +11,7 @@ from chromcert.connectivity import (
     split_by_cut,
 )
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph, induced_subgraph, is_connected
+from chromcert.graphs import Graph, connected_components, induced_subgraph, is_connected
 from chromcert.oracles import brute_is_k_connected, brute_min_cut
 
 
@@ -97,6 +97,13 @@ def test_split_rejects_non_cut():
         split_by_cut(generate(FamilySpec.complete(4)), frozenset({0}))
     with pytest.raises(ValueError):
         split_by_cut(generate(FamilySpec.cycle(5)), frozenset({9}))
+    g = generate(FamilySpec.cycle(5))
+    with pytest.raises(ValueError, match=r"cut contains non-vertices \[7, 9\]"):
+        split_by_cut(g, frozenset({0, 9, 7}))
+    with pytest.raises(ValueError, match="removing x leaves no vertices"):
+        split_by_cut(g, g.vertices)
+    with pytest.raises(ValueError, match=r"\[0\] is not a vertex cut"):
+        split_by_cut(g, frozenset({0}))
 
 
 def test_split_properties_random():
@@ -116,6 +123,25 @@ def test_split_properties_random():
         for u, v in g.edges:
             assert not ((u in y and v in z) or (u in z and v in y))
         done += 1
+
+
+def test_split_matches_the_components_of_g_minus_x():
+    # Reference: the components of the induced subgraph on V - x, Y the one
+    # holding the smallest id.  Random x on labelled graphs, cuts or not.
+    rng = random.Random(15)
+    splits = 0
+    for _ in range(300):
+        ids = rng.sample(range(1000), rng.randint(1, 12))
+        g = Graph.build(ids, [(u, v) for u, v in combinations(ids, 2) if rng.random() < 0.4])
+        x = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        comps = connected_components(induced_subgraph(g, g.vertices - x)) if x != g.vertices else []
+        if len(comps) < 2:
+            with pytest.raises(ValueError):
+                split_by_cut(g, x)
+            continue
+        assert split_by_cut(g, x) == (comps[0], frozenset().union(*comps[1:]))
+        splits += 1
+    assert splits > 50
 
 
 def test_matches_brute_force_on_random_graphs():

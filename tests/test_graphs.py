@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chromcert.graphs import (
@@ -53,6 +55,44 @@ def test_induced_keeps_identities():
     assert sub.vertices == frozenset({0, 1, 3})
     assert sub.edges == frozenset({(0, 1)})
     assert sub.degree(3) == 0
+
+
+def random_labelled_graph(rng):
+    ids = rng.sample(range(1000), rng.randint(0, 14))
+    p = rng.random()
+    return Graph.build(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+
+
+def test_induced_matches_filtered_parent_edges():
+    # The inherited adjacency against a graph built from the parent's edges
+    # with both ends kept, over random subsets, the empty and the full set.
+    rng = random.Random(15)
+    for _ in range(200):
+        g = random_labelled_graph(rng)
+        for xs in (frozenset(), g.vertices, frozenset(rng.sample(sorted(g.vertices), rng.randint(0, g.n)))):
+            ref = Graph(xs, frozenset(e for e in g.edges if e[0] in xs and e[1] in xs))
+            sub = induced_subgraph(g, xs)
+            assert (sub.vertices, sub.edges, sub.adj) == (ref.vertices, ref.edges, ref.adj)
+            assert sub == ref
+
+
+def test_components_match_a_breadth_first_search():
+    rng = random.Random(16)
+    for _ in range(200):
+        g = random_labelled_graph(rng)
+        ref, seen = [], set()
+        for start in sorted(g.vertices):
+            if start not in seen:
+                comp, queue = {start}, [start]
+                for v in queue:
+                    for e in g.edges:
+                        if v in e and (w := e[0] + e[1] - v) not in comp:
+                            comp.add(w)
+                            queue.append(w)
+                seen |= comp
+                ref.append(frozenset(comp))
+        assert connected_components(g) == ref
+        assert is_connected(g) == (len(ref) <= 1)
 
 
 def test_induced_rejects_foreign_vertices():

@@ -392,3 +392,39 @@ def test_seeded_differential_digest():
             lines.append(str(exc))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "47d18d3b806232701141a5c4ea486cef622f1bdd764c750c8ecb9dc7865edc5a"
+
+
+def _classes_by_definition(t, lists):
+    # The docstring's definition, colour by colour: a mentioned colour has
+    # mask 0; an anonymous one, the colours carried by exactly its lists.
+    mentioned = set(t.precolour.values()).union(*t.forbidden.values())
+    colours = sorted(set().union(*lists))
+    carriers = {c: {i for i, cs in enumerate(lists) if c in cs} for c in colours}
+    return colours, [0 if c in mentioned else sum(
+        1 << j for j, d in enumerate(colours) if d not in mentioned and carriers[d] == carriers[c])
+        for c in colours]
+
+
+def test_anonymity_classes_single_list_shortcut_matches_the_definition():
+    # One list and a template mentioning no colour take the early return;
+    # the other cases take the general inversion.  Both match the definition.
+    g = generate(FamilySpec.cycle(5))
+    one_list = Palette.from_lists({v: (2, 5, 9) for v in g.vertices})
+    two_lists = Palette.from_lists({v: (2, 5, 9) if v % 2 else (2, 5, 7) for v in g.vertices})
+    templates = [
+        Template.empty(g),
+        Template({}, {v: frozenset() for v in range(3)}),
+        Template({}, {**Template.empty(g).forbidden, 1: frozenset({2})}),
+        Template({0: 5}, {v: frozenset() for v in range(1, 5)}),
+    ]
+    shortcut = 0
+    for palette in (Palette.plain(1), Palette.plain(3), Palette.plain(7), one_list, two_lists):
+        lists = list(dict.fromkeys(palette.colours_of(v) for v in g.sorted_vertices()))
+        for t in templates:
+            got = solver._anonymity_classes(t, lists)
+            assert got == _classes_by_definition(t, lists)
+            if len(lists) == 1 and not t.precolour and not any(t.forbidden.values()):
+                # The same list twice takes the general path to the same classes.
+                assert got == solver._anonymity_classes(t, lists * 2)
+                shortcut += 1
+    assert shortcut == 8

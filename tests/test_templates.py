@@ -256,8 +256,11 @@ def test_separation_rejects_bad_shapes():
     heavy = {v: (frozenset({0, 1}) if v == 1 else frozenset()) for v in g.vertices}
     with pytest.raises(ValueError):
         derive_separation_template(g, Template({}, heavy), x, y, z, 2)  # |F| > k-1
-    with pytest.raises(ValueError):
-        derive_separation_template(g, Template.empty(g), x, y - {1}, z | {1}, 2)  # cross edges
+    # Cross edges: the error names the smallest one.
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) crosses the cut sides"):
+        derive_separation_template(g, Template.empty(g), x, y - {1}, z | {1}, 2)
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) crosses the cut sides"):
+        derive_separation_template(g, Template.empty(g), x, y - {3, 5, 9}, z | {3, 5, 9}, 2)
 
 
 def test_completion_restriction_when_x_precoloured():
