@@ -17,7 +17,7 @@ keeps it that way.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .coloring import is_colourable, list_colour
 from .connectivity import min_vertex_cut
@@ -59,7 +59,11 @@ class Certificate:
     solver_backtracks: int
 
     def to_json(self) -> str:
-        return json.dumps({"format": CERTIFICATE_FORMAT, **asdict(self)}, indent=2) + "\n"
+        # The fields in order, read in place: asdict would deep-copy every
+        # nested list and dict only for json.dumps to read them once.
+        doc = {"format": CERTIFICATE_FORMAT, **vars(self)}
+        doc["trace"] = [vars(step) for step in self.trace]
+        return json.dumps(doc, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -107,7 +111,8 @@ def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate from scratch against the graph.
 
-    Recomputes the graph hash, replays every descent step (partition
+    Checks that k and the palette size are integers and not booleans,
+    recomputes the graph hash, replays every descent step (partition
     shape, cut smallness, absence of cross edges, the k^2 side condition,
     and the derived-degree inequalities), then re-establishes both final
     guarantees: k-connectivity, and the chromatic evidence appropriate to
@@ -115,6 +120,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """
     try:
         k = cert.k
+        # One encoding per claim: JSON true is not the integer 1.
+        if type(k) is not int or type(cert.palette_size) not in (int, type(None)):
+            return False
         if k < 1 or cert.mode not in (PLAIN, LIST):
             return False
         if graph_hash(g) != cert.graph_hash:

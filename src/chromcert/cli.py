@@ -51,6 +51,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"extract: cannot read graph: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except MemoryError:
+        print("extract: out of memory while reading the graph", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     lists = None
     if args.lists:
         try:
@@ -90,6 +93,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except ResourceLimitError as exc:
         print(f"extract: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except MemoryError:
+        print("extract: out of memory while extracting", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     except RuntimeError as exc:
         print(f"extract: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -119,6 +125,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"verify: cannot read graph: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except MemoryError:
+        print("verify: out of memory while reading the graph", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())

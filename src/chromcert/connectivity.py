@@ -9,20 +9,25 @@ s-w-t paths and stops at the cap its caller needs.  kappa uses Even's pair
 reduction (SIAM J. Comput. 1975): in id order, the first vertex outside a
 minimum cut S has index at most |S| and precedes every vertex of another
 component of G - S, so a cut smaller than b shows up in a flow from one of
-the first b vertices.  The lexicographically smallest minimum cut is built
-greedily in id order, keeping v when kappa(G - C - v) < kappa - |C| for
-the chosen set C, which holds exactly when some minimum cut contains
-C + {v}.
+the first b vertices.
 
-Two kinds of query run on the network.  is_k_connected, connectivity and
-the first step of min_vertex_cut compute min(cap, kappa) exactly.  The
-greedy steps of min_vertex_cut only ask whether kappa(G - C - v) is below
-a limit; those threshold queries return at the first witness below it (the
-minimum degree or one capped flow, both upper bounds on kappa), so a
-candidate is usually accepted after a single flow or none.
+min_vertex_cut returns the lexicographically smallest minimum cut S*, in
+two parts.  S* has the largest possible first vertex s outside it, so it
+holds C = {0..s-1}.  The prefix C is found with threshold queries, "is
+kappa(G - C - v) below kappa - |C|?", which return at the first witness
+below the limit (the minimum degree or one capped flow); the first vertex
+refused is s.  S* - C is then the smallest minimum cut of G - C, in which
+no minimum cut holds s: it is a minimum s-t separator for each t on its
+far side.  So one flow from s to each non-neighbour t settles the tail,
+and each flow of value kappa - |C| yields its smallest separator with no
+further flow.  All minimum s-t separators are read off one max flow's
+residual graph as its closed node sets (Picard-Queyranne 1980), so the
+smallest one is built greedily in id order by closure steps.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .graphs import Graph, is_connected, reach
 
@@ -47,7 +52,9 @@ class _SplitNetwork:
         out-arc carries w's unit, and w itself when w is free.  The search
         is breadth-first: out(u) claims its unreached in-nodes in one mask
         operation, in(w) leads to out(pred[w]), and out(v) of a used v
-        also leads back to in(v)."""
+        also leads back to in(v).  A flow that stops below `limit` leaves
+        its residual to the caller: self.pred, and self.reached, the mask
+        of in-nodes that its last search reached from out(s)."""
         nbm = self.nbm
         common = nbm[s] & nbm[t] & alive
         flow = common.bit_count()
@@ -80,6 +87,7 @@ class _SplitNetwork:
                     continue
                 break
             else:
+                self.pred, self.reached = pred, start & ~unreached
                 return flow
             # Walk back from in(t): each in-node w on the path now takes its
             # unit from parent[w], and none when it was entered from out(w).
@@ -88,6 +96,18 @@ class _SplitNetwork:
                 v = pred[w] = parent[w]
             flow += 1
         return flow
+
+    def connected(self, alive: int) -> bool:
+        """Whether the vertices of the nonempty mask `alive` span a
+        connected subgraph."""
+        nbm = self.nbm
+        seen = frontier = alive & -alive
+        while frontier:
+            low = frontier & -frontier
+            new = nbm[low.bit_length() - 1] & alive & ~seen
+            seen |= new
+            frontier ^= low | new
+        return seen == alive
 
     def kappa(self, dead: set[int], limit: int, exact: bool = True) -> int:
         """min(limit, kappa(G - dead)) with kappa(K_m) = m - 1; G itself
@@ -102,18 +122,16 @@ class _SplitNetwork:
         live = [v for v in range(len(nbm)) if alive >> v & 1]
         if len(live) <= 1:
             return 0
-        if dead:
-            seen = frontier = alive & -alive
-            while frontier:
-                low = frontier & -frontier
-                new = nbm[low.bit_length() - 1] & alive & ~seen
-                seen |= new
-                frontier ^= low | new
-            if seen != alive:
-                return 0
-        best = min(limit, min((nbm[v] & alive).bit_count() for v in live))
-        # Connected, so kappa >= 1 and a bound of 1 is already exact; a
-        # threshold query is settled by any bound below its limit.
+        # A threshold query is settled by any bound below its limit, so the
+        # minimum degree goes first; a limit of 1 asks only for connectivity.
+        best = limit
+        if exact or limit > 1:
+            best = min(limit, min((nbm[v] & alive).bit_count() for v in live))
+            if not exact and best < limit:
+                return best
+        if dead and not self.connected(alive):
+            return 0
+        # Connected, so kappa >= 1 and a bound of 1 is already exact.
         stop = 1 if exact else max(1, limit - 1)
         if best <= stop:
             return best
@@ -127,6 +145,86 @@ class _SplitNetwork:
             if i + 1 >= best:
                 break
         return best
+
+    def tail_cut(self, s: int, need: int) -> tuple[int, ...]:
+        """The lexicographically smallest minimum cut of G - {0..s-1},
+        whose connectivity is `need`, given that no such cut holds s.
+
+        s lies on one side of every minimum cut, so each one is a minimum
+        s-t separator for every t on another side: the answer is the
+        smallest separator over the non-neighbours t of s whose flow is
+        exactly `need`.  Each vertex of such a cut has a neighbour on a
+        side without s, so outside N[s]; no cut is smaller than `least`, the
+        first `need` ids after s with one.  So it is the answer when it is
+        a cut, and the scan stops if it meets it."""
+        nbm = self.nbm
+        alive = (1 << len(nbm)) - (1 << s)
+        rest = alive & ~nbm[s] & ~(1 << s)
+        least = tuple(islice((v for v in range(s + 1, len(nbm)) if nbm[v] & rest), need))
+        if len(least) == need and not self.connected(alive - sum(1 << v for v in least)):
+            return least
+        best = None
+        while rest and best != least:
+            low = rest & -rest
+            rest ^= low
+            t = low.bit_length() - 1
+            if self.flow(alive, s, t, need + 1) == need:
+                sep = self._separator(alive, s, t, need)
+                if best is None or sep < best:
+                    best = sep
+        if best is None:
+            raise RuntimeError("max-flow connectivity and the canonical cut disagree")
+        return best
+
+    def _separator(self, alive: int, s: int, t: int, size: int) -> tuple[int, ...]:
+        """The lexicographically smallest minimum s-t separator, of `size`
+        vertices, read off the residual that the last flow(alive, s, t, _)
+        left when it stopped below its cap (Picard-Queyranne 1980).
+
+        The minimum separators are the sets {v : in(v) in X, out(v) not in
+        X} over the residual-closed node sets X holding out(s) and not
+        in(t), and self.reached is the smallest such X.  Common neighbours
+        are in every separator.  The other vertices go in greedily in id
+        order: forcing v adds in(v) to X and closes it, which refuses v
+        when it reaches in(t) or the out-node of v or of an earlier forced
+        vertex.  Only a vertex that carries a unit (pred[w] != w) can be in
+        a separator, and its out-node has one entry, the in-node its unit
+        feeds."""
+        pred = self.pred
+        common = self.nbm[s] & self.nbm[t] & alive
+        avail = alive & ~common & ~(1 << s)
+        used = [w for w in range(len(pred)) if pred[w] != w]
+        feeds = {pred[w]: 1 << w for w in used}
+        inside, guard, picked = self.reached, 1 << t, common
+        left = size - common.bit_count()
+        for v in used if left else ():
+            forced = guard | feeds.get(v, 0)
+            grown = self._close(inside, 1 << v & ~inside, avail, s, forced)
+            if not grown & forced:
+                inside, guard = grown, forced
+                picked |= 1 << v
+                left -= 1
+                if not left:
+                    break
+        return tuple(i for i in range(len(self.nbm)) if picked >> i & 1)
+
+    def _close(self, inside: int, new: int, avail: int, s: int, guard: int) -> int:
+        """The in-node mask inside | new closed under the residual of the
+        last flow from s, or a mask meeting guard once the closure reaches
+        a node of guard.  in(w) leads to out(pred[w]), and out(p) to the
+        in-nodes of p's neighbours and, when p carries a unit, to in(p)."""
+        nbm, pred = self.nbm, self.pred
+        grown = inside | new
+        while new and not grown & guard:
+            low = new & -new
+            new ^= low
+            w = low.bit_length() - 1
+            p = pred[w]
+            if p != s:
+                more = (nbm[p] & avail | (1 << p if p != w else 0)) & ~grown
+                grown |= more
+                new |= more
+        return grown
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -161,17 +259,17 @@ def min_vertex_cut(g: Graph, below: int | None = None):
     kappa = net.kappa(set(), g.n - 1 if below is None else below)
     if below is not None and kappa >= below:
         return None
+    # The prefix {0..s-1} of the canonical cut: accept ids while some
+    # minimum cut still holds them all; s is the first one refused.
     chosen: set[int] = set()
-    for v in range(g.n):
-        if len(chosen) == kappa:
+    for s in range(kappa):
+        chosen.add(s)
+        if net.kappa(chosen, kappa - s, exact=False) >= kappa - s:
             break
-        chosen.add(v)
-        rest = kappa - len(chosen) + 1
-        if net.kappa(chosen, rest, exact=False) >= rest:
-            chosen.remove(v)
-    if len(chosen) != kappa:
-        raise RuntimeError("max-flow connectivity and the greedy cut disagree")
-    return frozenset(net.ids[i] for i in chosen)
+    else:
+        return frozenset(net.ids[:kappa])
+    tail = net.tail_cut(s, kappa - s)
+    return frozenset(net.ids[:s] + [net.ids[i] for i in tail])
 
 
 def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:

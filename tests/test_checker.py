@@ -7,17 +7,19 @@ import ast
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from chromcert import checker, coloring, extractor
-from chromcert.checker import Certificate, connectivity_evidence, verify_certificate
+from chromcert.checker import CERTIFICATE_FORMAT, Certificate, connectivity_evidence, verify_certificate
 from chromcert.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_REJECTED, EXIT_RESOURCE_LIMIT, main
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph, graph_hash, write_dimacs
+from chromcert.suites import theorem1_instances, theorem2_instances
 
 # The chromcert modules checker.py may import, and the only names it may
 # take from templates.
@@ -109,6 +111,16 @@ PINNED = [
      "separation", "theorem_guarantee",
      "7684c5b902f0a043809b74fa5350043cd865c1e2569aebdb669e3f6d42abbbf9"),
 ]
+
+
+def test_to_json_matches_the_asdict_serialisation():
+    # The suite certificates and the pinned ones, against the serialisation
+    # that deep-copied the certificate with dataclasses.asdict first.
+    cases = [(generate(spec), cfg) for _, spec, cfg in theorem1_instances() + theorem2_instances()]
+    cases += [(make(), cfg) for make, cfg, *_ in PINNED]
+    for g, cfg in cases:
+        cert = extract(g, cfg)
+        assert cert.to_json() == json.dumps({"format": CERTIFICATE_FORMAT, **asdict(cert)}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("make, cfg, recursed, kind, digest", PINNED)

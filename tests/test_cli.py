@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chromcert import cli
 from chromcert.cli import (
     EXIT_NOT_INEXTENSIBLE,
     EXIT_OK,
@@ -267,3 +268,36 @@ def test_verify_ill_typed_certificate_is_a_parse_error(tmp_path):
     for doc in ([], {"format": "chromcert-certificate-v1", "trace": [[1]]}):
         cert.write_text(json.dumps(doc))
         assert run("verify", str(graph), str(cert)) == EXIT_PARSE_ERROR
+
+
+def test_verify_rejects_a_boolean_k(tmp_path):
+    # JSON true equals 1 in Python, but k must be an integer.
+    graph = tmp_path / "k8.col"
+    cert = tmp_path / "cert.json"
+    run("gen", "complete", "8", "--out", str(graph))
+    assert run("extract", str(graph), "--k", "1", "--out", str(cert)) == EXIT_OK
+    good = json.loads(cert.read_text())
+    assert run("verify", str(graph), str(cert)) == EXIT_OK
+    for field, value in (("k", True), ("k", 1.0), ("palette_size", True), ("palette_size", 7.0)):
+        cert.write_text(json.dumps({**good, field: value}))
+        assert run("verify", str(graph), str(cert)) == EXIT_REJECTED
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target, command, phase", [
+    ("read_dimacs", "extract", "reading the graph"),
+    ("read_dimacs", "verify", "reading the graph"),
+    ("extract", "extract", "extracting"),
+])
+def test_memory_error_exits_4_and_names_the_phase(tmp_path, capsys, monkeypatch, target, command, phase):
+    graph = tmp_path / "k8.col"
+    run("gen", "complete", "8", "--out", str(graph))
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    capsys.readouterr()
+    options = ["--k", "1"] if command == "extract" else [str(tmp_path / "k8.cert.json")]
+    assert run(command, str(graph), *options) == EXIT_RESOURCE_LIMIT
+    err = capsys.readouterr().err
+    assert f"{command}: out of memory while {phase}" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -222,8 +223,10 @@ def test_min_cut_avoiding_the_lowest_ids():
 
 
 def _dense_graphs(rng):
-    """Near-complete graphs on n <= 11 non-contiguous labels, and small
-    joins of cycles (the shape of the final subgraphs of `search`)."""
+    """Near-complete graphs on n <= 11 non-contiguous labels, small joins
+    of cycles (the shape of the final subgraphs of `search`), and two K6s
+    sharing {0, 1}, whose prefix is accepted on flows: every vertex of
+    G - 0 has degree at least 4."""
     for _ in range(60):
         n = rng.randint(3, 11)
         labels = rng.sample(range(50), n)
@@ -231,6 +234,7 @@ def _dense_graphs(rng):
         yield Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
     for sizes in ((4, 5), (3, 5), (5, 5), (4, 4, 3), (6, 4)):
         yield generate(FamilySpec.join(*[FamilySpec.cycle(c) for c in sizes]))
+    yield glued((6, 6), 2)
 
 
 def _count_flows(monkeypatch):
@@ -246,27 +250,46 @@ def _count_flows(monkeypatch):
 
 
 def test_matches_brute_force_on_dense_graphs(monkeypatch):
-    # Record how each greedy step of min_vertex_cut ends: accepted on the
-    # minimum degree alone, accepted on a flow, or rejected after the scan.
+    # Record how each step of min_vertex_cut ends.  The prefix: a threshold
+    # query accepts with no flow (on the minimum degree or a disconnected
+    # rest) or on a flow, or refuses s.
+    # The tail: forcing a vertex into an s-t separator is accepted, or
+    # refused when the closure reaches in(t) or a forced vertex's out-node.
     outcomes = set()
-    kappa = conn._SplitNetwork.kappa
+    kappa, separator, close = conn._SplitNetwork.kappa, conn._SplitNetwork._separator, conn._SplitNetwork._close
     flows = _count_flows(monkeypatch)
+    sink = [None]
 
     def recording_kappa(self, dead, limit, exact=True):
         before = flows[0]
         got = kappa(self, dead, limit, exact)
         if not exact:
-            outcomes.add("rejected" if got >= limit else "flow" if flows[0] > before else "degree")
+            outcomes.add("prefix refused" if got >= limit else
+                         "prefix flow" if flows[0] > before else "prefix degree")
         return got
 
+    def recording_separator(self, alive, s, t, size):
+        sink[0] = t
+        return separator(self, alive, s, t, size)
+
+    def recording_close(self, inside, new, avail, s, guard):
+        grown = close(self, inside, new, avail, s, guard)
+        outcomes.add("tail accepted" if not grown & guard else
+                     "tail reached t" if grown >> sink[0] & 1 else "tail reached an out-node")
+        return grown
+
     monkeypatch.setattr(conn._SplitNetwork, "kappa", recording_kappa)
+    monkeypatch.setattr(conn._SplitNetwork, "_separator", recording_separator)
+    monkeypatch.setattr(conn._SplitNetwork, "_close", recording_close)
     for g in _dense_graphs(random.Random(4242)):
         _assert_matches_oracles(g)
-    assert outcomes == {"degree", "flow", "rejected"}
+    assert outcomes == {"prefix degree", "prefix flow", "prefix refused",
+                        "tail accepted", "tail reached t", "tail reached an out-node"}
 
 
-# Flow counts of min_vertex_cut, recorded with an earlier flow kernel: they
-# depend only on Even's pair scan and the greedy cut above the kernel.
+# Flow counts of min_vertex_cut.  They depend only on Even's pair scan, the
+# prefix queries and the tail's flows above the kernel; on these joins the
+# tail's smallest candidate is already a cut, so it runs no flow.
 CYCLE_JOIN_FLOWS = {(5, 10): 49, (5, 9): 44, (7, 6): 78}
 
 
@@ -285,12 +308,30 @@ def test_min_cut_of_cycle_joins_takes_linearly_many_flows(monkeypatch, cycle, co
 
 def test_min_cut_of_a_dense_random_graph_is_pinned(monkeypatch):
     # kappa = 81: the uncapped cut that finalize and verify run on a dense H.
-    # The cut and the flow count were recorded as CYCLE_JOIN_FLOWS were.
+    # The greedy that ran one threshold query per vertex took 4488 flows.
     g = generate(FamilySpec.random(100, 0.9, 3))
     calls = _count_flows(monkeypatch)
     outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
     assert min_vertex_cut(g) == frozenset(range(100)) - outside
-    assert calls[0] == 4488
+    assert calls[0] == 886
+
+
+def test_min_vertex_cut_seeded_differential_digest():
+    # 300 seeded labelled graphs on up to 30 vertices, sparse to near
+    # complete, each cut uncapped and below 1, 2, 3 and 5.  The digest was
+    # recorded with the greedy that ran one threshold query per vertex.
+    rng = random.Random(1980)
+    lines = []
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        labels = rng.sample(range(100), n)
+        p = rng.choice((rng.uniform(0.1, 0.5), rng.uniform(0.5, 0.9), rng.uniform(0.9, 1.0)))
+        g = Graph.build(labels, [(a, b) for a, b in combinations(labels, 2) if rng.random() < p])
+        for below in (None, 1, 2, 3, 5):
+            cut = min_vertex_cut(g, below)
+            lines.append(repr(cut if cut is None else sorted(cut)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "eaf67dcf75e4f70c85eb6f0e4069ae11535b1d7cd04bdacdeec1532d94d0cd88"
 
 
 def _brute_kappa(g):
