@@ -93,6 +93,16 @@ def connectivity_evidence(h: Graph) -> dict:
     return {"kind": "cut", "size": len(cut), "cut": sorted(cut)}
 
 
+def _ints(xs) -> bool:
+    """Every entry is a JSON integer: an int, not a boolean or a float."""
+    return set(map(type, xs)) <= {int}
+
+
+def _nats(*ns) -> bool:
+    """Every argument is a nonnegative JSON integer."""
+    return _ints(ns) and min(ns) >= 0
+
+
 def _k_connected(h: Graph, k: int, evidence: dict) -> bool:
     """is_k_connected(h, k), read off h's connectivity evidence."""
     return h.n > k and (evidence["kind"] == "complete" or evidence["size"] >= k)
@@ -111,7 +121,7 @@ def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate from scratch against the graph.
 
-    Checks that k and the palette size are integers and not booleans,
+    Checks that every vertex id, count and colour is an int, not a bool,
     recomputes the graph hash, replays every descent step (partition
     shape, cut smallness, absence of cross edges, the k^2 side condition,
     and the derived-degree inequalities), then re-establishes both final
@@ -120,10 +130,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """
     try:
         k = cert.k
-        # One encoding per claim: JSON true is not the integer 1.
-        if type(k) is not int or type(cert.palette_size) not in (int, type(None)):
+        # One encoding per claim: JSON true is not the integer 1, nor is 1.0.
+        if not (_nats(k, cert.solver_decisions, cert.solver_backtracks) and _ints(cert.final_vertices)):
             return False
-        if k < 1 or cert.mode not in (PLAIN, LIST):
+        if type(cert.palette_size) not in (int, type(None)) or k < 1 or cert.mode not in (PLAIN, LIST):
             return False
         if graph_hash(g) != cert.graph_hash:
             return False
@@ -131,6 +141,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         ksq = k * k
         prev_degree = 2 * k * k
         for step in cert.trace:
+            if not (_ints(step.cut + step.side_y + step.side_z) and _nats(
+                    step.template_degree, step.z_degree, step.derived_degree,
+                    step.solver_decisions, step.solver_backtracks)):
+                return False
             x = frozenset(step.cut)
             y = frozenset(step.side_y)
             z = frozenset(step.side_z)
@@ -164,22 +178,28 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         h = induced_subgraph(g, current)
         if h.n == 0:
             return False
-        evidence = connectivity_evidence(h)
-        if not _k_connected(h, k, evidence) or cert.connectivity_evidence != evidence:
+        evidence, ev = connectivity_evidence(h), cert.connectivity_evidence
+        # == takes 8.0 and true for integers, so the numbers' types are checked too.
+        if not (_k_connected(h, k, evidence) and ev == evidence and _ints(ev.get("cut", ()))
+                and _nats(ev.get("order", 0), ev.get("size", 0))):
             return False
         chrom = cert.chromatic_evidence
         if not (isinstance(chrom, dict) and isinstance(chrom.get("lists", {}), dict)):
             return False
         kind = chrom.get("kind")
         if cert.mode == PLAIN:
-            if kind != "colouring_unsat" or chrom.get("colours") != k - 1:
+            if kind != "colouring_unsat" or not _nats(chrom.get("colours")) or chrom["colours"] != k - 1:
                 return False
         elif kind == "choosability_witness":
-            if chrom.get("t") != k:
+            if not _nats(chrom.get("t")) or chrom["t"] != k:
                 return False
-            lists = {int(v): frozenset(cs) for v, cs in chrom.get("lists", {}).items()}
+            # The keys are exactly the decimal names of H's vertices.
+            raw, names = chrom.get("lists", {}), {str(v): v for v in h.vertices}
+            if raw.keys() != names.keys() or not _ints([c for cs in raw.values() for c in cs]):
+                return False
+            lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
             return all(len(cs) == k - 1 for cs in lists.values()) and _witness_refutes(h, lists)
-        elif kind != "theorem_guarantee" or chrom.get("t") != k:
+        elif kind != "theorem_guarantee" or not _nats(chrom.get("t")) or chrom["t"] != k:
             return False
         # Plain mode, or the list-mode guarantee: chi(H) >= k, which
         # implies chi_ell(H) >= k.

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .extractor import ExtractConfig, extract
 from .families import generate, parse_family
-from .graphs import read_dimacs, to_dimacs, write_dimacs
+from .graphs import read_dimacs, to_dimacs
 from .solver import SolverBudget
 from .suites import SUITES, report_to_json
 from .templates import parse_lists
@@ -29,6 +29,17 @@ EXIT_VERIFY_FAILED = 5
 EXIT_PARSE_ERROR = 6
 
 
+def _write_out(command: str, path: str, text: str) -> bool:
+    """Write text to path; when that fails, say so naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"{command}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = parse_family(args.family, args.params, args.shared, args.seed)
@@ -38,7 +49,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     comments = [spec.label()]
     if args.out:
-        write_dimacs(g, args.out, comments=comments)
+        if not _write_out("gen", args.out, to_dimacs(g, comments=comments)):
+            return EXIT_USAGE
         print(f"wrote {spec.label()}: {g.n} vertices, {g.m} edges -> {args.out}")
     else:
         sys.stdout.write(to_dimacs(g, comments=comments))
@@ -101,8 +113,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         return EXIT_VERIFY_FAILED
     elapsed = time.perf_counter() - t0
     out = args.out or (args.graph + ".cert.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(cert.to_json())
+    if not _write_out("extract", out, cert.to_json()):
+        return EXIT_USAGE
     print(f"subgraph: {len(cert.final_vertices)} of {g.n} vertices")
     print(f"descent steps: {len(cert.trace)}")
     for i, step in enumerate(cert.trace):
@@ -164,8 +176,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             print(f"{name}: {section} ({seconds:.2f}s)")
         print("suite ok" if report["ok"] else "suite FAILED")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        if not _write_out("reproduce", args.out, report_to_json(report)):
+            return EXIT_USAGE
         print(f"report -> {args.out}", file=sys.stderr)
     return EXIT_OK if report["ok"] else EXIT_REJECTED
 

@@ -1,28 +1,19 @@
 """Immutable undirected simple graphs with stable vertex identities.
 
-Vertices of a freshly built graph are 0..n-1; induced subgraphs keep the
-original identifiers so pre-colourings and forbidden lists restrict without
-any renaming.  An induced subgraph inherits its parent's adjacency: its
-neighbour sets are the parent's intersected with the kept vertices, and its
-edges are read off them, so it costs the subgraph's size, not the parent's.
-Its edges still pass the constructor's validation.
+A graph stores only its adjacency, one neighbour set per vertex; its edges
+are derived on demand, and Graph.build is the one validating entry point.
+A graph built from a count has vertices 0..n-1; induced subgraphs keep ids,
+so pre-colourings and forbidden lists restrict without renaming.  Each of
+their neighbour sets is the parent's intersected with the kept vertices: it
+costs the subgraph's size and inherits the parent's validity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
-
-
-Edge = tuple[int, int]
-
-
-def _normalise_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -30,44 +21,39 @@ class Graph:
     """Undirected simple graph.  Immutable after construction."""
 
     vertices: frozenset[int]
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                raise ValueError(f"edge {(u, v)} not normalised; use Graph.build")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge {(u, v)} has endpoint outside vertex set")
+    adj: dict[int, frozenset[int]] = field(hash=False)
 
     @staticmethod
     def build(n_or_vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Build a graph from a vertex count (vertices 0..n-1) or an explicit
         vertex collection, plus an edge iterable.  Edges are normalised and
-        de-duplicated; self-loops are rejected."""
+        de-duplicated; self-loops and endpoints outside the vertices raise."""
         if isinstance(n_or_vertices, int):
             vertices = frozenset(range(n_or_vertices))
         else:
             vertices = frozenset(n_or_vertices)
-        edge_set = frozenset(_normalise_edge(u, v) for u, v in edges)
-        return Graph(vertices, edge_set)
+        nbrs: dict[int, set[int]] = {v: set() for v in vertices}
+        for u, v in frozenset((u, v) if u < v else (v, u) for u, v in edges):
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u not in vertices or v not in vertices:
+                raise ValueError(f"edge {(u, v)} has endpoint outside vertex set")
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return Graph(vertices, {v: frozenset(s) for v, s in nbrs.items()})
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj.values())) // 2
 
     @cached_property
-    def adj(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as (smaller id, larger id)."""
+        return frozenset((u, w) for u, nbrs in self.adj.items() for w in nbrs if u < w)
 
     @cached_property
     def digest(self) -> str:
@@ -78,9 +64,7 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return _normalise_edge(u, v) in self.edges
+        return v in self.adj.get(u, ())
 
     def is_complete(self) -> bool:
         n = self.n
@@ -96,10 +80,7 @@ def induced_subgraph(g: Graph, x: Iterable[int]) -> Graph:
     stray = xs - g.vertices
     if stray:
         raise ValueError(f"vertices {sorted(stray)} are not in the graph")
-    adj = {v: g.adj[v] & xs for v in xs}
-    h = Graph(xs, frozenset((u, w) for u, nbrs in adj.items() for w in nbrs if u < w))
-    h.__dict__["adj"] = adj  # the slot the cached_property fills
-    return h
+    return Graph(xs, {v: g.adj[v] & xs for v in xs})
 
 
 def reach(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> set[int]:
@@ -118,23 +99,8 @@ def reach(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> set[in
     return comp
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, ordered by their smallest vertex id."""
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in g.sorted_vertices():
-        if start in seen:
-            continue
-        comp = reach(g, start)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return g.n <= 1 or len(reach(g, next(iter(g.vertices)))) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +127,7 @@ def int_fields(lineno: int, fields: list[str]) -> list[int]:
 
 def from_dimacs(text: str) -> Graph:
     n = None
-    edges: set[Edge] = set()
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -186,7 +152,7 @@ def from_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"line {lineno}: vertex out of range in {line!r}")
-            edge = _normalise_edge(u, v)
+            edge = (min(u, v), max(u, v))
             if edge in edges:
                 raise ValueError(f"line {lineno}: repeated edge {line!r}")
             edges.add(edge)

@@ -127,11 +127,11 @@ def restrict(t: Template, x: Iterable[int]) -> Template:
 
 
 def is_proper(g: Graph, col: Mapping[int, int]) -> bool:
-    """Properness of a (possibly partial) colouring on the edges it covers."""
-    for u, v in g.edges:
-        if u in col and v in col and col[u] == col[v]:
-            return False
-    return True
+    """Properness of a (possibly partial) colouring: no coloured vertex of g has a neighbour of its colour."""
+    classes: dict[int, set[int]] = {}
+    for v, c in col.items():
+        classes.setdefault(c, set()).add(v)
+    return all(g.adj[v].isdisjoint(classes[c]) for v, c in col.items() if v in g.adj)
 
 
 def respects(g: Graph, t: Template, col: Mapping[int, int], palette: Palette) -> bool:
@@ -291,7 +291,7 @@ def derive_completion_template(
     missing = x - set(cprime)
     if missing:
         raise ValueError(f"cprime does not colour the cut vertices {sorted(missing)}")
-    if not is_proper(induced_subgraph(h, set(cprime) & h.vertices), cprime):
+    if not is_proper(h, cprime):
         raise ValueError("cprime is not a proper colouring")
     for v, c in t.precolour.items():
         if v in cprime and cprime[v] != c:

@@ -228,6 +228,18 @@ def test_verify_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["gen", "extract", "reproduce"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    graph = tmp_path / "k8.col"
+    run("gen", "complete", "8", "--out", str(graph))
+    args = {"gen": ["complete", "8"], "extract": [str(graph), "--k", "1"], "reproduce": ["theorem2"]}[command]
+    out = tmp_path / "missing" / "out.txt"
+    capsys.readouterr()
+    assert run(command, *args, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{command}: cannot write {out}" in err and "Traceback" not in err
+
+
 def test_reproduce_theorem2_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run("reproduce", "theorem2", "--out", str(report)) == EXIT_OK
@@ -251,13 +263,35 @@ def test_verify_rejects_malformed_evidence(tmp_path, capsys):
     graph = tmp_path / "glued.col"
     cert = tmp_path / "cert.json"
     run("gen", "glued", "16", "16", "--out", str(graph))
-    assert run("extract", str(graph), "--k", "2", "--mode", "list", "--out", str(cert)) == EXIT_OK
-    good = json.loads(cert.read_text())
-    for field, value in (("connectivity_evidence", []),
-                         ("chromatic_evidence", {**good["chromatic_evidence"], "lists": [1, 2]})):
-        cert.write_text(json.dumps({**good, field: value}))
+    good = {}
+    for mode in ("list", "plain"):
+        assert run("extract", str(graph), "--k", "2", "--mode", mode, "--out", str(cert)) == EXIT_OK
+        good[mode] = json.loads(cert.read_text())
+    lst, plain = good["list"], good["plain"]
+    step, witness = lst["trace"][0], lst["chromatic_evidence"]
+    mutants = [
+        {**lst, "connectivity_evidence": []},
+        {**lst, "chromatic_evidence": {**witness, "lists": [1, 2]}},
+        # Each claim has one encoding: JSON true, 1.0 and " 1" are not the
+        # vertex, count or colour 1, although Python equates or parses them.
+        {**lst, "trace": [{**step, "side_y": [True] + step["side_y"][1:]}]},
+        {**lst, "final_vertices": [0.0] + lst["final_vertices"][1:]},
+        {**lst, "trace": [{**step, "cut": [float(v) for v in step["cut"]]}]},
+        {**lst, "connectivity_evidence": {**lst["connectivity_evidence"],
+                                          "order": float(lst["connectivity_evidence"]["order"])}},
+        {**plain, "chromatic_evidence": {**plain["chromatic_evidence"],
+                                         "colours": float(plain["chromatic_evidence"]["colours"])}},
+        {**lst, "solver_decisions": True},
+        {**lst, "solver_decisions": "x"},
+        {**lst, "trace": [{**step, "z_degree": 0.5}]},
+        {**lst, "trace": [{**step, "derived_degree": -5}]},
+        {**lst, "chromatic_evidence": {**witness, "lists": {f" {v} ": cs for v, cs in witness["lists"].items()}}},
+        {**lst, "chromatic_evidence": {**witness, "lists": {v: [True] for v in witness["lists"]}}},
+    ]
+    for doc in mutants:
+        cert.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run("verify", str(graph), str(cert)) == EXIT_REJECTED
+        assert run("verify", str(graph), str(cert)) == EXIT_REJECTED, doc
         assert "certificate rejected" in capsys.readouterr().err
 
 

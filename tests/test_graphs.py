@@ -4,11 +4,11 @@ import pytest
 
 from chromcert.graphs import (
     Graph,
-    connected_components,
     from_dimacs,
     graph_hash,
     induced_subgraph,
     is_connected,
+    reach,
     to_dimacs,
 )
 from chromcert.families import FamilySpec, generate
@@ -58,9 +58,14 @@ def test_induced_keeps_identities():
 
 
 def random_labelled_graph(rng):
+    # Some edges come reversed and some twice; Graph.build collapses both.
     ids = rng.sample(range(1000), rng.randint(0, 14))
     p = rng.random()
-    return Graph.build(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p]
+    edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+    edges += [e for e in edges if rng.random() < 0.2]
+    rng.shuffle(edges)
+    return Graph.build(ids, edges)
 
 
 def test_induced_matches_filtered_parent_edges():
@@ -70,10 +75,18 @@ def test_induced_matches_filtered_parent_edges():
     for _ in range(200):
         g = random_labelled_graph(rng)
         for xs in (frozenset(), g.vertices, frozenset(rng.sample(sorted(g.vertices), rng.randint(0, g.n)))):
-            ref = Graph(xs, frozenset(e for e in g.edges if e[0] in xs and e[1] in xs))
+            ref = Graph.build(xs, (e for e in g.edges if e[0] in xs and e[1] in xs))
             sub = induced_subgraph(g, xs)
-            assert (sub.vertices, sub.edges, sub.adj) == (ref.vertices, ref.edges, ref.adj)
-            assert sub == ref
+            assert (sub.vertices, sub.edges, sub.adj, sub.m) == (ref.vertices, ref.edges, ref.adj, ref.m)
+            assert sub == ref and hash(sub) == hash(ref)
+            assert all(sub.degree(v) == ref.degree(v) for v in xs)
+            outside = max(g.vertices, default=0) + 1
+            for u in list(xs) + [outside]:
+                for v in list(xs) + [outside]:
+                    assert sub.has_edge(u, v) == ((min(u, v), max(u, v)) in ref.edges)
+            # Restricting in two steps gives the direct restriction.
+            inner = frozenset(rng.sample(sorted(xs), rng.randint(0, len(xs))))
+            assert induced_subgraph(sub, inner) == induced_subgraph(g, inner)
 
 
 def test_components_match_a_breadth_first_search():
@@ -91,21 +104,13 @@ def test_components_match_a_breadth_first_search():
                             queue.append(w)
                 seen |= comp
                 ref.append(frozenset(comp))
-        assert connected_components(g) == ref
+        assert [frozenset(reach(g, min(comp))) for comp in ref] == ref
         assert is_connected(g) == (len(ref) <= 1)
 
 
 def test_induced_rejects_foreign_vertices():
     with pytest.raises(ValueError):
         induced_subgraph(k4(), {0, 9})
-
-
-def test_components_ordered_by_smallest_vertex():
-    g = Graph.build(6, [(3, 4), (0, 1)])
-    comps = connected_components(g)
-    assert comps[0] == frozenset({0, 1})
-    assert frozenset({3, 4}) in comps
-    assert not is_connected(g)
 
 
 def test_dimacs_round_trip():
