@@ -21,11 +21,9 @@ from .extractor import (
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, from_dimacs, graph_hash, induced_subgraph, read_dimacs, to_dimacs, write_dimacs
-from .solver import SolveResult, SolverBudget, extend
+from .solver import Palette, SolveResult, SolverBudget, Template, extend, respects
 from .templates import (
     IntervalPartition,
-    Palette,
-    Template,
     colour_from_intervals,
     degree,
     derive_completion_template,
@@ -35,7 +33,6 @@ from .templates import (
     is_valid_witness,
     list_direct_completion,
     rainbow_small_case,
-    respects,
     restrict,
     strengthen_witness,
 )

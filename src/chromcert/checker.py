@@ -8,10 +8,11 @@ recomputes.
 verify_certificate re-checks a certificate from scratch against the graph.
 Its trust base is explicit and small: graph hashing and induced subgraphs
 (graphs), the max-flow minimum vertex cut (connectivity), and the exact
-colouring engine behind coloring.is_colourable and list_colour
-(solver.extend and the template predicates it re-checks a colouring with).
-It imports nothing from the extraction pipeline, and tests/test_checker.py
-keeps it that way.
+colouring search behind coloring.is_colourable and list_colour (solver:
+the colouring problem and extend, which re-checks each colouring it
+returns against the respects predicate).  It imports nothing from the
+extraction pipeline or the proof constructions of templates.py, and
+tests/test_checker.py keeps it that way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from .coloring import is_colourable, list_colour
 from .connectivity import min_vertex_cut
 from .graphs import Graph, graph_hash, induced_subgraph
-from .templates import LIST, PLAIN
+from .solver import LIST, PLAIN
 
 CERTIFICATE_FORMAT = "chromcert-certificate-v1"
 
@@ -91,6 +92,13 @@ def connectivity_evidence(h: Graph) -> dict:
     if cut is None:
         return {"kind": "complete", "order": h.n}
     return {"kind": "cut", "size": len(cut), "cut": sorted(cut)}
+
+
+_EVIDENCE_KEYS = {
+    "colouring_unsat": {"kind", "colours"},
+    "choosability_witness": {"kind", "t", "lists"},
+    "theorem_guarantee": {"kind", "t"},
+}
 
 
 def _ints(xs) -> bool:
@@ -184,23 +192,24 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
                 and _nats(ev.get("order", 0), ev.get("size", 0))):
             return False
         chrom = cert.chromatic_evidence
-        if not (isinstance(chrom, dict) and isinstance(chrom.get("lists", {}), dict)):
+        # One encoding per claim: the evidence has exactly its kind's keys.
+        kind = chrom["kind"]
+        if chrom.keys() != _EVIDENCE_KEYS.get(kind):
             return False
-        kind = chrom.get("kind")
         if cert.mode == PLAIN:
-            if kind != "colouring_unsat" or not _nats(chrom.get("colours")) or chrom["colours"] != k - 1:
+            if kind != "colouring_unsat" or not _nats(chrom["colours"]) or chrom["colours"] != k - 1:
                 return False
+        elif kind == "colouring_unsat" or not _nats(chrom["t"]) or chrom["t"] != k:
+            return False
         elif kind == "choosability_witness":
-            if not _nats(chrom.get("t")) or chrom["t"] != k:
-                return False
             # The keys are exactly the decimal names of H's vertices.
-            raw, names = chrom.get("lists", {}), {str(v): v for v in h.vertices}
-            if raw.keys() != names.keys() or not _ints([c for cs in raw.values() for c in cs]):
+            raw, names = chrom["lists"], {str(v): v for v in h.vertices}
+            if not isinstance(raw, dict) or raw.keys() != names.keys():
+                return False
+            if not _ints([c for cs in raw.values() for c in cs]):
                 return False
             lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
             return all(len(cs) == k - 1 for cs in lists.values()) and _witness_refutes(h, lists)
-        elif kind != "theorem_guarantee" or not _nats(chrom.get("t")) or chrom["t"] != k:
-            return False
         # Plain mode, or the list-mode guarantee: chi(H) >= k, which
         # implies chi_ell(H) >= k.
         return is_colourable(h, k - 1) is None

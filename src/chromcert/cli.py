@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -29,6 +31,18 @@ EXIT_VERIFY_FAILED = 5
 EXIT_PARSE_ERROR = 6
 
 
+def _can_write(command: str, path: str) -> bool:
+    """Before any work, creating nothing: refuse an output path that is a
+    directory or whose directory is missing or not writable, as _write_out would."""
+    folder = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path)
+            else errno.ENOENT if not os.path.isdir(folder)
+            else errno.EACCES if not os.access(folder, os.W_OK | os.X_OK) else 0)
+    if code:
+        print(f"{command}: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+    return not code
+
+
 def _write_out(command: str, path: str, text: str) -> bool:
     """Write text to path; when that fails, say so naming the path."""
     try:
@@ -41,6 +55,8 @@ def _write_out(command: str, path: str, text: str) -> bool:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.out and not _can_write("gen", args.out):
+        return EXIT_USAGE
     try:
         spec = parse_family(args.family, args.params, args.shared, args.seed)
         g = generate(spec)
@@ -88,6 +104,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"extract: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = args.out or (args.graph + ".cert.json")
+    if not _can_write("extract", out):
+        return EXIT_USAGE
     t0 = time.perf_counter()
     try:
         cert = extract(g, cfg)
@@ -112,7 +131,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         print(f"extract: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     elapsed = time.perf_counter() - t0
-    out = args.out or (args.graph + ".cert.json")
     if not _write_out("extract", out, cert.to_json()):
         return EXIT_USAGE
     print(f"subgraph: {len(cert.final_vertices)} of {g.n} vertices")
@@ -161,6 +179,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if suite is None:
         print(f"reproduce: unknown suite {args.suite!r}; "
               f"choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out and not _can_write("reproduce", args.out):
         return EXIT_USAGE
     report, timings = suite()
     if "instances" in report:

@@ -2,8 +2,8 @@
 
 is_colourable and list_colour are the extension solver (solver.extend) on
 the empty template, with a plain palette or the given lists as palette, so
-chromcert has one exact colouring search.  Its brute-force references live
-in oracles.py.
+chromcert has one exact colouring search; the palettes and templates are
+solver.py's problem model.  Its brute-force references live in oracles.py.
 
 list_chromatic_at_least finds a bad list assignment by one iterative search
 over int bitmasks (bit c stands for colour c), in the order of
@@ -21,8 +21,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph, induced_subgraph
-from .solver import extend
-from .templates import ListAssignment, Palette, Template
+from .solver import ListAssignment, Palette, Template, extend
 
 CHOOSABILITY_CAP = 8
 

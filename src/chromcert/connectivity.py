@@ -231,16 +231,13 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no vertex cut of size < k."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    if g.n <= k or not is_connected(g):
-        return False
-    return _SplitNetwork(g).kappa(set(), k) >= k
+    return g.n > k and min_vertex_cut(g, below=k) is None
 
 
 def connectivity(g: Graph) -> int:
     """kappa(g): n-1 for complete graphs, 0 when disconnected."""
-    if not is_connected(g):
-        return 0
-    return _SplitNetwork(g).kappa(set(), g.n - 1)
+    cut = min_vertex_cut(g)
+    return max(g.n - 1, 0) if cut is None else len(cut)
 
 
 def min_vertex_cut(g: Graph, below: int | None = None):

@@ -26,12 +26,8 @@ from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
 from .graphs import Graph, graph_hash, induced_subgraph
-from .solver import SolverBudget, SolverStats, extend
+from .solver import LIST, PLAIN, Palette, SolverBudget, SolverStats, Template, extend, respects
 from .templates import (
-    LIST,
-    PLAIN,
-    Palette,
-    Template,
     colour_from_intervals,
     degree,
     derive_completion_template,
@@ -40,7 +36,6 @@ from .templates import (
     interval_partition,
     list_direct_completion,
     rainbow_small_case,
-    respects,
     restrict,
     strengthen_witness,
 )
@@ -91,12 +86,11 @@ class ExtractConfig:
 
 @dataclass(frozen=True)
 class WitnessPair:
-    """An induced subgraph and a template certified unsatisfiable on it."""
+    """An induced subgraph and a template certified unsatisfiable on it;
+    k and the mode are the ExtractConfig's."""
 
     h: Graph
     t: Template
-    k: int
-    mode: str
 
 
 def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None = None) -> WitnessPair:
@@ -124,7 +118,7 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
                 "hypothesis fails",
                 result.colouring,
             )
-    return WitnessPair(g, t, cfg.k, cfg.mode)
+    return WitnessPair(g, t)
 
 
 def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
@@ -145,9 +139,7 @@ def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
     return z, y
 
 
-def descend(
-    wp: WitnessPair, cfg: ExtractConfig, totals: SolverStats | None = None
-) -> tuple[list[DescentStep], WitnessPair]:
+def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], WitnessPair]:
     """Run the descent until the witness pair is k-connected.
 
     Each iteration strengthens the witness, stops if the graph is
@@ -155,11 +147,11 @@ def descend(
     solver certifies unsatisfiable.  Both sides satisfiable would glue into
     a colouring respecting the witness template, and a graph on at most k
     vertices always admits the rainbow completion, so either event raises
-    InternalContradiction with its colouring attached.
+    InternalContradiction with its colouring attached.  Each step records
+    the solver work of its side solves.
     """
     k = cfg.k
     palette = cfg.palette_for(wp.h)
-    totals = totals if totals is not None else SolverStats()
     trace: list[DescentStep] = []
     h, t = wp.h, wp.t
     for _ in range(wp.h.n + 1):
@@ -174,8 +166,7 @@ def descend(
         # h.n > k here, so "no cut below k" is k-connectivity.
         cut = min_vertex_cut(h, below=k)
         if cut is None:
-            final = WitnessPair(h, t, k, cfg.mode)
-            return trace, final
+            return trace, WitnessPair(h, t)
         y0, z0 = split_by_cut(h, cut)
         y, z = _orient_sides(t, k, y0, z0)
         deg_t = degree(t, k)
@@ -202,7 +193,6 @@ def descend(
                     glued,
                 )
             recursed, h_next, t_next = "completion", sub_z, t_comp
-        totals.add(work)
         trace.append(
             DescentStep(
                 cut=tuple(sorted(cut)),
@@ -235,7 +225,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     is (k-1)-colourable no evidence is in reach: ResourceLimitError.
     Returns (connectivity_evidence, chromatic_evidence).
     """
-    h, t, k = wp.h, wp.t, wp.k
+    h, t, k = wp.h, wp.t, cfg.k
     palette = cfg.palette_for(h)
     conn = connectivity_evidence(h)
     if not _k_connected(h, k, conn):
@@ -283,10 +273,10 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
 def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     """check_precondition, descend, finalize; the result is self-verified
     against verify_certificate before being returned.  The recorded solver
-    stats cover the precondition check and the descent."""
+    stats cover the precondition check and the descent's steps."""
     totals = SolverStats()
     wp = check_precondition(g, cfg, totals)
-    trace, final = descend(wp, cfg, totals)
+    trace, final = descend(wp, cfg)
     conn, chrom = finalize_chromatic(final, cfg)
     cert = Certificate(
         graph_hash=graph_hash(g),
@@ -297,8 +287,8 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
         final_vertices=tuple(sorted(final.h.vertices)),
         connectivity_evidence=conn,
         chromatic_evidence=chrom,
-        solver_decisions=totals.decisions,
-        solver_backtracks=totals.backtracks,
+        solver_decisions=totals.decisions + sum(step.solver_decisions for step in trace),
+        solver_backtracks=totals.backtracks + sum(step.solver_backtracks for step in trace),
     )
     if not verify_certificate(g, cert):
         raise RuntimeError("freshly extracted certificate failed verification")

@@ -3,11 +3,12 @@ force lives here.
 
 Everything here answers straight from the definitions: colourability by
 plain backtracking in vertex id order, the other oracles by exhaustive
-enumeration.  None of them uses the ordering heuristics, propagation or
-symmetry breaking of the exact engine (solver.extend, which also answers
-coloring.is_colourable and list_colour) or the max-flow connectivity
-layer.  The verification suites and the tests run both routes and demand
-exact agreement.
+enumeration, and brute_force_extend by testing every assignment against
+the problem model of solver.py (validate_template, respects).  None of
+them uses the ordering heuristics, propagation or symmetry breaking of the
+exact engine (solver.extend, which also answers coloring.is_colourable and
+list_colour) or the max-flow connectivity layer.  The verification suites
+and the tests run both routes and demand exact agreement.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .graphs import Graph, induced_subgraph, is_connected
-from .solver import SolveResult, SolverStats
-from .templates import Palette, Template, respects, validate_template
+from .solver import Palette, SolveResult, SolverStats, Template, respects, validate_template
 
 BRUTE_FORCE_VERTEX_CAP = 8
 BRUTE_FORCE_SPACE_CAP = 2_000_000

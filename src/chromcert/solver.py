@@ -1,9 +1,14 @@
-"""The extensibility oracle, chromcert's one exact colouring search: decide
-whether a proper palette (or list) colouring respecting a template exists,
-returning either a colouring or a definite UNSAT.  An exhausted budget is
-never an answer: extend raises ResourceLimitError.  coloring.is_colourable
-and list_colour are this search on the empty template;
-oracles.brute_force_extend is its brute-force reference.
+"""The colouring problem and its one exact search.
+
+The problem is a palette (colours {0..size-1}, or one list per vertex) and
+a template (S, c, F): a proper pre-colouring c of S and a forbidden set
+F(v) at every other vertex.  A colouring respects it when it is proper,
+inside the palette, extends c and avoids every F(v).  extend, the
+extensibility oracle, returns a respecting colouring or a definite UNSAT;
+an exhausted budget is never an answer: it raises ResourceLimitError.
+coloring.is_colourable and list_colour are extend on the empty template,
+oracles.brute_force_extend is its brute-force reference, and templates.py
+builds the proof constructions on top.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
 bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
@@ -34,11 +39,130 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Collection
+from functools import cached_property
+from typing import Collection, Iterable, Mapping
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, TemplateError
 from .graphs import Graph
-from .templates import Palette, Template, respects, validate_template
+
+PLAIN = "plain"
+LIST = "list"
+
+ListAssignment = Mapping[int, frozenset[int]]
+
+
+@dataclass(frozen=True)
+class Palette:
+    """Fixed colour supply: a colour set {0..size-1} in plain mode, or a
+    per-vertex list assignment in list mode."""
+
+    mode: str
+    size: int | None = None
+    lists: Mapping[int, frozenset[int]] | None = None
+
+    def __post_init__(self):
+        if self.mode == PLAIN:
+            if self.size is None or self.size < 0:
+                raise ValueError("plain palette needs a nonnegative size")
+        elif self.mode == LIST:
+            if self.lists is None:
+                raise ValueError("list palette needs per-vertex lists")
+            for v, colours in self.lists.items():
+                if not colours:
+                    raise ValueError(f"vertex {v} has an empty list")
+        else:
+            raise ValueError(f"unknown palette mode {self.mode!r}")
+
+    @staticmethod
+    def plain(size: int) -> "Palette":
+        return Palette(PLAIN, size=size)
+
+    @staticmethod
+    def from_lists(lists: Mapping[int, Iterable[int]]) -> "Palette":
+        frozen = {v: frozenset(cs) for v, cs in lists.items()}
+        return Palette(LIST, lists=frozen)
+
+    @cached_property
+    def _plain_colours(self) -> frozenset[int]:
+        return frozenset(range(self.size)) if self.mode == PLAIN else frozenset()
+
+    def colours_of(self, v: int) -> frozenset[int]:
+        if self.mode == PLAIN:
+            return self._plain_colours
+        if v not in self.lists:
+            raise ValueError(f"vertex {v} missing from the list assignment")
+        return self.lists[v]
+
+    def universe(self) -> frozenset[int]:
+        if self.mode == PLAIN:
+            return self._plain_colours
+        return frozenset().union(*self.lists.values()) if self.lists else frozenset()
+
+
+@dataclass(frozen=True)
+class Template:
+    """(S, c, F): pre-coloured set with colouring plus forbidden lists.
+
+    precolour maps each vertex of S to its colour; forbidden maps every
+    remaining vertex of the host graph to its (possibly empty) forbidden
+    set.  Instances are never mutated; derivations build fresh ones.
+    """
+
+    precolour: dict[int, int] = field(default_factory=dict)
+    forbidden: dict[int, frozenset[int]] = field(default_factory=dict)
+
+    @staticmethod
+    def empty(g: Graph) -> "Template":
+        return Template({}, {v: frozenset() for v in g.vertices})
+
+
+def validate_template(g: Graph, t: Template, palette: Palette) -> None:
+    """Raise TemplateError unless t is a well-formed template on g."""
+    pre = set(t.precolour)
+    forb = set(t.forbidden)
+    if pre & forb:
+        raise TemplateError(f"vertices {sorted(pre & forb)} both pre-coloured and forbidden")
+    if pre | forb != g.vertices:
+        raise TemplateError("template domains do not cover the vertex set exactly")
+    for u, c in t.precolour.items():
+        for v in g.adj[u]:
+            if t.precolour.get(v) == c:
+                raise TemplateError(f"pre-colouring improper on edge {(min(u, v), max(u, v))}")
+    for v, c in t.precolour.items():
+        if c not in palette.colours_of(v):
+            raise TemplateError(f"pre-colour {c} at vertex {v} outside its palette")
+    for v, fs in t.forbidden.items():
+        extra = fs - palette.colours_of(v)
+        if extra:
+            raise TemplateError(f"forbidden colours {sorted(extra)} at vertex {v} outside its palette")
+
+
+def is_proper(g: Graph, col: Mapping[int, int]) -> bool:
+    """Properness of a (possibly partial) colouring: no coloured vertex of g has a neighbour of its colour."""
+    classes: dict[int, set[int]] = {}
+    for v, c in col.items():
+        classes.setdefault(c, set()).add(v)
+    return all(g.adj[v].isdisjoint(classes[c]) for v, c in col.items() if v in g.adj)
+
+
+def respects(g: Graph, t: Template, col: Mapping[int, int], palette: Palette) -> bool:
+    """True iff col is a total proper colouring of g from the palette that
+    extends the pre-colouring and avoids every forbidden list."""
+    if set(col) != set(g.vertices):
+        return False
+    for v, c in col.items():
+        if c not in palette.colours_of(v):
+            return False
+    if not is_proper(g, col):
+        return False
+    for v, c in t.precolour.items():
+        if col[v] != c:
+            return False
+    for v, fs in t.forbidden.items():
+        if col[v] in fs:
+            return False
+    return True
+
 
 _TIME_CHECK_EVERY = 512
 _REPLAY_MIN_DECISIONS = 64  # smallest UNSAT subtree the state table keeps

@@ -13,6 +13,7 @@ import time
 from functools import partial
 from itertools import combinations
 
+from .checker import verify_certificate
 from .coloring import (
     is_colourable,
     list_chromatic_at_least,
@@ -20,14 +21,7 @@ from .coloring import (
 )
 from .connectivity import is_k_connected, min_vertex_cut
 from .errors import InternalContradiction
-from .extractor import (
-    ExtractConfig,
-    WitnessPair,
-    descend,
-    extract,
-    finalize_chromatic,
-    verify_certificate,
-)
+from .extractor import ExtractConfig, WitnessPair, descend, extract, finalize_chromatic
 from .families import FamilySpec, generate, random_graph
 from .graphs import Graph, induced_subgraph
 from .oracles import (
@@ -38,10 +32,8 @@ from .oracles import (
     brute_list_colour,
     brute_min_cut,
 )
-from .solver import extend
+from .solver import Palette, Template, extend, respects, validate_template
 from .templates import (
-    Palette,
-    Template,
     colour_from_intervals,
     degree,
     derive_completion_template,
@@ -49,10 +41,8 @@ from .templates import (
     glue,
     interval_partition,
     rainbow_small_case,
-    respects,
     restrict,
     strengthen_witness,
-    validate_template,
 )
 
 
@@ -642,7 +632,7 @@ def _mutated_witnesses(count: int):
                     if rng.random() < 0.4:
                         edges.append((u, v))
             g = Graph.build(nx + ny + nz, edges)
-            cfg = ExtractConfig(k=k, precondition="trust")
+            cfg = ExtractConfig(k=k)
             yield kind, g, Template.empty(g), cfg, "descend"
         elif kind == "finalize_plain":
             k = rng.choice((3, 4))
@@ -650,7 +640,7 @@ def _mutated_witnesses(count: int):
             g = Graph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
             palette = Palette.plain(7 * k)
             t = _random_template(g, palette, rng, s_limit=2, f_limit=k - 1, degree_cap=2 * k * k, k=k)
-            cfg = ExtractConfig(k=k, precondition="trust")
+            cfg = ExtractConfig(k=k)
             yield kind, g, t, cfg, "finalize"
         elif kind == "rainbow":
             k = rng.choice((3, 4, 5))
@@ -658,14 +648,14 @@ def _mutated_witnesses(count: int):
             g = random_graph(n, rng.uniform(0.2, 0.9), rng)
             palette = Palette.plain(7 * k)
             t = _random_template(g, palette, rng, s_limit=n, f_limit=k - 1)
-            cfg = ExtractConfig(k=k, precondition="trust")
+            cfg = ExtractConfig(k=k)
             yield kind, g, t, cfg, "descend"
         else:  # finalize_list
             k = 2
             n = rng.randint(3, 4)
             g = generate(FamilySpec.complete(n))
             lists = {v: frozenset(range(9)) for v in g.vertices}
-            cfg = ExtractConfig(k=k, mode="list", lists=lists, precondition="trust")
+            cfg = ExtractConfig(k=k, mode="list", lists=lists)
             yield kind, g, Template.empty(g), cfg, "finalize"
 
 
@@ -673,7 +663,7 @@ def _prop_mutations(count: int) -> dict:
     fired = 0
     respecting = 0
     for kind, g, t, cfg, stage in _mutated_witnesses(count):
-        wp = WitnessPair(g, t, cfg.k, cfg.mode)
+        wp = WitnessPair(g, t)
         palette = cfg.palette_for(g)
         try:
             if stage == "descend":

@@ -1,113 +1,18 @@
-"""Templates: partial pre-colourings with forbidden lists, and every
-template-level construction the descent relies on.
-
-A template on a graph pre-colours a vertex set S properly and attaches a
-set of forbidden colours F(v) to each remaining vertex.  A colouring
-"respects" the template when it extends the pre-colouring, avoids every
-forbidden list, and stays inside the palette (or the per-vertex lists, in
-list mode).  The degree k|S| + sum |F(v)| is the potential that all the
-derivation bookkeeping is measured against.
+"""The construction lemmas the descent relies on: strengthening, the
+separation and completion templates, gluing, and the rainbow, interval and
+list-mode completions, built on the colouring problem of solver.py.  The
+degree k|S| + sum |F(v)| is the potential that all the derivation
+bookkeeping is measured against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InternalContradiction, TemplateError
+from .errors import InternalContradiction
 from .graphs import Graph, induced_subgraph, int_fields
-
-PLAIN = "plain"
-LIST = "list"
-
-ListAssignment = Mapping[int, frozenset[int]]
-
-
-@dataclass(frozen=True)
-class Palette:
-    """Fixed colour supply: a colour set {0..size-1} in plain mode, or a
-    per-vertex list assignment in list mode."""
-
-    mode: str
-    size: int | None = None
-    lists: Mapping[int, frozenset[int]] | None = None
-
-    def __post_init__(self):
-        if self.mode == PLAIN:
-            if self.size is None or self.size < 0:
-                raise ValueError("plain palette needs a nonnegative size")
-        elif self.mode == LIST:
-            if self.lists is None:
-                raise ValueError("list palette needs per-vertex lists")
-            for v, colours in self.lists.items():
-                if not colours:
-                    raise ValueError(f"vertex {v} has an empty list")
-        else:
-            raise ValueError(f"unknown palette mode {self.mode!r}")
-
-    @staticmethod
-    def plain(size: int) -> "Palette":
-        return Palette(PLAIN, size=size)
-
-    @staticmethod
-    def from_lists(lists: Mapping[int, Iterable[int]]) -> "Palette":
-        frozen = {v: frozenset(cs) for v, cs in lists.items()}
-        return Palette(LIST, lists=frozen)
-
-    @cached_property
-    def _plain_colours(self) -> frozenset[int]:
-        return frozenset(range(self.size)) if self.mode == PLAIN else frozenset()
-
-    def colours_of(self, v: int) -> frozenset[int]:
-        if self.mode == PLAIN:
-            return self._plain_colours
-        if v not in self.lists:
-            raise ValueError(f"vertex {v} missing from the list assignment")
-        return self.lists[v]
-
-    def universe(self) -> frozenset[int]:
-        if self.mode == PLAIN:
-            return self._plain_colours
-        return frozenset().union(*self.lists.values()) if self.lists else frozenset()
-
-
-@dataclass(frozen=True)
-class Template:
-    """(S, c, F): pre-coloured set with colouring plus forbidden lists.
-
-    precolour maps each vertex of S to its colour; forbidden maps every
-    remaining vertex of the host graph to its (possibly empty) forbidden
-    set.  Instances are never mutated; derivations build fresh ones.
-    """
-
-    precolour: dict[int, int] = field(default_factory=dict)
-    forbidden: dict[int, frozenset[int]] = field(default_factory=dict)
-
-    @staticmethod
-    def empty(g: Graph) -> "Template":
-        return Template({}, {v: frozenset() for v in g.vertices})
-
-
-def validate_template(g: Graph, t: Template, palette: Palette) -> None:
-    """Raise TemplateError unless t is a well-formed template on g."""
-    pre = set(t.precolour)
-    forb = set(t.forbidden)
-    if pre & forb:
-        raise TemplateError(f"vertices {sorted(pre & forb)} both pre-coloured and forbidden")
-    if pre | forb != g.vertices:
-        raise TemplateError("template domains do not cover the vertex set exactly")
-    for u, c in t.precolour.items():
-        for v in g.adj[u]:
-            if t.precolour.get(v) == c:
-                raise TemplateError(f"pre-colouring improper on edge {(min(u, v), max(u, v))}")
-    for v, c in t.precolour.items():
-        if c not in palette.colours_of(v):
-            raise TemplateError(f"pre-colour {c} at vertex {v} outside its palette")
-    for v, fs in t.forbidden.items():
-        extra = fs - palette.colours_of(v)
-        if extra:
-            raise TemplateError(f"forbidden colours {sorted(extra)} at vertex {v} outside its palette")
+from .solver import LIST, PLAIN, Palette, Template, extend, is_proper, respects, validate_template
 
 
 def degree(t: Template, k: int) -> int:
@@ -126,40 +31,6 @@ def restrict(t: Template, x: Iterable[int]) -> Template:
     return Template(pre, forb)
 
 
-def is_proper(g: Graph, col: Mapping[int, int]) -> bool:
-    """Properness of a (possibly partial) colouring: no coloured vertex of g has a neighbour of its colour."""
-    classes: dict[int, set[int]] = {}
-    for v, c in col.items():
-        classes.setdefault(c, set()).add(v)
-    return all(g.adj[v].isdisjoint(classes[c]) for v, c in col.items() if v in g.adj)
-
-
-def respects(g: Graph, t: Template, col: Mapping[int, int], palette: Palette) -> bool:
-    """True iff col is a total proper colouring of g from the palette that
-    extends the pre-colouring and avoids every forbidden list."""
-    if set(col) != set(g.vertices):
-        return False
-    for v, c in col.items():
-        if c not in palette.colours_of(v):
-            return False
-    if not is_proper(g, col):
-        return False
-    for v, c in t.precolour.items():
-        if col[v] != c:
-            return False
-    for v, fs in t.forbidden.items():
-        if col[v] in fs:
-            return False
-    return True
-
-
-def _extend(g, t, palette, budget):
-    # Imported lazily: the solver validates templates through this module.
-    from .solver import extend
-
-    return extend(g, t, palette, budget)
-
-
 def is_valid_witness(g: Graph, t: Template, k: int, palette: Palette, budget=None) -> bool:
     """The three witness conditions: degree at most 2k^2, every forbidden
     list of size at most 2k, and no respecting colouring (checked by the
@@ -170,7 +41,7 @@ def is_valid_witness(g: Graph, t: Template, k: int, palette: Palette, budget=Non
         return False
     if any(len(fs) > 2 * k for fs in t.forbidden.values()):
         return False
-    return _extend(g, t, palette, budget).outcome == "unsat"
+    return extend(g, t, palette, budget).outcome == "unsat"
 
 
 def _free_colours(g: Graph, t: Template, v: int, palette: Palette) -> frozenset[int]:
@@ -220,7 +91,7 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
     if changed:
         if degree(out, k) > degree(t, k):
             raise RuntimeError("strengthening increased the template degree")
-        result = _extend(g, out, palette, budget)
+        result = extend(g, out, palette, budget)
         if result.outcome == "sat":
             raise InternalContradiction(
                 "strengthened template admits a respecting colouring; "
@@ -442,7 +313,7 @@ def list_direct_completion(
     if not all(avail.values()):
         return None
     sub = induced_subgraph(h, rest)
-    result = _extend(sub, Template.empty(sub), Palette.from_lists(avail), budget)
+    result = extend(sub, Template.empty(sub), Palette.from_lists(avail), budget)
     if result.outcome == "unsat":
         return None
     col = dict(t.precolour)

@@ -1,7 +1,8 @@
 """The certificate format and the checker: pinned certificate bytes, strict
 parsing, list-mode claims the checker re-checks, and module boundaries read
-off the source (the checker's trust base, and a single exact colouring
-search behind coloring.py)."""
+off the source (the checker's trust base, an acyclic import graph with no
+import inside a function, and a single exact colouring search behind
+coloring.py)."""
 
 import ast
 import hashlib
@@ -22,9 +23,11 @@ from chromcert.graphs import Graph, graph_hash, write_dimacs
 from chromcert.suites import theorem1_instances, theorem2_instances
 
 # The chromcert modules checker.py may import, and the only names it may
-# take from templates.
-CHECKER_IMPORTS = {"graphs", "connectivity", "coloring", "templates", "errors"}
-TEMPLATE_NAMES = {"PLAIN", "LIST"}
+# take from solver.
+CHECKER_IMPORTS = {"graphs", "connectivity", "coloring", "solver", "errors"}
+SOLVER_NAMES = {"PLAIN", "LIST"}
+
+PACKAGE = Path(checker.__file__).parent
 
 # coloring.py's only loops that search: the choosability witness search.
 WITNESS_SEARCH = {"list_chromatic_at_least", "_colourings", "_first_refuted_assignment"}
@@ -53,12 +56,55 @@ def test_checker_imports_only_its_trust_base():
     assert imports
     for module, names in imports:
         assert module in CHECKER_IMPORTS, module
-        if module == "templates":
-            assert names <= TEMPLATE_NAMES, names
+        if module == "solver":
+            assert names <= SOLVER_NAMES, names
     # extractor takes the checker back instead of keeping its own.
     assert extractor.verify_certificate is checker.verify_certificate
     assert extractor.Certificate is checker.Certificate
     assert extractor.connectivity_evidence is checker.connectivity_evidence
+
+
+def _import_graph():
+    """Module name -> the chromcert modules it imports (the package itself
+    is "__init__")."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {module or "__init__" for module, _ in _chromcert_imports(tree)}
+    return graph
+
+
+def test_no_chromcert_import_inside_a_function():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not list(_chromcert_imports(node)), (path.name, node.name)
+
+
+def test_import_graph_is_acyclic():
+    graph = _import_graph()
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, " -> ".join(path + [module])
+        if module not in done:
+            for dep in sorted(graph[module]):
+                visit(dep, path + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_checker_import_closure_is_its_trust_base():
+    graph = _import_graph()
+    closure, todo = set(), ["checker"]
+    while todo:
+        for dep in graph[todo.pop()] - closure:
+            closure.add(dep)
+            todo.append(dep)
+    assert closure == {"graphs", "connectivity", "coloring", "solver", "errors"}
 
 
 def test_coloring_has_no_search_besides_the_witness_search():
@@ -72,7 +118,7 @@ def test_coloring_has_no_search_besides_the_witness_search():
 
 
 def test_package_imports_only_the_standard_library():
-    for path in sorted(Path(checker.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

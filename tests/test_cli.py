@@ -229,15 +229,25 @@ def test_verify_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["gen", "extract", "reproduce"])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
     graph = tmp_path / "k8.col"
     run("gen", "complete", "8", "--out", str(graph))
     args = {"gen": ["complete", "8"], "extract": [str(graph), "--k", "1"], "reproduce": ["theorem2"]}[command]
-    out = tmp_path / "missing" / "out.txt"
-    capsys.readouterr()
-    assert run(command, *args, "--out", str(out)) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"{command}: cannot write {out}" in err and "Traceback" not in err
+
+    def work(*args, **kwargs):
+        raise AssertionError("the output path is checked before the work")
+
+    # The path is refused before generating, extracting or running a suite.
+    monkeypatch.setattr(cli, "generate", work)
+    monkeypatch.setattr(cli, "extract", work)
+    monkeypatch.setitem(cli.SUITES, "theorem2", work)
+    before = sorted(tmp_path.iterdir())
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        capsys.readouterr()
+        assert run(command, *args, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{command}: cannot write {out}" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_reproduce_theorem2_and_report(tmp_path, capsys):
@@ -287,6 +297,11 @@ def test_verify_rejects_malformed_evidence(tmp_path, capsys):
         {**lst, "trace": [{**step, "derived_degree": -5}]},
         {**lst, "chromatic_evidence": {**witness, "lists": {f" {v} ": cs for v, cs in witness["lists"].items()}}},
         {**lst, "chromatic_evidence": {**witness, "lists": {v: [True] for v in witness["lists"]}}},
+        # Each kind of chromatic evidence has exactly its own keys.
+        {**plain, "chromatic_evidence": {**plain["chromatic_evidence"], "junk": 5}},
+        {**plain, "chromatic_evidence": {**plain["chromatic_evidence"], "lists": {}}},
+        {**plain, "chromatic_evidence": {**plain["chromatic_evidence"], "t": "x"}},
+        {**lst, "chromatic_evidence": {**witness, "colours": 1}},
     ]
     for doc in mutants:
         cert.write_text(json.dumps(doc))

@@ -62,7 +62,9 @@ def test_is_k_connected_rejects_k_zero():
 
 
 def test_is_k_connected_small_and_disconnected():
-    assert not is_k_connected(Graph.build(1, []), 1)
+    for k in (1, 2):
+        assert not is_k_connected(Graph.build(0, []), k)
+        assert not is_k_connected(Graph.build(1, []), k)
     assert is_k_connected(Graph.build(2, [(0, 1)]), 1)
     assert not is_k_connected(Graph.build(4, [(0, 1), (2, 3)]), 1)
 
@@ -72,6 +74,8 @@ def test_connectivity_values():
     assert connectivity(generate(FamilySpec.cycle(6))) == 2
     assert connectivity(glued((5, 5))) == 1
     assert connectivity(Graph.build(3, [])) == 0
+    assert connectivity(Graph.build(1, [])) == 0
+    assert connectivity(Graph.build(0, [])) == 0
 
 
 def test_split_glued_k5s():

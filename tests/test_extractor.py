@@ -126,7 +126,7 @@ def test_descend_nonempty_template_witness():
     g, t = gadget_witness()
     cfg = ExtractConfig(k=2, precondition="trust")
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
-    trace, final = descend(WitnessPair(g, t, 2, "plain"), cfg)
+    trace, final = descend(WitnessPair(g, t), cfg)
     assert len(trace) == 1
     assert trace[0].cut == (1,)
     assert final.h.vertices == frozenset(range(15))
@@ -145,7 +145,7 @@ def test_descend_completion_branch():
     t = Template({1: 0, 2: 1}, forb)
     cfg = ExtractConfig(k=2, precondition="trust")
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
-    trace, final = descend(WitnessPair(g, t, 2, "plain"), cfg)
+    trace, final = descend(WitnessPair(g, t), cfg)
     assert len(trace) == 1
     assert trace[0].recursed == "completion"
     assert trace[0].derived_degree <= 8
@@ -191,7 +191,7 @@ def test_descend_contradiction_on_corrupted_witness():
     broken = Template(dict(t.precolour), {**t.forbidden, 0: frozenset()})
     cfg = ExtractConfig(k=2, precondition="trust")
     with pytest.raises(InternalContradiction) as exc:
-        descend(WitnessPair(g, broken, 2, "plain"), cfg)
+        descend(WitnessPair(g, broken), cfg)
     assert respects(g, broken, exc.value.colouring, cfg.palette_for(g))
 
 
@@ -199,7 +199,8 @@ def test_descend_contradiction_on_corrupted_witness():
 
 def test_finalize_k15():
     cfg = ExtractConfig(k=2)
-    wp = WitnessPair(generate(FamilySpec.complete(15)), Template.empty(generate(FamilySpec.complete(15))), 2, "plain")
+    g = generate(FamilySpec.complete(15))
+    wp = WitnessPair(g, Template.empty(g))
     conn, chrom = finalize_chromatic(wp, cfg)
     assert conn["kind"] == "complete"
     assert chrom == {"kind": "colouring_unsat", "colours": 1}
@@ -208,7 +209,7 @@ def test_finalize_k15():
 def test_finalize_k1_trivial_evidence():
     g = generate(FamilySpec.complete(8))
     cfg = ExtractConfig(k=1)
-    conn, chrom = finalize_chromatic(WitnessPair(g, Template.empty(g), 1, "plain"), cfg)
+    conn, chrom = finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
     assert chrom == {"kind": "colouring_unsat", "colours": 0}
     assert is_colourable(g, 0) is None
 
@@ -219,7 +220,7 @@ def test_finalize_contradiction_on_bipartite_fake_witness():
     g = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     cfg = ExtractConfig(k=3, precondition="trust")
     with pytest.raises(InternalContradiction) as exc:
-        finalize_chromatic(WitnessPair(g, Template.empty(g), 3, "plain"), cfg)
+        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
     assert respects(g, Template.empty(g), exc.value.colouring, cfg.palette_for(g))
 
 
@@ -227,14 +228,14 @@ def test_finalize_list_completion_budget_surfaces_limit():
     g = generate(FamilySpec.complete(9))
     cfg = ExtractConfig(k=2, mode="list", budget=SolverBudget(max_decisions=1))
     with pytest.raises(ResourceLimitError, match="after 2 decisions"):
-        finalize_chromatic(WitnessPair(g, Template.empty(g), 2, "list"), cfg)
+        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
 
 
 def test_finalize_requires_connectivity():
     g = glued15()
     cfg = ExtractConfig(k=2)
     with pytest.raises(ValueError):
-        finalize_chromatic(WitnessPair(g, Template.empty(g), 2, "plain"), cfg)
+        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
 
 
 # -- extract end-to-end ----------------------------------------------------------

@@ -13,8 +13,7 @@ from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
 from chromcert.oracles import brute_colourable, brute_force_extend
-from chromcert.solver import SolverBudget, extend
-from chromcert.templates import Palette, Template, respects
+from chromcert.solver import Palette, SolverBudget, Template, extend, respects
 
 
 def random_template(g, palette, rng, f_limit=2):
