@@ -2,7 +2,7 @@
 (list) chromatic number, with re-checkable certificates."""
 
 from .checker import Certificate, DescentStep, verify_certificate
-from .coloring import is_colourable, list_chromatic_at_least, list_colour
+from .coloring import list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut
 from .errors import (
     ChromcertError,
@@ -21,7 +21,7 @@ from .extractor import (
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, from_dimacs, graph_hash, induced_subgraph, read_dimacs, to_dimacs, write_dimacs
-from .solver import Palette, SolveResult, SolverBudget, Template, extend, respects
+from .solver import Palette, SolveResult, SolverBudget, Template, extend, is_colourable, list_colour, respects
 from .templates import (
     IntervalPartition,
     colour_from_intervals,
@@ -30,7 +30,6 @@ from .templates import (
     derive_separation_template,
     glue,
     interval_partition,
-    is_valid_witness,
     list_direct_completion,
     rainbow_small_case,
     restrict,
@@ -73,7 +72,6 @@ __all__ = [
     "interval_partition",
     "is_colourable",
     "is_k_connected",
-    "is_valid_witness",
     "list_chromatic_at_least",
     "list_colour",
     "list_direct_completion",

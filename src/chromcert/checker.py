@@ -7,11 +7,12 @@ recomputes.
 
 verify_certificate re-checks a certificate from scratch against the graph.
 Its trust base is explicit and small: graph hashing and induced subgraphs
-(graphs), the max-flow minimum vertex cut (connectivity), and the exact
-colouring search behind coloring.is_colourable and list_colour (solver:
-the colouring problem and extend, which re-checks each colouring it
-returns against the respects predicate).  It imports nothing from the
-extraction pipeline or the proof constructions of templates.py, and
+(graphs), the max-flow minimum vertex cut and the separation rule
+(connectivity), and the exact colouring search behind is_colourable and
+list_colour (solver: the colouring problem and extend, which re-checks
+each colouring it returns against the respects predicate).  It imports
+nothing from the extraction pipeline, the choosability search of
+coloring.py or the proof constructions of templates.py, and
 tests/test_checker.py keeps it that way.
 """
 
@@ -20,10 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .coloring import is_colourable, list_colour
-from .connectivity import min_vertex_cut
+from .connectivity import min_vertex_cut, separation_fault
 from .graphs import Graph, graph_hash, induced_subgraph
-from .solver import LIST, PLAIN
+from .solver import LIST, PLAIN, is_colourable, list_colour
 
 CERTIFICATE_FORMAT = "chromcert-certificate-v1"
 
@@ -156,15 +156,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
             x = frozenset(step.cut)
             y = frozenset(step.side_y)
             z = frozenset(step.side_z)
-            if x | y | z != current or len(x) + len(y) + len(z) != len(current):
-                return False
-            if not y or not z:
-                return False
-            if len(x) > k - 1:
-                return False
-            # y and z nonempty with no cross edges proves x disconnects
-            # g[current], which is all the degree accounting relies on.
-            if any(not z.isdisjoint(g.adj[u]) for u in y):
+            # A separation proves that x disconnects g[current], which is
+            # all the degree accounting relies on.
+            if len(x) > k - 1 or separation_fault(g, current, x, y, z):
                 return False
             if step.z_degree > ksq:
                 return False

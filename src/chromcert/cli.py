@@ -17,10 +17,9 @@ from .errors import (
 )
 from .extractor import ExtractConfig, extract
 from .families import generate, parse_family
-from .graphs import read_dimacs, to_dimacs
+from .graphs import parse_lists, read_dimacs, to_dimacs
 from .solver import SolverBudget
 from .suites import SUITES, report_to_json
-from .templates import parse_lists
 
 EXIT_OK = 0
 EXIT_REJECTED = 1

@@ -1,9 +1,4 @@
-"""Exact colourability and choosability.
-
-is_colourable and list_colour are the extension solver (solver.extend) on
-the empty template, with a plain palette or the given lists as palette, so
-chromcert has one exact colouring search; the palettes and templates are
-solver.py's problem model.  Its brute-force references live in oracles.py.
+"""Choosability: the search for a bad list assignment.
 
 list_chromatic_at_least finds a bad list assignment by one iterative search
 over int bitmasks (bit c stands for colour c), in the order of
@@ -12,6 +7,8 @@ assignment has a colouring, so the first refuted assignment stays the
 first in that order: at the last vertex, the lists not inside the colours
 its neighbours get in every colouring of the prefix; below an inner prefix,
 all lists once some colouring of it leaves first-fit room everywhere after.
+Its brute-force reference lives in oracles.py.  The exact colouring
+questions, is_colourable and list_colour, are solver.py's.
 """
 
 from __future__ import annotations
@@ -21,24 +18,12 @@ from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph, induced_subgraph
-from .solver import ListAssignment, Palette, Template, extend
+from .solver import ListAssignment
+# perfbench/tracer.py binds coloring.is_colourable, list_colour and
+# greedy_list_colour by name, so they stay here until its next revision.
+from .solver import is_colourable, list_colour  # noqa: F401
 
 CHOOSABILITY_CAP = 8
-
-
-def is_colourable(g: Graph, t: int) -> dict[int, int] | None:
-    """A proper t-colouring of g, or None when none exists.  Exact: the
-    extension solver on the empty template with the plain palette {0..t-1}.
-    """
-    return extend(g, Template.empty(g), Palette.plain(t)).colouring
-
-
-def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
-    """A proper colouring drawing each vertex from its own list, or None.
-    Exact: the extension solver on the empty template with the lists as
-    palette.  Raises ValueError when a vertex has no list or an empty one.
-    """
-    return extend(g, Template.empty(g), Palette.from_lists(lists)).colouring
 
 
 def greedy_list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:

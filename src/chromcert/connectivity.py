@@ -228,16 +228,16 @@ class _SplitNetwork:
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff g has more than k vertices and no vertex cut of size < k."""
+    """True iff g has more than k vertices and no vertex cut of size < k:
+    the kappa query alone, without building a cut."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    return g.n > k and min_vertex_cut(g, below=k) is None
+    return g.n > k and is_connected(g) and _SplitNetwork(g).kappa(set(), k) >= k
 
 
 def connectivity(g: Graph) -> int:
     """kappa(g): n-1 for complete graphs, 0 when disconnected."""
-    cut = min_vertex_cut(g)
-    return max(g.n - 1, 0) if cut is None else len(cut)
+    return _SplitNetwork(g).kappa(set(), g.n - 1) if is_connected(g) else 0
 
 
 def min_vertex_cut(g: Graph, below: int | None = None):
@@ -286,3 +286,18 @@ def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset
     if len(y) == len(rest):
         raise ValueError(f"{sorted(x)} is not a vertex cut")
     return y, rest - y
+
+
+def separation_fault(g: Graph, whole: frozenset[int], x: frozenset[int], y: frozenset[int],
+                     z: frozenset[int]) -> str | None:
+    """Why (x, y, z) is not a separation of g[whole], or None when it is:
+    x, y and z partition whole, y and z are nonempty, and no edge of g
+    joins y and z, so that x disconnects g[whole]."""
+    if x | y | z != whole or len(x) + len(y) + len(z) != len(whole):
+        return "x, y, z must partition the vertex set"
+    if not y or not z:
+        return "both cut sides must be nonempty"
+    adj = g.adj
+    if all(z.isdisjoint(adj[u]) for u in y):
+        return None
+    return f"edge {min((min(u, w), max(u, w)) for u in y for w in adj[u] & z)} crosses the cut sides"

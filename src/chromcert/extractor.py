@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 # binding, and is_k_connected stays bound here, because perfbench/tracer.py
 # patches both names in this module.
 from .checker import Certificate, DescentStep, _k_connected, connectivity_evidence, verify_certificate
-from .coloring import CHOOSABILITY_CAP, is_colourable, list_chromatic_at_least
+from .coloring import CHOOSABILITY_CAP, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
 from .graphs import Graph, graph_hash, induced_subgraph
-from .solver import LIST, PLAIN, Palette, SolverBudget, SolverStats, Template, extend, respects
+from .solver import LIST, PLAIN, Palette, SolverBudget, SolverStats, Template, extend, is_colourable, respects
 from .templates import (
     colour_from_intervals,
     degree,
@@ -122,21 +122,15 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
 
 
 def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
-    """Pick which side plays Z: its restriction must have degree at most
-    k^2, with ties broken towards the smaller side and then towards keeping
-    the split order (Y stays the side holding the smallest vertex id)."""
+    """(Y, Z, degree of t restricted to Z): Z's restriction must have degree
+    at most k^2, with ties broken towards the smaller side and then towards
+    keeping the split order (Y stays the side holding the smallest vertex id)."""
     dy = degree(restrict(t, y), k)
     dz = degree(restrict(t, z), k)
     ksq = k * k
-    if dy <= ksq and dz <= ksq:
-        if len(z) < len(y):
-            return y, z
-        if len(y) < len(z):
-            return z, y
-        return y, z
-    if dz <= ksq:
-        return y, z
-    return z, y
+    if dz <= ksq and (dy > ksq or len(z) <= len(y)):
+        return y, z, dz
+    return z, y, dy
 
 
 def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], WitnessPair]:
@@ -168,9 +162,8 @@ def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], Wit
         if cut is None:
             return trace, WitnessPair(h, t)
         y0, z0 = split_by_cut(h, cut)
-        y, z = _orient_sides(t, k, y0, z0)
+        y, z, deg_z = _orient_sides(t, k, y0, z0)
         deg_t = degree(t, k)
-        deg_z = degree(restrict(t, z), k)
         t_sep = derive_separation_template(h, t, cut, y, z, k)
         sub_y = induced_subgraph(h, cut | y)
         res_y = extend(sub_y, t_sep, palette, cfg.budget)

@@ -5,7 +5,8 @@ are derived on demand, and Graph.build is the one validating entry point.
 A graph built from a count has vertices 0..n-1; induced subgraphs keep ids,
 so pre-colourings and forbidden lists restrict without renaming.  Each of
 their neighbour sets is the parent's intersected with the kept vertices: it
-costs the subgraph's size and inherits the parent's validity.
+costs the subgraph's size and inherits the parent's validity.  The two
+input formats, DIMACS graphs and list-mode lists files, are read here too.
 """
 
 from __future__ import annotations
@@ -173,6 +174,26 @@ def read_dimacs(path: str) -> Graph:
 def write_dimacs(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_dimacs(g, comments))
+
+
+# ---------------------------------------------------------------------------
+# Lists files: one `list <v> <colours...>` line per vertex, `c` comments.
+# ---------------------------------------------------------------------------
+
+def parse_lists(text: str) -> dict[int, frozenset[int]]:
+    lists: dict[int, frozenset[int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] != "list" or len(parts) < 2:
+            raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
+        v, *colours = int_fields(lineno, parts[1:])
+        if v in lists:
+            raise ValueError(f"line {lineno}: second list for vertex {v}")
+        lists[v] = frozenset(colours)
+    return lists
 
 
 def graph_hash(g: Graph) -> str:

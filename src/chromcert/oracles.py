@@ -6,7 +6,7 @@ plain backtracking in vertex id order, the other oracles by exhaustive
 enumeration, and brute_force_extend by testing every assignment against
 the problem model of solver.py (validate_template, respects).  None of
 them uses the ordering heuristics, propagation or symmetry breaking of the
-exact engine (solver.extend, which also answers coloring.is_colourable and
+exact engine (solver.extend, which also answers solver.is_colourable and
 list_colour) or the max-flow connectivity layer.  The verification suites
 and the tests run both routes and demand exact agreement.
 """

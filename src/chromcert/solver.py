@@ -6,9 +6,10 @@ F(v) at every other vertex.  A colouring respects it when it is proper,
 inside the palette, extends c and avoids every F(v).  extend, the
 extensibility oracle, returns a respecting colouring or a definite UNSAT;
 an exhausted budget is never an answer: it raises ResourceLimitError.
-coloring.is_colourable and list_colour are extend on the empty template,
-oracles.brute_force_extend is its brute-force reference, and templates.py
-builds the proof constructions on top.
+is_colourable and list_colour, the colouring questions the checker asks,
+are extend on the empty template.  oracles.brute_force_extend is its
+brute-force reference, and templates.py builds the proof constructions on
+top.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
 bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
@@ -399,3 +400,16 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
     return SolveResult("sat", colour, SolverStats(decisions, backtracks))
+
+
+def is_colourable(g: Graph, t: int) -> dict[int, int] | None:
+    """A proper t-colouring of g, or None when none exists: extend on the
+    empty template with the plain palette {0..t-1}."""
+    return extend(g, Template.empty(g), Palette.plain(t)).colouring
+
+
+def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
+    """A proper colouring drawing each vertex from its own list, or None:
+    extend on the empty template with the lists as palette.  Raises
+    ValueError when a vertex has no list or an empty one."""
+    return extend(g, Template.empty(g), Palette.from_lists(lists)).colouring

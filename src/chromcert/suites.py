@@ -14,11 +14,7 @@ from functools import partial
 from itertools import combinations
 
 from .checker import verify_certificate
-from .coloring import (
-    is_colourable,
-    list_chromatic_at_least,
-    list_colour,
-)
+from .coloring import list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut
 from .errors import InternalContradiction
 from .extractor import ExtractConfig, WitnessPair, descend, extract, finalize_chromatic
@@ -32,7 +28,7 @@ from .oracles import (
     brute_list_colour,
     brute_min_cut,
 )
-from .solver import Palette, Template, extend, respects, validate_template
+from .solver import Palette, Template, extend, is_colourable, list_colour, respects, validate_template
 from .templates import (
     colour_from_intervals,
     degree,

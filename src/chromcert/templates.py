@@ -1,8 +1,9 @@
-"""The construction lemmas the descent relies on: strengthening, the
-separation and completion templates, gluing, and the rainbow, interval and
-list-mode completions, built on the colouring problem of solver.py.  The
-degree k|S| + sum |F(v)| is the potential that all the derivation
-bookkeeping is measured against.
+"""The construction lemmas the descent relies on, and nothing else:
+strengthening, the separation and completion templates, gluing, and the
+rainbow, interval and list-mode completions, built on the colouring problem
+of solver.py and the separation rule of connectivity.py.  The degree
+k|S| + sum |F(v)| is the potential that all the derivation bookkeeping is
+measured against.
 """
 
 from __future__ import annotations
@@ -10,9 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .connectivity import separation_fault
 from .errors import InternalContradiction
-from .graphs import Graph, induced_subgraph, int_fields
-from .solver import LIST, PLAIN, Palette, Template, extend, is_proper, respects, validate_template
+from .graphs import Graph, induced_subgraph
+from .solver import LIST, PLAIN, Palette, Template, extend, is_proper, respects
+# perfbench/tracer.py binds templates.validate_template by name, so it stays
+# here until its next revision.
+from .solver import validate_template  # noqa: F401
 
 
 def degree(t: Template, k: int) -> int:
@@ -29,19 +34,6 @@ def restrict(t: Template, x: Iterable[int]) -> Template:
     pre = {v: c for v, c in t.precolour.items() if v in xs}
     forb = {v: fs for v, fs in t.forbidden.items() if v in xs}
     return Template(pre, forb)
-
-
-def is_valid_witness(g: Graph, t: Template, k: int, palette: Palette, budget=None) -> bool:
-    """The three witness conditions: degree at most 2k^2, every forbidden
-    list of size at most 2k, and no respecting colouring (checked by the
-    extension solver).  Raises ResourceLimitError if the solver budget runs
-    out: an exhausted budget is never reported as an answer."""
-    validate_template(g, t, palette)
-    if degree(t, k) > 2 * k * k:
-        return False
-    if any(len(fs) > 2 * k for fs in t.forbidden.values()):
-        return False
-    return extend(g, t, palette, budget).outcome == "unsat"
 
 
 def _free_colours(g: Graph, t: Template, v: int, palette: Palette) -> frozenset[int]:
@@ -101,16 +93,6 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
     return out
 
 
-def _check_partition(h: Graph, x: frozenset[int], y: frozenset[int], z: frozenset[int]) -> None:
-    if x | y | z != h.vertices or (x & y) or (x & z) or (y & z):
-        raise ValueError("x, y, z must partition the vertex set")
-    if not y or not z:
-        raise ValueError("both cut sides must be nonempty")
-    crossing = [(min(u, w), max(u, w)) for u in y for w in h.adj[u] & z]
-    if crossing:
-        raise ValueError(f"edge {min(crossing)} crosses the cut sides")
-
-
 def derive_separation_template(
     h: Graph, t: Template, x: frozenset[int], y: frozenset[int], z: frozenset[int], k: int
 ) -> Template:
@@ -123,7 +105,9 @@ def derive_separation_template(
     sides to ensure this).  The derived lists then stay at most 2k-1 on X
     and k-1 on Y.
     """
-    _check_partition(h, x, y, z)
+    fault = separation_fault(h, h.vertices, x, y, z)
+    if fault:
+        raise ValueError(fault)
     if any(len(fs) > k - 1 for fs in t.forbidden.values()):
         raise ValueError("derivation requires forbidden lists of size at most k-1")
     dz = degree(restrict(t, z), k)
@@ -321,23 +305,3 @@ def list_direct_completion(
     if not respects(h, t, col, palette):
         raise RuntimeError("direct completion produced a non-respecting colouring")
     return col
-
-
-# ---------------------------------------------------------------------------
-# Lists files: one `list <v> <colours...>` line per vertex, `c` comments.
-# ---------------------------------------------------------------------------
-
-def parse_lists(text: str) -> dict[int, frozenset[int]]:
-    lists: dict[int, frozenset[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] != "list" or len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
-        v, *colours = int_fields(lineno, parts[1:])
-        if v in lists:
-            raise ValueError(f"line {lineno}: second list for vertex {v}")
-        lists[v] = frozenset(colours)
-    return lists

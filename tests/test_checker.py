@@ -1,20 +1,21 @@
 """The certificate format and the checker: pinned certificate bytes, strict
 parsing, list-mode claims the checker re-checks, and module boundaries read
 off the source (the checker's trust base, an acyclic import graph with no
-import inside a function, and a single exact colouring search behind
-coloring.py)."""
+import inside a function, and a single exact colouring search: solver.py's
+colouring entry points call extend, and coloring.py searches only for
+choosability witnesses)."""
 
 import ast
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from chromcert import checker, coloring, extractor
+from chromcert import checker, coloring, extractor, solver, templates
 from chromcert.checker import CERTIFICATE_FORMAT, Certificate, connectivity_evidence, verify_certificate
 from chromcert.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_REJECTED, EXIT_RESOURCE_LIMIT, main
 from chromcert.extractor import ExtractConfig, extract
@@ -24,8 +25,8 @@ from chromcert.suites import theorem1_instances, theorem2_instances
 
 # The chromcert modules checker.py may import, and the only names it may
 # take from solver.
-CHECKER_IMPORTS = {"graphs", "connectivity", "coloring", "solver", "errors"}
-SOLVER_NAMES = {"PLAIN", "LIST"}
+CHECKER_IMPORTS = {"graphs", "connectivity", "solver", "errors"}
+SOLVER_NAMES = {"PLAIN", "LIST", "is_colourable", "list_colour"}
 
 PACKAGE = Path(checker.__file__).parent
 
@@ -104,17 +105,30 @@ def test_checker_import_closure_is_its_trust_base():
         for dep in graph[todo.pop()] - closure:
             closure.add(dep)
             todo.append(dep)
-    assert closure == {"graphs", "connectivity", "coloring", "solver", "errors"}
+    assert closure == {"graphs", "connectivity", "solver", "errors"}
+
+
+def _functions(module):
+    return {f.name: f for f in _tree(module).body if isinstance(f, ast.FunctionDef)}
 
 
 def test_coloring_has_no_search_besides_the_witness_search():
-    funcs = {f.name: f for f in _tree(coloring).body if isinstance(f, ast.FunctionDef)}
+    funcs = _functions(solver)
     for name in ("is_colourable", "list_colour"):
         nodes = list(ast.walk(funcs[name]))
         assert not any(isinstance(n, (ast.For, ast.While)) for n in nodes), name
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "extend" for n in nodes), name
+    funcs = _functions(coloring)
+    assert not {"is_colourable", "list_colour"} & funcs.keys()
     searching = {name for name, f in funcs.items() if any(isinstance(n, ast.While) for n in ast.walk(f))}
     assert searching <= WITNESS_SEARCH
+
+
+def test_the_separation_rule_is_written_once():
+    for module in (checker, templates):
+        called = {n.func.id for n in ast.walk(_tree(module)) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "separation_fault" in called, module.__name__
+    assert not hasattr(templates, "_check_partition")
 
 
 def test_package_imports_only_the_standard_library():
@@ -193,6 +207,16 @@ def test_from_json_rejects_unknown_and_missing_fields():
         Certificate.from_json(json.dumps({**doc, "trace": [{**step, "note": "extra"}]}))
     with pytest.raises(TypeError):
         Certificate.from_json(json.dumps({**doc, "trace": [{f: v for f, v in step.items() if f != "cut"}]}))
+
+
+def test_a_step_whose_sides_touch_is_rejected():
+    # The edge (1, 15) joins the recorded sides, so the step is no longer a
+    # separation, while every other claim of the certificate still holds.
+    g = generate(FamilySpec.glued_cliques((15, 15), 1))
+    cert = extract(g, ExtractConfig(k=2))
+    assert cert.trace[0].side_y[0] == 1 and cert.trace[0].side_z[0] == 15
+    touching = Graph.build(g.n, g.edges | {(1, 15)})
+    assert not verify_certificate(touching, replace(cert, graph_hash=graph_hash(touching)))
 
 
 # -- list-mode claims --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -350,3 +351,143 @@ def test_memory_error_exits_4_and_names_the_phase(tmp_path, capsys, monkeypatch,
     assert run(command, str(graph), *options) == EXIT_RESOURCE_LIMIT
     err = capsys.readouterr().err
     assert f"{command}: out of memory while {phase}" in err and "Traceback" not in err
+
+
+# -- hostile inputs ------------------------------------------------------------
+#
+# A seeded fuzz test over the three input files.  Each mutation is built so
+# that its class, and so its exit code, is known: a file that cannot be read
+# as its format exits 6, lists that do not name exactly the graph's vertices
+# exit 2, a certificate whose claims are ill-typed or false exits 1, and an
+# unchanged claim exits 0.  Headers that declare a huge order are left out:
+# the reader allocates before it refuses them.
+
+FUZZ_ROUNDS = 12
+BAD_UTF8 = (b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80")
+HUGE_IDS = (-1, -(10**30), 10**30)
+WRONG_TYPES = (None, True, 1.5, "x", [], {}, [[0]])
+
+
+def _json_type(value):
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _leaves(doc, path=()):
+    """(path, value) for every scalar of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, doc
+
+
+def _replaced(text, path, value):
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _bad_utf8(rng, text):
+    at = rng.randrange(len(text))
+    return f"bad UTF-8 at {at}", text[:at].encode() + rng.choice(BAD_UTF8) + text[at:].encode()
+
+
+def _line_replaced(lines, i, fields):
+    text = " ".join(fields)
+    return f"line {i + 1} = {text!r}", ("".join(lines[:i]) + text + "\n" + "".join(lines[i + 1:])).encode()
+
+
+def _is_vertex_id(path):
+    return (path[0] == "final_vertices" or path[:2] == ("connectivity_evidence", "cut")
+            or (path[0] == "trace" and path[2] in ("cut", "side_y", "side_z")))
+
+
+def _certificate_cases(rng, text):
+    """(mutation, bytes, exit code) for a valid certificate's text."""
+    leaves = [(p, v) for p, v in _leaves(json.loads(text)) if p != ("format",)]
+    ids = [p for p, _ in leaves if _is_vertex_id(p)] + [("k",)]
+    for _ in range(FUZZ_ROUNDS):
+        cut = rng.randrange(len(text) - 2)  # short of the closing brace
+        yield f"truncated at {cut}", text[:cut].encode(), EXIT_PARSE_ERROR
+        yield *_bad_utf8(rng, text), EXIT_PARSE_ERROR
+        path, value = rng.choice(leaves)
+        for depth, code in ((100_000, EXIT_PARSE_ERROR), (20, EXIT_REJECTED)):
+            nested = _replaced(text, path, "@").replace('"@"', "[" * depth + "]" * depth)
+            yield f"{path} nested {depth} deep", nested.encode(), code
+        # null is one of palette_size's own types.
+        wrong = [w for w in WRONG_TYPES if _json_type(w) != _json_type(value)
+                 and not (path == ("palette_size",) and w is None)]
+        w = rng.choice(wrong)
+        yield f"{path} = {w!r}", _replaced(text, path, w).encode(), EXIT_REJECTED
+        path, w = rng.choice(ids), rng.choice(HUGE_IDS)
+        yield f"{path} = {w}", _replaced(text, path, w).encode(), EXIT_REJECTED
+    yield "a JSON array", b"[]", EXIT_PARSE_ERROR
+    yield "compact JSON", json.dumps(json.loads(text)).encode(), EXIT_OK
+
+
+def _dimacs_cases(rng, text):
+    lines = text.splitlines(keepends=True)
+    records = [i for i, line in enumerate(lines) if line[0] in "pe"]
+    for _ in range(FUZZ_ROUNDS):
+        cut = rng.randrange(len(text) - len(lines[-1]))  # loses at least one edge line
+        yield f"truncated at {cut}", text[:cut].encode(), EXIT_PARSE_ERROR
+        yield *_bad_utf8(rng, text), EXIT_PARSE_ERROR
+        i = rng.choice(records)
+        fields = lines[i].split()
+        j = rng.randrange(2 if fields[0] == "p" else 1, len(fields))
+        # Of the order field, only the negative values: a huge one allocates.
+        tokens = ["x", "1.5", "-", "0x1", "0", "-3"] + (
+            [] if fields[0] == "p" and j == 2 else [str(w) for w in HUGE_IDS])
+        fields[j] = rng.choice(tokens)
+        yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
+    yield "an added comment", ("c fuzz\n" + text).encode(), EXIT_OK
+
+
+def _lists_cases(rng, text):
+    lines = text.splitlines(keepends=True)
+    for _ in range(FUZZ_ROUNDS):
+        j = rng.randrange(len(lines))
+        yield f"first {j} lines", "".join(lines[:j]).encode(), EXIT_USAGE
+        yield *_bad_utf8(rng, text), EXIT_PARSE_ERROR
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        fields[1] = str(rng.choice(HUGE_IDS))
+        yield *_line_replaced(lines, i, fields), EXIT_USAGE
+        fields = lines[i].split()
+        fields[rng.randrange(1, len(fields))] = rng.choice(["x", "1.5", "nan", "-"])
+        yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
+        yield f"line {i + 1} twice", (text + lines[i]).encode(), EXIT_PARSE_ERROR
+    yield "lines reversed", "".join(reversed(lines)).encode(), EXIT_OK
+
+
+def test_fuzzed_inputs_keep_the_exit_contract(tmp_path, capsys):
+    rng = random.Random(2024)
+    glued9, lists = tmp_path / "glued9.col", tmp_path / "glued9.lists"
+    glued15 = tmp_path / "glued15.col"
+    run("gen", "glued", "9", "9", "--out", str(glued9))
+    run("gen", "glued", "15", "15", "--out", str(glued15))
+    lists.write_text("".join(f"list {v} 0 1 2 3 4 5 6 7\n" for v in range(17)))
+    certs = {glued9: tmp_path / "list.cert.json", glued15: tmp_path / "plain.cert.json"}
+    assert run("extract", str(glued9), "--k", "2", "--mode", "list", "--lists", str(lists),
+               "--out", str(certs[glued9])) == EXIT_OK
+    assert run("extract", str(glued15), "--k", "2", "--out", str(certs[glued15])) == EXIT_OK
+    mutant = tmp_path / "mutant"
+    out = str(tmp_path / "out.cert.json")
+    cases = [(f"{graph.name} certificate: {name}", data, code, ("verify", str(graph), str(mutant)))
+             for graph, cert in certs.items() for name, data, code in _certificate_cases(rng, cert.read_text())]
+    cases += [(f"graph: {name}", data, code, ("verify", str(mutant), str(certs[glued9])))
+              for name, data, code in _dimacs_cases(rng, glued9.read_text())]
+    cases += [(f"lists: {name}", data, code,
+               ("extract", str(glued9), "--k", "2", "--mode", "list", "--lists", str(mutant), "--out", out))
+              for name, data, code in _lists_cases(rng, lists.read_text())]
+    assert {code for *_, code, _ in cases} == {EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_PARSE_ERROR}
+    for name, data, code, argv in cases:
+        mutant.write_bytes(data)
+        capsys.readouterr()
+        got = run(*argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, name
+        assert got == code, (name, err)

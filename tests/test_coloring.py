@@ -3,12 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from chromcert.coloring import (
-    greedy_list_colour,
-    is_colourable,
-    list_chromatic_at_least,
-    list_colour,
-)
+from chromcert.coloring import greedy_list_colour, list_chromatic_at_least
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
 from chromcert.oracles import (
@@ -17,6 +12,7 @@ from chromcert.oracles import (
     brute_list_colour,
     canonical_list_assignments,
 )
+from chromcert.solver import is_colourable, list_colour
 
 
 def proper(g, col):

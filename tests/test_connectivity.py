@@ -9,6 +9,7 @@ from chromcert.connectivity import (
     connectivity,
     is_k_connected,
     min_vertex_cut,
+    separation_fault,
     split_by_cut,
 )
 from chromcert.families import FamilySpec, generate
@@ -109,6 +110,20 @@ def test_split_rejects_non_cut():
         split_by_cut(g, g.vertices)
     with pytest.raises(ValueError, match=r"\[0\] is not a vertex cut"):
         split_by_cut(g, frozenset({0}))
+
+
+def test_separation_fault_names_the_broken_rule():
+    g = generate(FamilySpec.cycle(6))
+    x, y, z = frozenset({0, 3}), frozenset({1, 2}), frozenset({4, 5})
+    assert separation_fault(g, g.vertices, x, y, z) is None
+    assert separation_fault(g, g.vertices, x, y, z - {5}) == "x, y, z must partition the vertex set"
+    assert separation_fault(g, g.vertices, x | {1}, y, z) == "x, y, z must partition the vertex set"
+    assert separation_fault(g, g.vertices, x | y, frozenset(), z) == "both cut sides must be nonempty"
+    # The smallest crossing edge is named.
+    assert separation_fault(g, g.vertices, x - {3}, y | {3}, z) == "edge (3, 4) crosses the cut sides"
+    assert separation_fault(g, g.vertices, frozenset(), y | {0, 3}, z) == "edge (0, 5) crosses the cut sides"
+    # Only the vertices of `whole` are partitioned.
+    assert separation_fault(g, frozenset({1, 2, 4, 5}), frozenset(), y, z) is None
 
 
 def test_split_properties_random():
@@ -321,6 +336,18 @@ def test_min_cut_of_a_dense_random_graph_is_pinned(monkeypatch):
     outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
     assert min_vertex_cut(g) == frozenset(range(100)) - outside
     assert calls[0] == 886
+
+
+def test_is_k_connected_answers_from_the_kappa_query(monkeypatch):
+    # kappa = 22 < 30.  The threshold query alone says so; building the
+    # canonical cut as well took 1,104 flows.
+    g = generate(FamilySpec.random(60, 0.5, 1))
+    calls = _count_flows(monkeypatch)
+    assert not is_k_connected(g, 30)
+    assert calls[0] <= 555
+    calls[0] = 0
+    assert connectivity(g) == len(min_vertex_cut(g)) == 22
+    assert calls[0] == 555 + 1104
 
 
 def test_min_vertex_cut_seeded_differential_digest():

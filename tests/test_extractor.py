@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from chromcert.coloring import is_colourable
 from chromcert.connectivity import connectivity
 from chromcert.errors import (
     InternalContradiction,
@@ -22,8 +21,7 @@ from chromcert.extractor import (
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph, graph_hash, induced_subgraph, is_connected
 from chromcert.oracles import brute_is_k_connected
-from chromcert.solver import SolverBudget
-from chromcert.templates import Template, is_valid_witness, respects
+from chromcert.solver import SolverBudget, Template, is_colourable, respects
 
 
 def glued15():
@@ -99,7 +97,7 @@ def test_descend_zero_steps_on_complete_graph():
     assert final.h.n == 15
 
 
-def test_descend_glued_k15s_one_step():
+def test_descend_glued_k15s_one_step(is_valid_witness):
     cfg = ExtractConfig(k=2)
     wp = check_precondition(glued15(), cfg)
     trace, final = descend(wp, cfg)
@@ -122,7 +120,7 @@ def test_descend_join_is_immediately_connected():
     assert brute_is_k_connected(final.h, 1)
 
 
-def test_descend_nonempty_template_witness():
+def test_descend_nonempty_template_witness(is_valid_witness):
     g, t = gadget_witness()
     cfg = ExtractConfig(k=2, precondition="trust")
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
@@ -134,7 +132,7 @@ def test_descend_nonempty_template_witness():
     assert chrom == {"kind": "colouring_unsat", "colours": 1}
 
 
-def test_descend_completion_branch():
+def test_descend_completion_branch(is_valid_witness):
     # K_5 and K_15 sharing vertex 0.  The template loads the K_5 side with
     # degree 5 > k^2, so the big clique must play Z; the K_5 side then
     # extends and the completion template on the K_15 side is the

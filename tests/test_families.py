@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from chromcert.coloring import is_colourable
+from chromcert.solver import is_colourable
 from chromcert.connectivity import min_vertex_cut
 from chromcert.families import FamilySpec, generate, parse_atom, parse_family
 from chromcert.graphs import graph_hash, induced_subgraph

@@ -8,6 +8,7 @@ from chromcert.graphs import (
     graph_hash,
     induced_subgraph,
     is_connected,
+    parse_lists,
     reach,
     to_dimacs,
 )
@@ -147,6 +148,19 @@ def test_dimacs_parses_one_based_ids():
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(ValueError, match=r"^line \d+: "):
         from_dimacs(text)
+
+
+def test_lists_round_trip():
+    text = "c two lists\nlist 0 2 1\n\nlist 5 0\nlist 7\n"
+    assert parse_lists(text) == {0: frozenset({1, 2}), 5: frozenset({0}), 7: frozenset()}
+    with pytest.raises(ValueError):
+        parse_lists("forbid 0 1\n")
+    with pytest.raises(ValueError, match="line 2: second list for vertex 0"):
+        parse_lists("list 0 1 2\nlist 0 3 4\n")
+    with pytest.raises(ValueError, match="^line 1: "):
+        parse_lists("list a 1\n")
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_lists("c vertex ok, colour not\nlist 1 x\n")
 
 
 def test_graph_hash_ignores_comments_but_not_structure():

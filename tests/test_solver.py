@@ -7,13 +7,12 @@ import pytest
 
 from chromcert import solver
 from chromcert.cli import EXIT_NOT_INEXTENSIBLE, main
-from chromcert.coloring import is_colourable
 from chromcert.errors import NotInextensibleError, ResourceLimitError, TemplateError
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
 from chromcert.oracles import brute_colourable, brute_force_extend
-from chromcert.solver import Palette, SolverBudget, Template, extend, respects
+from chromcert.solver import Palette, SolverBudget, Template, extend, is_colourable, respects
 
 
 def random_template(g, palette, rng, f_limit=2):

@@ -6,24 +6,18 @@ import pytest
 from chromcert.errors import InternalContradiction, TemplateError
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
-from chromcert.solver import extend
+from chromcert.solver import Palette, Template, extend, respects, validate_template
 from chromcert.templates import (
-    Palette,
-    Template,
     colour_from_intervals,
     degree,
     derive_completion_template,
     derive_separation_template,
     glue,
     interval_partition,
-    is_valid_witness,
     list_direct_completion,
-    parse_lists,
     rainbow_small_case,
-    respects,
     restrict,
     strengthen_witness,
-    validate_template,
 )
 
 
@@ -125,13 +119,13 @@ def test_validate_template_errors():
 
 # -- witness checks ----------------------------------------------------------
 
-def test_witness_empty_template_on_uncolourable_graph():
+def test_witness_empty_template_on_uncolourable_graph(is_valid_witness):
     g = generate(FamilySpec.complete(8))
     pal = Palette.plain(7)
     assert is_valid_witness(g, Template.empty(g), 1, pal)
 
 
-def test_witness_degree_gate_precedes_solver():
+def test_witness_degree_gate_precedes_solver(is_valid_witness):
     g = generate(FamilySpec.complete(8))
     pal = Palette.plain(7)
     k = 1
@@ -141,7 +135,7 @@ def test_witness_degree_gate_precedes_solver():
     assert not is_valid_witness(g, t, k, pal)
 
 
-def test_witness_list_size_gate():
+def test_witness_list_size_gate(is_valid_witness):
     g = generate(FamilySpec.complete(8))
     pal = Palette.plain(14)
     k = 1
@@ -149,7 +143,7 @@ def test_witness_list_size_gate():
     assert not is_valid_witness(g, Template({}, forb), k, pal)  # |F| = 3 > 2k
 
 
-def test_witness_requires_unsat():
+def test_witness_requires_unsat(is_valid_witness):
     g = generate(FamilySpec.cycle(5))
     pal = Palette.plain(7)
     assert not is_valid_witness(g, Template.empty(g), 1, pal)
@@ -207,7 +201,7 @@ def test_strengthen_detects_fake_witness():
     assert respects(g, t, exc.value.colouring, pal)
 
 
-def test_strengthen_list_mode_avoids_neighbour_colours_only():
+def test_strengthen_list_mode_avoids_neighbour_colours_only(is_valid_witness):
     # K_10 core keeps the template a witness (lists of size 9 = 4k+1 for
     # k = 2); vertex 11 is adjacent to the pre-coloured vertex 10, vertex 12
     # is not and may reuse its colour.
@@ -439,18 +433,3 @@ def test_list_completion_never_unsat_below_choosability():
         forb = {v: frozenset(rng.sample(range(13), rng.randint(0, 2))) for v in g.vertices}
         col = list_direct_completion(g, Template({}, forb), 3, pal)
         assert col is not None and respects(g, Template({}, forb), col, pal)
-
-
-# -- lists files ---------------------------------------------------------------------
-
-def test_lists_round_trip():
-    text = "c two lists\nlist 0 2 1\n\nlist 5 0\nlist 7\n"
-    assert parse_lists(text) == {0: frozenset({1, 2}), 5: frozenset({0}), 7: frozenset()}
-    with pytest.raises(ValueError):
-        parse_lists("forbid 0 1\n")
-    with pytest.raises(ValueError, match="line 2: second list for vertex 0"):
-        parse_lists("list 0 1 2\nlist 0 3 4\n")
-    with pytest.raises(ValueError, match="^line 1: "):
-        parse_lists("list a 1\n")
-    with pytest.raises(ValueError, match="^line 2: "):
-        parse_lists("c vertex ok, colour not\nlist 1 x\n")
