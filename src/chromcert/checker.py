@@ -130,7 +130,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate from scratch against the graph.
 
     Checks that every vertex id, count and colour is an int, not a bool,
-    recomputes the graph hash, replays every descent step (partition
+    and that palette_size is a nonnegative one in plain mode, None in list
+    mode; recomputes the graph hash, replays every descent step (partition
     shape, cut smallness, absence of cross edges, the k^2 side condition,
     and the derived-degree inequalities), then re-establishes both final
     guarantees: k-connectivity, and the chromatic evidence appropriate to
@@ -141,7 +142,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         # One encoding per claim: JSON true is not the integer 1, nor is 1.0.
         if not (_nats(k, cert.solver_decisions, cert.solver_backtracks) and _ints(cert.final_vertices)):
             return False
-        if type(cert.palette_size) not in (int, type(None)) or k < 1 or cert.mode not in (PLAIN, LIST):
+        # Plain mode records its palette's size, list mode none.
+        if k < 1 or not (_nats(cert.palette_size) if cert.mode == PLAIN
+                         else cert.mode == LIST and cert.palette_size is None):
             return False
         if graph_hash(g) != cert.graph_hash:
             return False

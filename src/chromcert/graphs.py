@@ -12,6 +12,7 @@ input formats, DIMACS graphs and list-mode lists files, are read here too.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -118,12 +119,14 @@ def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INTEGER = re.compile(r"-?[0-9]+")  # one spelling per id: no sign "+", "_" or non-ASCII digit
+
+
 def int_fields(lineno: int, fields: list[str]) -> list[int]:
     """A record's fields as integers, or ValueError naming its line."""
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
+    if not all(_INTEGER.fullmatch(f) for f in fields):
+        raise ValueError(f"line {lineno}: expected integers, got {' '.join(fields)!r}")
+    return [int(f) for f in fields]
 
 
 def from_dimacs(text: str) -> Graph:

@@ -28,10 +28,16 @@ template's forbidden colours and pre-coloured neighbours' colours, a
 vertex's neighbour mask is built at its first push, and the empty template
 skips validate_template, which has nothing to check there.
 
-Within one call, each subtree proven UNSAT in at least
-_REPLAY_MIN_DECISIONS decisions is kept by the exact search state at its
-push, two ints, and replayed by count when that state recurs (state
-caching, after B. M. Smith, CP 2005).  So SolverStats count the nodes of
+Within one call, subtrees proven UNSAT are kept by the exact search state
+at their push, one int, and replayed by count when that state recurs
+(state caching, after B. M. Smith, CP 2005).  Every subtree of at least
+_REPLAY_MIN_DECISIONS decisions is kept.  Smaller ones of at least
+_REPLAY_SMALL_DECISIONS are kept once the call has made
+_REPLAY_MIN_DECISIONS decisions, so that the many short calls pay nothing
+for them, and until the call has kept _REPLAY_SMALL_ENTRIES of them.  That
+budget bounds the memory of the small subtrees, by far the most numerous;
+the large ones are bounded by the work they took, at least
+_REPLAY_MIN_DECISIONS decisions each.  So SolverStats count the nodes of
 the DSATUR tree, replayed ones included, and a budget stops at the decision
 it would stop at without replay.
 """
@@ -166,7 +172,12 @@ def respects(g: Graph, t: Template, col: Mapping[int, int], palette: Palette) ->
 
 
 _TIME_CHECK_EVERY = 512
-_REPLAY_MIN_DECISIONS = 64  # smallest UNSAT subtree the state table keeps
+# extend's state table keeps every UNSAT subtree of _REPLAY_MIN_DECISIONS
+# decisions or more; once the call has made that many decisions, it also keeps
+# up to _REPLAY_SMALL_ENTRIES smaller ones of _REPLAY_SMALL_DECISIONS or more.
+_REPLAY_MIN_DECISIONS = 64
+_REPLAY_SMALL_DECISIONS = 4
+_REPLAY_SMALL_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -304,17 +315,19 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     # each candidate mentioned or used below, and the least unused per class.
     stack: list[list] = []
     used = 0
-    # Proven-UNSAT subtrees by the state at their push: table[unc][(used &
-    # anon, held & unc * rep)] = (decisions, backtracks).  The subtree below
-    # a push reads nothing else that varies: the rank it picks, every
-    # candidate set and count follow from the holder matrix on unc, the
-    # colours it may try from used & anon, and it only ever changes bits of
-    # unc, all of them restored when its root pops.  So a recurring state is
-    # replayed by count, and the counters stay those of the whole tree.
-    table: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+    # Proven-UNSAT subtrees by the state at their push: table[unc][(held &
+    # unc * rep) << nc | used & anon] = (decisions, backtracks), one int key
+    # since used & anon < 2**nc.  The subtree below a push reads nothing else
+    # that varies: the rank it picks, every candidate set and count follow
+    # from the holder matrix on unc, the colours it may try from used & anon,
+    # and it only ever changes bits of unc, all of them restored when its root
+    # pops.  So a recurring state is replayed by count, and the counters stay
+    # those of the whole tree.
+    table: dict[int, dict[int, tuple[int, int]]] = {}
+    nc, small = len(colours), _REPLAY_SMALL_ENTRIES  # small: small subtrees it may still keep
     while unc:
         known = table.get(unc)
-        hit = known and known.get((used & anon, held & unc * rep))
+        hit = known and known.get((held & unc * rep) << nc | used & anon)
         if hit:  # replay: the budget checks its decisions would have made
             last = decisions + hit[0]
             stop = cap + 1 if cap and last > cap else last + 1
@@ -369,9 +382,13 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
                 backtracks += 1
                 stack.pop()
                 unc |= 1 << v
-                if decisions - d0 >= _REPLAY_MIN_DECISIONS:  # the state is back to the push's
-                    table.setdefault(unc, {})[(below & anon, held & unc * rep)] = (
-                        decisions - d0, backtracks - b0)
+                d = decisions - d0  # the state is back to the push's
+                if d >= _REPLAY_SMALL_DECISIONS and (d >= _REPLAY_MIN_DECISIONS or (
+                        small and decisions >= _REPLAY_MIN_DECISIONS)):
+                    if d < _REPLAY_MIN_DECISIONS:
+                        small -= 1
+                    table.setdefault(unc, {})[(held & unc * rep) << nc | below & anon] = (
+                        d, backtracks - b0)
                 continue
             bit = todo & -todo
             todo ^= bit

@@ -333,6 +333,23 @@ def test_verify_rejects_a_boolean_k(tmp_path):
         assert run("verify", str(graph), str(cert)) == EXIT_REJECTED
 
 
+def test_verify_requires_the_palette_size_of_the_mode(tmp_path):
+    # Plain mode records a nonnegative palette size, list mode null.
+    graph = tmp_path / "k8.col"
+    lists = tmp_path / "k8.lists"
+    run("gen", "complete", "8", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3\n" for v in range(8)))
+    certs = {}
+    for mode, extra in (("plain", ()), ("list", ("--mode", "list", "--lists", str(lists)))):
+        certs[mode] = tmp_path / f"{mode}.cert.json"
+        assert run("extract", str(graph), "--k", "1", *extra, "--out", str(certs[mode])) == EXIT_OK
+        assert run("verify", str(graph), str(certs[mode])) == EXIT_OK
+    for mode, value in (("plain", -1), ("plain", None), ("list", 7)):
+        good = json.loads(certs[mode].read_text())
+        certs[mode].write_text(json.dumps({**good, "palette_size": value}))
+        assert run("verify", str(graph), str(certs[mode])) == EXIT_REJECTED, (mode, value)
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
@@ -366,6 +383,7 @@ FUZZ_ROUNDS = 12
 BAD_UTF8 = (b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80")
 HUGE_IDS = (-1, -(10**30), 10**30)
 WRONG_TYPES = (None, True, 1.5, "x", [], {}, [[0]])
+OTHER_SPELLINGS = ("1_0", "+2", "\uff11", "\u0663")  # int() reads them; an id has one spelling
 
 
 def _json_type(value):
@@ -417,9 +435,7 @@ def _certificate_cases(rng, text):
         for depth, code in ((100_000, EXIT_PARSE_ERROR), (20, EXIT_REJECTED)):
             nested = _replaced(text, path, "@").replace('"@"', "[" * depth + "]" * depth)
             yield f"{path} nested {depth} deep", nested.encode(), code
-        # null is one of palette_size's own types.
-        wrong = [w for w in WRONG_TYPES if _json_type(w) != _json_type(value)
-                 and not (path == ("palette_size",) and w is None)]
+        wrong = [w for w in WRONG_TYPES if _json_type(w) != _json_type(value)]
         w = rng.choice(wrong)
         yield f"{path} = {w!r}", _replaced(text, path, w).encode(), EXIT_REJECTED
         path, w = rng.choice(ids), rng.choice(HUGE_IDS)
@@ -439,7 +455,7 @@ def _dimacs_cases(rng, text):
         fields = lines[i].split()
         j = rng.randrange(2 if fields[0] == "p" else 1, len(fields))
         # Of the order field, only the negative values: a huge one allocates.
-        tokens = ["x", "1.5", "-", "0x1", "0", "-3"] + (
+        tokens = ["x", "1.5", "-", "0x1", "0", "-3", *OTHER_SPELLINGS] + (
             [] if fields[0] == "p" and j == 2 else [str(w) for w in HUGE_IDS])
         fields[j] = rng.choice(tokens)
         yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
@@ -457,7 +473,7 @@ def _lists_cases(rng, text):
         fields[1] = str(rng.choice(HUGE_IDS))
         yield *_line_replaced(lines, i, fields), EXIT_USAGE
         fields = lines[i].split()
-        fields[rng.randrange(1, len(fields))] = rng.choice(["x", "1.5", "nan", "-"])
+        fields[rng.randrange(1, len(fields))] = rng.choice(["x", "1.5", "nan", "-", *OTHER_SPELLINGS])
         yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
         yield f"line {i + 1} twice", (text + lines[i]).encode(), EXIT_PARSE_ERROR
     yield "lines reversed", "".join(reversed(lines)).encode(), EXIT_OK

@@ -143,6 +143,9 @@ def test_dimacs_parses_one_based_ids():
         "p edge 3 2\ne 1 2\ne 2 1\n",  # one edge given twice
         "p col 3 0\n",  # format word other than edge
         "p edge 3 0 9\n",  # extra field on the problem line
+        "p edge 10 1\ne 1_0 +2\n",  # digit separator, plus sign
+        "p edge 3 1\ne \uff11 3\n",  # fullwidth digit
+        "p edge \u0663 0\n",  # Arabic-Indic digit
     ],
 )
 def test_dimacs_rejects_malformed(text):
@@ -161,6 +164,10 @@ def test_lists_round_trip():
         parse_lists("list a 1\n")
     with pytest.raises(ValueError, match="^line 2: "):
         parse_lists("c vertex ok, colour not\nlist 1 x\n")
+    for text in ("list 0_0 1\n", "list 0 1_2\n", "list +0 1\n", "list 0 \u0663\n"):
+        with pytest.raises(ValueError, match="^line 1: expected integers"):
+            parse_lists(text)
+    assert parse_lists("list -0 -1 007\n") == {0: frozenset({-1, 7})}
 
 
 def test_graph_hash_ignores_comments_but_not_structure():

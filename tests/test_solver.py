@@ -203,9 +203,10 @@ def _kernel_case(name):
         return c5, Template({0: 0}, forb), Palette.plain(3)
     if name == "all_precoloured":
         return c5, Template({0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, {}), Palette.plain(3)
-    assert name == "join_c7x6_p17"  # the search workload's instance
-    g = generate(FamilySpec.join(*[FamilySpec.cycle(7)] * 6))
-    return g, Template.empty(g), Palette.plain(17)
+    joins = {"join_c5x10_p29": (5, 10, 29), "join_c5x9_p26": (5, 9, 26), "join_c7x6_p17": (7, 6, 17)}
+    length, parts, size = joins[name]  # the search workload's UNSAT joins
+    g = generate(FamilySpec.join(*[FamilySpec.cycle(length)] * parts))
+    return g, Template.empty(g), Palette.plain(size)
 
 
 @pytest.mark.parametrize("name, outcome, colouring, decisions, backtracks", [
@@ -217,6 +218,8 @@ def _kernel_case(name):
     ("join_four_lists", "unsat", None, 237, 191),
     ("no_candidates", "unsat", None, 0, 1),
     ("all_precoloured", "sat", {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, 0, 0),
+    ("join_c5x10_p29", "unsat", None, 202938, 160102),
+    ("join_c5x9_p26", "unsat", None, 61455, 48486),
     ("join_c7x6_p17", "unsat", None, 23419, 19780),
 ])
 def test_kernel_pinned(name, outcome, colouring, decisions, backtracks):
@@ -354,6 +357,50 @@ def test_candidate_counts_pinned(name, outcome, items, decisions, backtracks):
     res = extend(*_plane_case(name))
     assert (res.outcome, res.colouring and list(res.colouring.items()),
             res.stats.decisions, res.stats.backtracks) == (outcome, items, decisions, backtracks)
+
+
+def _replay_policy_case(rng):
+    # Joins of odd cycles one colour short of chi or at chi, with the plain
+    # palette, a template on it, lists each missing one colour of it, or two
+    # isolated vertices added whose shorter lists make them go first, so the
+    # join is searched from states that differ only in the colours used.
+    parts = [FamilySpec.cycle(rng.choice((5, 7))) for _ in range(rng.randint(3, 4))]
+    g = generate(FamilySpec.join(*parts))
+    size = 3 * len(parts) - rng.choice((1, 0))
+    kind = rng.choice(("plain", "lists", "template", "isolated"))
+    if kind == "lists":
+        m = rng.choice((3, 4))
+        palette = Palette.from_lists({v: frozenset(range(size)) - {v % m} for v in g.vertices})
+    elif kind == "isolated":
+        n = len(g.vertices)
+        g = Graph.build(n + 2, list(g.edges))
+        palette = Palette.from_lists({v: range(size - (v >= n)) for v in g.vertices})
+    else:
+        palette = Palette.plain(size)
+    t = random_template(g, palette, rng, 1) if kind == "template" else Template.empty(g)
+    return g, t, palette, SolverBudget(rng.choice((300, 3000, 100_000, 100_000)))
+
+
+def _solve_or_stop(case):
+    try:
+        res = extend(*case)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return res.outcome, list((res.colouring or {}).items()), res.stats.decisions, res.stats.backtracks
+
+
+def test_replay_policy_never_changes_results(monkeypatch):
+    # Replaying kept subtrees only skips executing them: with the state
+    # table off, every outcome, colouring in dict order, counter and budget
+    # stop is the same.
+    rng = random.Random(20)
+    cases = [_replay_policy_case(rng) for _ in range(30)]
+    shipped = [_solve_or_stop(case) for case in cases]
+    monkeypatch.setattr(solver, "_REPLAY_MIN_DECISIONS", float("inf"))
+    monkeypatch.setattr(solver, "_REPLAY_SMALL_ENTRIES", 0)
+    assert [_solve_or_stop(case) for case in cases] == shipped
+    assert {r[0] for r in shipped if isinstance(r, tuple)} == {"sat", "unsat"}
+    assert any(isinstance(r, str) for r in shipped)
 
 
 def _differential_case(rng):
