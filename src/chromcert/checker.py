@@ -117,10 +117,9 @@ def _k_connected(h: Graph, k: int, evidence: dict) -> bool:
 
 
 def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
-    """True when no proper colouring from the witness lists exists.  Empty
-    lists refute immediately (the vertex cannot be coloured at all)."""
-    if set(lists) != set(h.vertices):
-        return False
+    """True when no proper colouring from the witness lists, one for each
+    vertex of h, exists.  Empty lists refute immediately (the vertex cannot
+    be coloured at all)."""
     if any(not cs for cs in lists.values()):
         return True
     return list_colour(h, lists) is None

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .extractor import ExtractConfig, extract
 from .families import generate, parse_family
-from .graphs import parse_lists, read_dimacs, to_dimacs
+from .graphs import Graph, parse_lists, read_dimacs, to_dimacs
 from .solver import SolverBudget
 from .suites import SUITES, report_to_json
 
@@ -72,15 +72,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _read_graph(command: str, path: str) -> Graph | int:
+    """The DIMACS graph at path, or the exit code after saying why it
+    could not be read."""
     try:
-        g = read_dimacs(args.graph)
+        return read_dimacs(path)
     except (OSError, ValueError) as exc:
-        print(f"extract: cannot read graph: {exc}", file=sys.stderr)
+        print(f"{command}: cannot read graph: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except MemoryError:
-        print("extract: out of memory while reading the graph", file=sys.stderr)
+        print(f"{command}: out of memory while reading the graph", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+
+
+def _cmd_extract(args: argparse.Namespace) -> int:
+    g = _read_graph("extract", args.graph)
+    if isinstance(g, int):
+        return g
     lists = None
     if args.lists:
         try:
@@ -98,7 +106,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             palette_size=args.palette_size,
             lists=lists,
             budget=budget,
-            precondition="trust" if args.trust_precondition else "verify",
+            trust_precondition=args.trust_precondition,
         )
     except ValueError as exc:
         print(f"extract: {exc}", file=sys.stderr)
@@ -126,6 +134,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except MemoryError:
         print("extract: out of memory while extracting", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except RecursionError:
+        # a RuntimeError, but a resource limit, not a failed self-verify
+        print("extract: Python's recursion limit was reached while extracting", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     except RuntimeError as exc:
         print(f"extract: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -149,14 +161,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = read_dimacs(args.graph)
-    except (OSError, ValueError) as exc:
-        print(f"verify: cannot read graph: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except MemoryError:
-        print("verify: out of memory while reading the graph", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
+    g = _read_graph("verify", args.graph)
+    if isinstance(g, int):
+        return g
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())

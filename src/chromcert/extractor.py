@@ -40,18 +40,14 @@ from .templates import (
     strengthen_witness,
 )
 
-VERIFY = "verify"
-TRUST = "trust"
-
-
 @dataclass(frozen=True)
 class ExtractConfig:
     """Extraction parameters.
 
     Plain mode uses a palette of `palette_size` colours (default 7k); list
     mode uses `lists` (default: every vertex gets {0..4k-1}, the list
-    analogue of the plain palette).  The precondition policy `verify` runs
-    the solver on the empty template first; `trust` skips that check for
+    analogue of the plain palette).  The solver first proves that no
+    palette colouring exists; `trust_precondition` skips that check for
     graphs whose chromatic number is known by construction.
     """
 
@@ -60,15 +56,13 @@ class ExtractConfig:
     palette_size: int | None = None
     lists: dict[int, frozenset[int]] | None = None
     budget: SolverBudget = field(default_factory=SolverBudget)
-    precondition: str = VERIFY
+    trust_precondition: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.mode not in (PLAIN, LIST):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.precondition not in (VERIFY, TRUST):
-            raise ValueError(f"unknown precondition policy {self.precondition!r}")
         if self.lists is not None and self.mode != LIST:
             raise ValueError("lists are only used in list mode")
         if self.palette_size is not None and self.mode != PLAIN:
@@ -96,9 +90,9 @@ class WitnessPair:
 def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None = None) -> WitnessPair:
     """Initial witness pair: the empty template on g.
 
-    Under the verify policy the solver confirms that no palette colouring
-    exists at all, which is exactly the chromatic-threshold hypothesis; a
-    colouring instead raises NotInextensibleError carrying it.  In list
+    Unless the precondition is trusted, the solver confirms that no palette
+    colouring exists at all, which is exactly the chromatic-threshold
+    hypothesis; a colouring instead raises NotInextensibleError carrying it.  In list
     mode the lists must name exactly g's vertices, else ValueError.
     """
     if g.n == 0:
@@ -108,7 +102,7 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
         stray, missing = sorted(palette.lists.keys() - g.vertices), sorted(g.vertices - palette.lists.keys())
         raise ValueError(f"the lists must name exactly the graph's vertices: stray {stray}, missing {missing}")
     t = Template.empty(g)
-    if cfg.precondition == VERIFY:
+    if not cfg.trust_precondition:
         result = extend(g, t, palette, cfg.budget)
         if totals is not None:
             totals.add(result.stats)
@@ -215,7 +209,8 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     completed colouring.  List-mode evidence is a bad-list witness up to
     CHOOSABILITY_CAP vertices (any size for k <= 2); past the cap it is
     the guarantee chi(h) >= k, which implies chi_ell(h) >= k, and when h
-    is (k-1)-colourable no evidence is in reach: ResourceLimitError.
+    is (k-1)-colourable no evidence is in reach: ResourceLimitError.  The
+    colouring searches run under cfg.budget, the witness search without.
     Returns (connectivity_evidence, chromatic_evidence).
     """
     h, t, k = wp.h, wp.t, cfg.k
@@ -227,14 +222,14 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     if cfg.mode == PLAIN:
         rest = sorted(t.forbidden)
         sub = induced_subgraph(h, rest)
-        col = is_colourable(sub, k - 1)
+        col = is_colourable(sub, k - 1, cfg.budget)
         if col is not None:
             classes: dict[int, list[int]] = {}
             for v, c in col.items():
                 classes.setdefault(c, []).append(v)
             indep = [classes[c] for c in sorted(classes)]
-            parts = interval_partition(h, t, k, indep)
-            full = colour_from_intervals(h, t, parts, palette)
+            intervals = interval_partition(h, t, k, indep)
+            full = colour_from_intervals(h, t, intervals, palette)
             raise InternalContradiction(
                 "interval construction completed the witness template; "
                 "the witness claim was false",
@@ -255,7 +250,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
             raise RuntimeError("final graph fails the guaranteed choosability bound")
         lists = {str(v): sorted(witness[v]) for v in sorted(witness)}
         return conn, {"kind": "choosability_witness", "t": k, "lists": lists}
-    if is_colourable(h, k - 1) is not None:
+    if is_colourable(h, k - 1, cfg.budget) is not None:
         raise ResourceLimitError(
             f"final graph has {h.n} > CHOOSABILITY_CAP = {CHOOSABILITY_CAP} vertices "
             f"and is {k - 1}-colourable: no checkable list-chromatic evidence"

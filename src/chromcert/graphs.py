@@ -15,7 +15,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,19 @@ def int_fields(lineno: int, fields: list[str]) -> list[int]:
     return [int(f) for f in fields]
 
 
+def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, its fields) for each line of text that
+    is neither blank nor a `c` comment; both input formats read these."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line, line.split()
+
+
 def from_dimacs(text: str) -> Graph:
     n = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _records(text):
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: expected 'p edge <n> <m>', got {line!r}")
@@ -185,11 +190,7 @@ def write_dimacs(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
 
 def parse_lists(text: str) -> dict[int, frozenset[int]]:
     lists: dict[int, frozenset[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, _, parts in _records(text):
         if parts[0] != "list" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'list <v> <colours...>'")
         v, *colours = int_fields(lineno, parts[1:])

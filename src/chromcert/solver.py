@@ -419,10 +419,10 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     return SolveResult("sat", colour, SolverStats(decisions, backtracks))
 
 
-def is_colourable(g: Graph, t: int) -> dict[int, int] | None:
+def is_colourable(g: Graph, t: int, budget: SolverBudget | None = None) -> dict[int, int] | None:
     """A proper t-colouring of g, or None when none exists: extend on the
-    empty template with the plain palette {0..t-1}."""
-    return extend(g, Template.empty(g), Palette.plain(t)).colouring
+    empty template with the plain palette {0..t-1}, under the budget."""
+    return extend(g, Template.empty(g), Palette.plain(t), budget).colouring
 
 
 def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:

@@ -51,8 +51,6 @@ def report_to_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _witness_refuted(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
-    if any(not cs for cs in lists.values()):
-        return True
     return brute_list_colour(h, lists) is None
 
 
@@ -565,11 +563,11 @@ def _prop_intervals(trials: int) -> dict:
     for _ in range(trials):
         k = rng.randint(2, 5)
         g, t, palette, indep = _interval_instance(rng, k)
-        parts = interval_partition(g, t, k, indep)
-        if len(parts.intervals) > 3 * k:
+        intervals = interval_partition(g, t, k, indep)
+        if len(intervals) > 3 * k:
             violations += 1
         homes = [frozenset(js) for js in indep]
-        for interval in parts.intervals:
+        for interval in intervals:
             if sum(len(t.forbidden[v]) for v in interval) > 2 * k:
                 violations += 1
             if not any(set(interval) <= home for home in homes):
@@ -577,7 +575,7 @@ def _prop_intervals(trials: int) -> dict:
             for u, v in combinations(interval, 2):
                 if g.has_edge(u, v):
                     violations += 1
-        col = colour_from_intervals(g, t, parts, palette)
+        col = colour_from_intervals(g, t, intervals, palette)
         if not respects(g, t, col, palette):
             violations += 1
     return {"trials": trials, "violations": violations}

@@ -8,7 +8,6 @@ measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .connectivity import separation_fault
@@ -199,22 +198,14 @@ def rainbow_small_case(h: Graph, t: Template, k: int, palette: Palette) -> dict[
     return col
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Ordered intervals of the uncoloured vertices, each inside a single
-    independent set, produced by the two stopping rules."""
-
-    intervals: tuple[tuple[int, ...], ...]
-
-
 def interval_partition(
     h: Graph, t: Template, k: int, indep: Iterable[Iterable[int]]
-) -> IntervalPartition:
-    """Split the uncoloured vertices into intervals along the independent
-    sets.  Processing order is the given sets in order, ids ascending
-    inside each; the current interval is closed either just before a vertex
-    from a different set, or just after the vertex that pushes its
-    forbidden-size sum past k.  With lists of size at most k-1 and a
+) -> tuple[tuple[int, ...], ...]:
+    """Split the uncoloured vertices into ordered intervals, each inside a
+    single independent set.  Processing order is the given sets in order,
+    ids ascending inside each; the current interval is closed either just
+    before a vertex from a different set, or just after the vertex that
+    pushes its forbidden-size sum past k.  With lists of size at most k-1 and a
     witness-degree template this yields at most 3k intervals, each with
     forbidden-size sum at most 2k."""
     sets = [frozenset(js) for js in indep]
@@ -251,11 +242,11 @@ def interval_partition(
             current, current_sum = [], 0
     if current:
         intervals.append(tuple(current))
-    return IntervalPartition(tuple(intervals))
+    return tuple(intervals)
 
 
 def colour_from_intervals(
-    h: Graph, t: Template, parts: IntervalPartition, palette: Palette
+    h: Graph, t: Template, intervals: Iterable[tuple[int, ...]], palette: Palette
 ) -> dict[int, int]:
     """Give each interval one colour unseen on S and on its members'
     forbidden lists, all intervals pairwise distinct (greedy smallest);
@@ -265,7 +256,7 @@ def colour_from_intervals(
     col = dict(t.precolour)
     used: set[int] = set()
     s_colours = set(t.precolour.values())
-    for interval in parts.intervals:
+    for interval in intervals:
         banned = s_colours.union(*(t.forbidden[v] for v in interval))
         choices = sorted(palette.universe() - banned - used)
         if not choices:

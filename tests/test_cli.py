@@ -112,6 +112,15 @@ def test_extract_budget_exhaustion_past_the_precondition(tmp_path, family, param
     assert code == EXIT_RESOURCE_LIMIT
 
 
+def test_extract_budget_bounds_finalize(tmp_path):
+    # kneser(7, 2) is 10-connected with chi = 5: no descent step, and
+    # finalize's proof that it is not 4-colourable takes 32 decisions.
+    graph = tmp_path / "kneser72.col"
+    run("gen", "kneser", "7", "2", "--out", str(graph))
+    code = run("extract", str(graph), "--k", "5", "--trust-precondition", "--budget-decisions", "1")
+    assert code == EXIT_RESOURCE_LIMIT
+
+
 def test_extract_palette_too_small_is_a_usage_error(tmp_path, capsys):
     # Groetzsch graph, chi = 4: a 3-colour palette leaves the rainbow small
     # case without a colour, which is a configuration error, not exit 5.
@@ -368,6 +377,20 @@ def test_memory_error_exits_4_and_names_the_phase(tmp_path, capsys, monkeypatch,
     assert run(command, str(graph), *options) == EXIT_RESOURCE_LIMIT
     err = capsys.readouterr().err
     assert f"{command}: out of memory while {phase}" in err and "Traceback" not in err
+
+
+def test_recursion_error_in_extract_exits_4_not_5(tmp_path, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    graph = tmp_path / "k8.col"
+    run("gen", "complete", "8", "--out", str(graph))
+    monkeypatch.setattr(cli, "extract", overflow)
+    capsys.readouterr()
+    assert run("extract", str(graph), "--k", "1") == EXIT_RESOURCE_LIMIT
+    err = capsys.readouterr().err
+    assert "extract: Python's recursion limit was reached while extracting" in err
+    assert "verification failure" not in err and "Traceback" not in err
 
 
 # -- hostile inputs ------------------------------------------------------------

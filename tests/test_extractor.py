@@ -68,7 +68,7 @@ def test_precondition_glued_k15s():
 
 def test_precondition_trust_skips_solver():
     g = generate(FamilySpec.cycle(5))  # would fail under verify
-    wp = check_precondition(g, ExtractConfig(k=1, precondition="trust"))
+    wp = check_precondition(g, ExtractConfig(k=1, trust_precondition=True))
     assert wp.h == g
 
 
@@ -83,7 +83,7 @@ def test_precondition_budget_surfaces_limit():
 def test_descend_side_solve_budget_surfaces_limit():
     # No heavy list, so strengthening runs no solve: the first solve is the
     # separation side's, and it needs more than one decision.
-    cfg = ExtractConfig(k=2, budget=SolverBudget(max_decisions=1), precondition="trust")
+    cfg = ExtractConfig(k=2, budget=SolverBudget(max_decisions=1), trust_precondition=True)
     wp = check_precondition(glued15(), cfg)
     with pytest.raises(ResourceLimitError, match="after 2 decisions"):
         descend(wp, cfg)
@@ -122,7 +122,7 @@ def test_descend_join_is_immediately_connected():
 
 def test_descend_nonempty_template_witness(is_valid_witness):
     g, t = gadget_witness()
-    cfg = ExtractConfig(k=2, precondition="trust")
+    cfg = ExtractConfig(k=2, trust_precondition=True)
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
     trace, final = descend(WitnessPair(g, t), cfg)
     assert len(trace) == 1
@@ -141,7 +141,7 @@ def test_descend_completion_branch(is_valid_witness):
     forb = {v: frozenset() for v in g.vertices if v not in (1, 2)}
     forb[3] = frozenset({0})
     t = Template({1: 0, 2: 1}, forb)
-    cfg = ExtractConfig(k=2, precondition="trust")
+    cfg = ExtractConfig(k=2, trust_precondition=True)
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
     trace, final = descend(WitnessPair(g, t), cfg)
     assert len(trace) == 1
@@ -187,7 +187,7 @@ def test_descend_contradiction_on_corrupted_witness():
     # derived templates become satisfiable and the glue branch must fire.
     g, t = gadget_witness()
     broken = Template(dict(t.precolour), {**t.forbidden, 0: frozenset()})
-    cfg = ExtractConfig(k=2, precondition="trust")
+    cfg = ExtractConfig(k=2, trust_precondition=True)
     with pytest.raises(InternalContradiction) as exc:
         descend(WitnessPair(g, broken), cfg)
     assert respects(g, broken, exc.value.colouring, cfg.palette_for(g))
@@ -216,7 +216,7 @@ def test_finalize_contradiction_on_bipartite_fake_witness():
     # K_{3,3} is 3-connected and 2-colourable: the interval construction
     # must complete any claimed witness for k = 3.
     g = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    cfg = ExtractConfig(k=3, precondition="trust")
+    cfg = ExtractConfig(k=3, trust_precondition=True)
     with pytest.raises(InternalContradiction) as exc:
         finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
     assert respects(g, Template.empty(g), exc.value.colouring, cfg.palette_for(g))
@@ -360,8 +360,6 @@ def test_extract_config_validation():
         ExtractConfig(k=0)
     with pytest.raises(ValueError):
         ExtractConfig(k=1, mode="banana")
-    with pytest.raises(ValueError):
-        ExtractConfig(k=1, precondition="hope")
     with pytest.raises(ValueError, match="only used in list mode"):
         ExtractConfig(k=1, lists={0: frozenset({0})})
     with pytest.raises(ValueError, match="only used in plain mode"):

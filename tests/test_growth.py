@@ -1,0 +1,74 @@
+"""Growth gates on exact work counters, free of timing noise.
+
+Each ladder is a family of instances at growing sizes.  At every rung each
+recorded counter of `extract` (self-verify included) may stay at its value
+or fall, and the log-log slope between the last two rungs may not rise.  A
+change that lowers a counter records the new values here.
+"""
+
+import math
+
+import pytest
+
+from chromcert import connectivity
+from chromcert.extractor import ExtractConfig, extract
+from chromcert.families import FamilySpec, generate
+from chromcert.graphs import Graph
+
+
+def k15_star(m):
+    """m K15s sharing one vertex."""
+    return generate(FamilySpec.glued_cliques((15,) * m, 1))
+
+
+def k15_chain(m):
+    """m K15s in a row, each sharing one vertex with the next."""
+    edges = []
+    for i in range(m):
+        block = range(14 * i, 14 * i + 15)
+        edges += [(u, v) for u in block for v in block if u < v]
+    return Graph.build(14 * m + 1, edges)
+
+
+def dense_random(n):
+    return generate(FamilySpec.random(n, 0.9, 3))
+
+
+STEPS, SIZES, FLOWS = "descent steps", "sum of |V(H_i)|", "flows"
+CLIQUE_LADDER = {STEPS: (19, 39, 79), SIZES: (2945, 11505, 45425), FLOWS: (19, 39, 79)}
+
+# (graph at a rung, k, rungs, recorded counter values at the rungs)
+LADDERS = {
+    "k15-star": (k15_star, 2, (20, 40, 80), CLIQUE_LADDER),
+    "k15-chain": (k15_chain, 2, (20, 40, 80), CLIQUE_LADDER),
+    "dense-random": (dense_random, 1, (50, 100), {FLOWS: (406, 1772)}),
+}
+
+
+def _slope(rungs, values):
+    """log-log slope between the last two rungs."""
+    (r0, r1), (v0, v1) = rungs[-2:], values[-2:]
+    return math.log2(max(v1, 1) / max(v0, 1)) / math.log2(r1 / r0)
+
+
+@pytest.mark.parametrize("ladder", sorted(LADDERS))
+def test_work_counters_do_not_grow(monkeypatch, ladder):
+    make, k, rungs, recorded = LADDERS[ladder]
+    flow, flows = connectivity._SplitNetwork.flow, [0]
+
+    def counting_flow(self, *args):
+        flows[0] += 1
+        return flow(self, *args)
+
+    monkeypatch.setattr(connectivity._SplitNetwork, "flow", counting_flow)
+    measured = {STEPS: [], SIZES: [], FLOWS: []}
+    for rung in rungs:
+        flows[0] = 0
+        cert = extract(make(rung), ExtractConfig(k=k))
+        measured[STEPS].append(len(cert.trace))
+        measured[SIZES].append(sum(len(s.cut) + len(s.side_y) + len(s.side_z) for s in cert.trace))
+        measured[FLOWS].append(flows[0])
+    for counter, values in recorded.items():
+        got = measured[counter]
+        assert all(g <= v for g, v in zip(got, values)), (counter, got, values)
+        assert _slope(rungs, got) <= _slope(rungs, values), (counter, got, values)

@@ -347,7 +347,7 @@ def test_intervals_one_per_set_when_no_forbidden():
     g = Graph.build(6, [])
     t = Template.empty(g)
     parts = interval_partition(g, t, 3, [[0, 1], [2, 3], [4, 5]])
-    assert parts.intervals == ((0, 1), (2, 3), (4, 5))
+    assert parts == ((0, 1), (2, 3), (4, 5))
 
 
 def test_intervals_spec_trace():
@@ -363,7 +363,7 @@ def test_intervals_spec_trace():
     }
     t = Template({}, forb)
     parts = interval_partition(g, t, 2, [[1, 2, 3], [4, 5, 6]])
-    assert parts.intervals == ((1, 2, 3), (4, 5), (6,))
+    assert parts == ((1, 2, 3), (4, 5), (6,))
 
 
 def test_intervals_reject_non_independent_sets():
