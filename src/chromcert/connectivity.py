@@ -4,25 +4,32 @@ Local connectivity of non-adjacent s, t is a unit-capacity max flow on the
 vertex-split digraph, held implicitly as one int neighbour mask per vertex
 rank.  A deleted vertex is a cleared bit of an `alive` mask, and a search
 claims every unreached neighbour of a node in one mask operation, so it
-costs O(n) steps however dense the graph is.  Each flow starts from the
-s-w-t paths and stops at the cap its caller needs.  kappa uses Even's pair
-reduction (SIAM J. Comput. 1975): in id order, the first vertex outside a
-minimum cut S has index at most |S| and precedes every vertex of another
-component of G - S, so a cut smaller than b shows up in a flow from one of
-the first b vertices.
+costs O(n) steps however dense the graph is.  Each flow stops at the cap
+its caller needs, and first counts the disjoint paths that the two
+neighbourhoods show (Menger 1927): s-w-t over the common neighbours w,
+then s-a-b-t over private neighbours a of s and b of t, matched first-fit
+in id order.  When they meet the cap no search runs; otherwise the search
+starts from the s-w-t paths alone.  kappa uses Even's pair reduction (SIAM
+J. Comput. 1975): in id order, the first vertex outside a minimum cut S
+has index at most |S| and precedes every vertex of another component of
+G - S, so a cut smaller than b shows up in a flow from one of the first b
+vertices.
 
 min_vertex_cut returns the lexicographically smallest minimum cut S*, in
 two parts.  S* has the largest possible first vertex s outside it, so it
 holds C = {0..s-1}.  The prefix C is found with threshold queries, "is
 kappa(G - C - v) below kappa - |C|?", which return at the first witness
 below the limit (the minimum degree or one capped flow); the first vertex
-refused is s.  S* - C is then the smallest minimum cut of G - C, in which
-no minimum cut holds s: it is a minimum s-t separator for each t on its
-far side.  So one flow from s to each non-neighbour t settles the tail,
-and each flow of value kappa - |C| yields its smallest separator with no
-further flow.  All minimum s-t separators are read off one max flow's
-residual graph as its closed node sets (Picard-Queyranne 1980), so the
-smallest one is built greedily in id order by closure steps.
+refused is s.  The minimum degree settles such a query exactly when
+C + v lies in the neighbourhood of a vertex of degree kappa, so the
+prefix that such a neighbourhood covers is accepted unasked.  S* - C is
+then the smallest minimum cut of G - C, in which no minimum cut holds s:
+it is a minimum s-t separator for each t on its far side.  So one flow
+from s to each non-neighbour t settles the tail, and each flow of value
+kappa - |C| yields its smallest separator with no further flow.  All
+minimum s-t separators are read off one max flow's residual graph as its
+closed node sets (Picard-Queyranne 1980), so the smallest one is built
+greedily in id order by closure steps.
 """
 
 from __future__ import annotations
@@ -48,10 +55,13 @@ class _SplitNetwork:
         vertices of the mask `alive`; s, t non-adjacent.
 
         The common neighbours carry s-w-t paths that no augmenting path can
-        reroute, so the search runs on the rest.  pred[w] is the rank whose
-        out-arc carries w's unit, and w itself when w is free.  The search
-        is breadth-first: out(u) claims its unreached in-nodes in one mask
-        operation, in(w) leads to out(pred[w]), and out(v) of a used v
+        reroute.  First-fit s-a-b-t paths over the private neighbours of s
+        and t, in id order, settle the flow when they reach the limit;
+        otherwise the search runs on the rest from the s-w-t paths alone,
+        so its residual does not depend on them.  pred[w] is the rank
+        whose out-arc carries w's unit, and w itself when w is free.  The
+        search is breadth-first: out(u) claims its unreached in-nodes in one
+        mask operation, in(w) leads to out(pred[w]), and out(v) of a used v
         also leads back to in(v).  A flow that stops below `limit` leaves
         its residual to the caller: self.pred, and self.reached, the mask
         of in-nodes that its last search reached from out(s)."""
@@ -60,6 +70,18 @@ class _SplitNetwork:
         flow = common.bit_count()
         if flow >= limit:
             return limit
+        starts, ends = nbm[s] & alive & ~nbm[t], nbm[t] & alive & ~nbm[s]
+        need = limit - flow
+        if min(starts.bit_count(), ends.bit_count()) >= need:
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                hit = nbm[low.bit_length() - 1] & ends
+                if hit:
+                    ends ^= hit & -hit
+                    need -= 1
+                    if not need:
+                        return limit
         # parent[w]: the out-node that claimed in(w), w itself for the
         # reversed internal arc; came[v]: the in-node that led to out(v).
         pred, parent, came = list(range(len(nbm))), [0] * len(nbm), [0] * len(nbm)
@@ -136,15 +158,28 @@ class _SplitNetwork:
         if best <= stop:
             return best
         for i, s in enumerate(live):
-            for t in live[i + 1:]:
-                if not nbm[s] >> t & 1:
-                    best = self.flow(alive, s, t, best)
-                    if best <= stop:
-                        return best
+            # The later alive non-neighbours of s, in id order.
+            later = alive & ~nbm[s] & -(2 << s)
+            while later:
+                low = later & -later
+                later ^= low
+                best = self.flow(alive, s, low.bit_length() - 1, best)
+                if best <= stop:
+                    return best
             # Sources 0..best-1 are done, which rules out a cut below best.
             if i + 1 >= best:
                 break
         return best
+
+    def degree_prefix(self, kappa: int) -> int:
+        """The largest d <= kappa, G's connectivity, with {0..d-1} inside
+        N(v) for some v of degree kappa.  The threshold query on a prefix P
+        is settled by the minimum degree exactly when P lies in such an
+        N(v): only then does a vertex keep fewer than kappa - |P| + 1
+        neighbours in G - P, and at |P| = kappa, P = N(v) cuts v off."""
+        # (m + 1) & ~m is m's lowest clear bit, at the count of its trailing ones.
+        return min(kappa, max((((m + 1) & ~m).bit_length() - 1 for m in self.nbm if m.bit_count() == kappa),
+                              default=0))
 
     def tail_cut(self, s: int, need: int) -> tuple[int, ...]:
         """The lexicographically smallest minimum cut of G - {0..s-1},
@@ -257,9 +292,11 @@ def min_vertex_cut(g: Graph, below: int | None = None):
     if below is not None and kappa >= below:
         return None
     # The prefix {0..s-1} of the canonical cut: accept ids while some
-    # minimum cut still holds them all; s is the first one refused.
-    chosen: set[int] = set()
-    for s in range(kappa):
+    # minimum cut still holds them all; s is the first one refused.  The
+    # queries that a degree-kappa neighbourhood settles are accepted unasked.
+    start = net.degree_prefix(kappa)
+    chosen = set(range(start))
+    for s in range(start, kappa):
         chosen.add(s)
         if net.kappa(chosen, kappa - s, exact=False) >= kappa - s:
             break

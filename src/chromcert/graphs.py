@@ -131,11 +131,13 @@ def int_fields(lineno: int, fields: list[str]) -> list[int]:
 
 def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, stripped line, its fields) for each line of text that
-    is neither blank nor a `c` comment; both input formats read these."""
+    is neither blank nor a comment, whose first field is exactly `c`; both
+    input formats read these."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("c"):
-            yield lineno, line, line.split()
+        fields = line.split()
+        if fields and fields[0] != "c":
+            yield lineno, line, fields
 
 
 def from_dimacs(text: str) -> Graph:

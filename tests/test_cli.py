@@ -482,6 +482,10 @@ def _dimacs_cases(rng, text):
             [] if fields[0] == "p" and j == 2 else [str(w) for w in HUGE_IDS])
         fields[j] = rng.choice(tokens)
         yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
+    i = rng.choice(records)
+    copy = "c" + lines[i]  # a record, not a comment: its first field is not exactly c
+    misspelt = "".join([*lines[:i], copy, *lines[i:]]).encode()
+    yield f"line {i + 1} copied as {copy.split()[0]!r}", misspelt, EXIT_PARSE_ERROR
     yield "an added comment", ("c fuzz\n" + text).encode(), EXIT_OK
 
 
@@ -499,6 +503,10 @@ def _lists_cases(rng, text):
         fields[rng.randrange(1, len(fields))] = rng.choice(["x", "1.5", "nan", "-", *OTHER_SPELLINGS])
         yield *_line_replaced(lines, i, fields), EXIT_PARSE_ERROR
         yield f"line {i + 1} twice", (text + lines[i]).encode(), EXIT_PARSE_ERROR
+    i = rng.randrange(len(lines))
+    copy = "c" + lines[i]  # a record, not a comment: its first field is not exactly c
+    misspelt = "".join([*lines[:i], copy, *lines[i:]]).encode()
+    yield f"line {i + 1} copied as {copy.split()[0]!r}", misspelt, EXIT_PARSE_ERROR
     yield "lines reversed", "".join(reversed(lines)).encode(), EXIT_OK
 
 

@@ -273,14 +273,22 @@ def _count_flows(monkeypatch):
 
 def test_matches_brute_force_on_dense_graphs(monkeypatch):
     # Record how each step of min_vertex_cut ends.  The prefix: a threshold
-    # query accepts with no flow (on the minimum degree or a disconnected
-    # rest) or on a flow, or refuses s.
+    # query accepts with no flow (on a disconnected rest) or on a flow, or
+    # refuses s.  The queries that the minimum degree settles, on a prefix
+    # inside a degree-kappa neighbourhood, are accepted before any is asked.
     # The tail: forcing a vertex into an s-t separator is accepted, or
     # refused when the closure reaches in(t) or a forced vertex's out-node.
     outcomes = set()
     kappa, separator, close = conn._SplitNetwork.kappa, conn._SplitNetwork._separator, conn._SplitNetwork._close
+    degree_prefix = conn._SplitNetwork.degree_prefix
     flows = _count_flows(monkeypatch)
     sink = [None]
+
+    def recording_degree_prefix(self, kappa):
+        start = degree_prefix(self, kappa)
+        if start:
+            outcomes.add("prefix settled from a degree-kappa neighbourhood")
+        return start
 
     def recording_kappa(self, dead, limit, exact=True):
         before = flows[0]
@@ -301,11 +309,13 @@ def test_matches_brute_force_on_dense_graphs(monkeypatch):
         return grown
 
     monkeypatch.setattr(conn._SplitNetwork, "kappa", recording_kappa)
+    monkeypatch.setattr(conn._SplitNetwork, "degree_prefix", recording_degree_prefix)
     monkeypatch.setattr(conn._SplitNetwork, "_separator", recording_separator)
     monkeypatch.setattr(conn._SplitNetwork, "_close", recording_close)
     for g in _dense_graphs(random.Random(4242)):
         _assert_matches_oracles(g)
     assert outcomes == {"prefix degree", "prefix flow", "prefix refused",
+                        "prefix settled from a degree-kappa neighbourhood",
                         "tail accepted", "tail reached t", "tail reached an out-node"}
 
 
@@ -425,3 +435,69 @@ def test_flow_reroutes_through_a_reversed_internal_arc():
     rank = {v: i for i, v in enumerate(net.ids)}
     assert net.flow((1 << 9) - 1, rank[1], rank[3], 3) == 2
     assert min_vertex_cut(g) == brute_min_cut(g)[1]
+
+
+def _brute_separator(g, alive, s, t):
+    """(lambda(s, t), the lexicographically smallest minimum s-t separator)
+    in g[alive], g on the vertices 0..n-1, by subset enumeration: the
+    smallest set of other alive vertices whose removal leaves no s-t path.
+    s and t must be non-adjacent, so removing every other vertex separates
+    them."""
+    inner = [v for v in range(g.n) if alive >> v & 1 and v not in (s, t)]
+    for size in range(len(inner) + 1):
+        for sep in combinations(inner, size):
+            rest = {v for v in range(g.n) if alive >> v & 1 and v not in sep}
+            if t not in reach(induced_subgraph(g, rest), s):
+                return size, sep
+    raise AssertionError("non-adjacent s, t stay joined")
+
+
+def _assert_flows_match_brute_force(g, alive):
+    """Every non-adjacent alive pair at every limit 1..n: the flow is
+    min(limit, lambda), and a flow below its limit leaves the residual
+    from which _separator reads the smallest minimum separator."""
+    net = conn._SplitNetwork(g)
+    live = [i for i in range(g.n) if alive >> i & 1]
+    for s, t in combinations(live, 2):
+        if net.nbm[s] >> t & 1:
+            continue
+        size, sep = _brute_separator(g, alive, s, t)
+        for limit in range(1, g.n + 1):
+            got = net.flow(alive, s, t, limit)
+            assert got == min(limit, size), (s, t, limit)
+            if got < limit:
+                assert net._separator(alive, s, t, got) == sep, (s, t, limit)
+
+
+def test_flow_kernel_matches_brute_force_with_dead_vertices():
+    rng = random.Random(1927)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        p = rng.uniform(0.2, 0.9)
+        g = Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(3):
+            dead = rng.sample(range(n), rng.randint(0, n - 2))
+            _assert_flows_match_brute_force(g, (1 << n) - 1 - sum(1 << v for v in dead))
+
+
+def test_flow_from_private_neighbour_matchings():
+    # s = 0, t = 6, common neighbour 1; private neighbours 2, 3 of s and
+    # 4, 5 of t, matched by the edges 2-4 and 3-5.  The s-w-t path and the
+    # two s-a-b-t paths settle the flow at 3.
+    settled = Graph.build(7, [(0, 1), (1, 6), (0, 2), (0, 3), (4, 6), (5, 6), (2, 4), (3, 5)])
+    net = conn._SplitNetwork(settled)
+    assert net.flow((1 << 7) - 1, 0, 6, 3) == 3
+    # Only 2-4 matches, one short of the limit 3.  The search finds the
+    # third path 0-3-7-5-6; without 7 the flow is 2.
+    short = Graph.build(8, [(0, 1), (1, 6), (0, 2), (0, 3), (4, 6), (5, 6), (2, 4), (3, 7), (7, 5)])
+    net = conn._SplitNetwork(short)
+    assert net.flow((1 << 8) - 1, 0, 6, 3) == 3
+    assert net.flow((1 << 8) - 1 & ~(1 << 7), 0, 6, 3) == 2
+    # a1, a2 = 1, 2 and b1, b2 = 3, 4 with the edges a1b1, a1b2 and a2b1:
+    # first-fit takes a1-b1 and leaves a2 unmatched, but a1-b2 and a2-b1
+    # match both, so the search must still find 2.
+    missed = Graph.build(6, [(0, 1), (0, 2), (3, 5), (4, 5), (1, 3), (1, 4), (2, 3)])
+    net = conn._SplitNetwork(missed)
+    assert net.flow((1 << 6) - 1, 0, 5, 2) == 2
+    for g in (settled, short, missed):
+        _assert_flows_match_brute_force(g, (1 << g.n) - 1)

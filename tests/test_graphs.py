@@ -146,6 +146,8 @@ def test_dimacs_parses_one_based_ids():
         "p edge 10 1\ne 1_0 +2\n",  # digit separator, plus sign
         "p edge 3 1\ne \uff11 3\n",  # fullwidth digit
         "p edge \u0663 0\n",  # Arabic-Indic digit
+        "p edge 3 1\ne 1 2\ncedge 2 3\n",  # a record that starts with c, not a comment
+        "cp edge 3 0\n",  # a problem line that starts with c
     ],
 )
 def test_dimacs_rejects_malformed(text):
@@ -168,6 +170,15 @@ def test_lists_round_trip():
         with pytest.raises(ValueError, match="^line 1: expected integers"):
             parse_lists(text)
     assert parse_lists("list -0 -1 007\n") == {0: frozenset({-1, 7})}
+
+
+def test_a_comment_is_a_line_whose_first_field_is_c():
+    assert from_dimacs("c\n  c  indented\nc\ttab\np edge 2 1\ne 1 2\n") == Graph.build(2, [(0, 1)])
+    assert parse_lists("c\n  c  indented\nc\ttab\nlist 0 1\n") == {0: frozenset({1})}
+    with pytest.raises(ValueError, match=r"^line 2: unknown record 'cedge 1 2'"):
+        from_dimacs("p edge 2 1\ncedge 1 2\ne 1 2\n")
+    with pytest.raises(ValueError, match="^line 1: expected 'list <v> <colours...>'"):
+        parse_lists("clist 0 1\n")
 
 
 def test_graph_hash_ignores_comments_but_not_structure():

@@ -41,7 +41,7 @@ CLIQUE_LADDER = {STEPS: (19, 39, 79), SIZES: (2945, 11505, 45425), FLOWS: (19, 3
 LADDERS = {
     "k15-star": (k15_star, 2, (20, 40, 80), CLIQUE_LADDER),
     "k15-chain": (k15_chain, 2, (20, 40, 80), CLIQUE_LADDER),
-    "dense-random": (dense_random, 1, (50, 100), {FLOWS: (406, 1772)}),
+    "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (406, 1772, 4200, 17634)}),
 }
 
 
