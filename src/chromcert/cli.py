@@ -249,16 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "extract":
-        return _cmd_extract(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "reproduce":
-        return _cmd_reproduce(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    commands = {"gen": _cmd_gen, "extract": _cmd_extract, "verify": _cmd_verify, "reproduce": _cmd_reproduce}
+    try:
+        return commands[args.command](args)
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

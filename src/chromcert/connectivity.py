@@ -15,26 +15,23 @@ has index at most |S| and precedes every vertex of another component of
 G - S, so a cut smaller than b shows up in a flow from one of the first b
 vertices.
 
-min_vertex_cut returns the lexicographically smallest minimum cut S*, in
-two parts.  S* has the largest possible first vertex s outside it, so it
-holds C = {0..s-1}.  The prefix C is found with threshold queries, "is
-kappa(G - C - v) below kappa - |C|?", which return at the first witness
-below the limit (the minimum degree or one capped flow); the first vertex
-refused is s.  The minimum degree settles such a query exactly when
-C + v lies in the neighbourhood of a vertex of degree kappa, so the
-prefix that such a neighbourhood covers is accepted unasked.  S* - C is
-then the smallest minimum cut of G - C, in which no minimum cut holds s:
-it is a minimum s-t separator for each t on its far side.  So one flow
-from s to each non-neighbour t settles the tail, and each flow of value
-kappa - |C| yields its smallest separator with no further flow.  All
-minimum s-t separators are read off one max flow's residual graph as its
-closed node sets (Picard-Queyranne 1980), so the smallest one is built
-greedily in id order by closure steps.
+min_vertex_cut returns the lexicographically smallest minimum cut S*.  It
+holds {0..f-1} for the largest f that any minimum cut's prefix reaches, so
+it is found top down: for s = kappa, kappa - 1, ..., the tail scan asks for
+the smallest set of kappa - s vertices of G - {0..s-1} whose removal leaves
+s out and disconnects the rest, and the first answer, joined to {0..s-1},
+is S*.  For s > f there is none, since it would extend to a minimum cut
+whose first vertex outside is s; at s = f the answer is S* - {0..f-1}.
+Such a set is a minimum s-t separator for each t on its far side, so one
+flow from s to each non-neighbour t, capped at kappa - s + 1, settles a
+prefix, and each flow of value kappa - s yields its smallest separator with
+no further flow.  At high s the cap is small and the s-w-t paths settle
+most flows at once.  All minimum s-t separators are read off one max
+flow's residual graph as its closed node sets (Picard-Queyranne 1980), so
+the smallest one is built greedily in id order by closure steps.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .graphs import Graph, is_connected, reach
 
@@ -124,82 +121,74 @@ class _SplitNetwork:
         connected subgraph."""
         nbm = self.nbm
         seen = frontier = alive & -alive
-        while frontier:
+        while frontier and seen != alive:
             low = frontier & -frontier
             new = nbm[low.bit_length() - 1] & alive & ~seen
             seen |= new
             frontier ^= low | new
         return seen == alive
 
-    def kappa(self, dead: set[int], limit: int, exact: bool = True) -> int:
-        """min(limit, kappa(G - dead)) with kappa(K_m) = m - 1; G itself
-        must be connected.
-
-        exact=False makes it the threshold query "kappa(G - dead) < limit?":
-        it returns the first bound below limit that it meets (the minimum
-        degree or one capped flow, both upper bounds on kappa) and limit
-        when there is none, so only the comparison with limit is exact."""
+    def kappa(self, limit: int) -> int:
+        """min(limit, kappa(G)) with kappa(K_m) = m - 1; G must be connected."""
         nbm = self.nbm
-        alive = (1 << len(nbm)) - 1 - sum(1 << v for v in dead)
-        live = [v for v in range(len(nbm)) if alive >> v & 1]
-        if len(live) <= 1:
+        if len(nbm) <= 1:
             return 0
-        # A threshold query is settled by any bound below its limit, so the
-        # minimum degree goes first; a limit of 1 asks only for connectivity.
-        best = limit
-        if exact or limit > 1:
-            best = min(limit, min((nbm[v] & alive).bit_count() for v in live))
-            if not exact and best < limit:
-                return best
-        if dead and not self.connected(alive):
-            return 0
+        alive = (1 << len(nbm)) - 1
+        best = min(limit, min(m.bit_count() for m in nbm))
         # Connected, so kappa >= 1 and a bound of 1 is already exact.
-        stop = 1 if exact else max(1, limit - 1)
-        if best <= stop:
+        if best <= 1:
             return best
-        for i, s in enumerate(live):
-            # The later alive non-neighbours of s, in id order.
+        for s in range(len(nbm)):
+            # The later non-neighbours of s, in id order.
             later = alive & ~nbm[s] & -(2 << s)
             while later:
                 low = later & -later
                 later ^= low
                 best = self.flow(alive, s, low.bit_length() - 1, best)
-                if best <= stop:
+                if best <= 1:
                     return best
             # Sources 0..best-1 are done, which rules out a cut below best.
-            if i + 1 >= best:
+            if s + 1 >= best:
                 break
         return best
 
-    def degree_prefix(self, kappa: int) -> int:
-        """The largest d <= kappa, G's connectivity, with {0..d-1} inside
-        N(v) for some v of degree kappa.  The threshold query on a prefix P
-        is settled by the minimum degree exactly when P lies in such an
-        N(v): only then does a vertex keep fewer than kappa - |P| + 1
-        neighbours in G - P, and at |P| = kappa, P = N(v) cuts v off."""
-        # (m + 1) & ~m is m's lowest clear bit, at the count of its trailing ones.
-        return min(kappa, max((((m + 1) & ~m).bit_length() - 1 for m in self.nbm if m.bit_count() == kappa),
-                              default=0))
+    def tail_cut(self, s: int, need: int) -> tuple[int, ...] | None:
+        """The lexicographically smallest set of `need` vertices of
+        G - {0..s-1} that leaves s out and disconnects the rest, or None;
+        `need` must be at most the connectivity of G - {0..s-1}.
 
-    def tail_cut(self, s: int, need: int) -> tuple[int, ...]:
-        """The lexicographically smallest minimum cut of G - {0..s-1},
-        whose connectivity is `need`, given that no such cut holds s.
-
-        s lies on one side of every minimum cut, so each one is a minimum
-        s-t separator for every t on another side: the answer is the
-        smallest separator over the non-neighbours t of s whose flow is
+        Such a set is a minimum cut, and s lies on one side of it, so it is
+        a minimum s-t separator for every t on another side: the answer is
+        the smallest separator over the non-neighbours t of s whose flow is
         exactly `need`.  Each vertex of such a cut has a neighbour on a
-        side without s, so outside N[s]; no cut is smaller than `least`, the
-        first `need` ids after s with one.  So it is the answer when it is
-        a cut, and the scan stops if it meets it."""
+        side without s, which lies in `rest`, outside N[s]; so it is in
+        `touch`, the vertices with a neighbour in rest.  No cut is smaller
+        than `least`, the first `need` vertices of touch, so it is the
+        answer when it is a cut, and there is none when touch is smaller
+        than `need`."""
         nbm = self.nbm
         alive = (1 << len(nbm)) - (1 << s)
         rest = alive & ~nbm[s] & ~(1 << s)
-        least = tuple(islice((v for v in range(s + 1, len(nbm)) if nbm[v] & rest), need))
-        if len(least) == need and not self.connected(alive - sum(1 << v for v in least)):
-            return least
+        touch, m = 0, rest
+        while m:
+            low = m & -m
+            m ^= low
+            touch |= nbm[low.bit_length() - 1]
+        touch &= alive
+        if touch.bit_count() < need:
+            return None
+        # The ids below `end` hold exactly `need` of touch; each step adds
+        # no more ids than the count is short by.
+        end, count = s + 1, 0
+        while count < need:
+            end += need - count
+            count = (touch & ((1 << end) - 1)).bit_count()
+        least = touch & ((1 << end) - 1)
+        if not self.connected(alive & ~least):
+            return tuple(v for v in range(s + 1, end) if least >> v & 1)
+        # With need = 0 the empty `least` was the only candidate.
         best = None
-        while rest and best != least:
+        while need and rest:
             low = rest & -rest
             rest ^= low
             t = low.bit_length() - 1
@@ -207,8 +196,6 @@ class _SplitNetwork:
                 sep = self._separator(alive, s, t, need)
                 if best is None or sep < best:
                     best = sep
-        if best is None:
-            raise RuntimeError("max-flow connectivity and the canonical cut disagree")
         return best
 
     def _separator(self, alive: int, s: int, t: int, size: int) -> tuple[int, ...]:
@@ -267,12 +254,12 @@ def is_k_connected(g: Graph, k: int) -> bool:
     the kappa query alone, without building a cut."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    return g.n > k and is_connected(g) and _SplitNetwork(g).kappa(set(), k) >= k
+    return g.n > k and is_connected(g) and _SplitNetwork(g).kappa(k) >= k
 
 
 def connectivity(g: Graph) -> int:
     """kappa(g): n-1 for complete graphs, 0 when disconnected."""
-    return _SplitNetwork(g).kappa(set(), g.n - 1) if is_connected(g) else 0
+    return _SplitNetwork(g).kappa(g.n - 1) if is_connected(g) else 0
 
 
 def min_vertex_cut(g: Graph, below: int | None = None):
@@ -288,22 +275,16 @@ def min_vertex_cut(g: Graph, below: int | None = None):
     if g.is_complete():
         return None
     net = _SplitNetwork(g)
-    kappa = net.kappa(set(), g.n - 1 if below is None else below)
+    kappa = net.kappa(g.n - 1 if below is None else below)
     if below is not None and kappa >= below:
         return None
-    # The prefix {0..s-1} of the canonical cut: accept ids while some
-    # minimum cut still holds them all; s is the first one refused.  The
-    # queries that a degree-kappa neighbourhood settles are accepted unasked.
-    start = net.degree_prefix(kappa)
-    chosen = set(range(start))
-    for s in range(start, kappa):
-        chosen.add(s)
-        if net.kappa(chosen, kappa - s, exact=False) >= kappa - s:
-            break
-    else:
-        return frozenset(net.ids[:kappa])
-    tail = net.tail_cut(s, kappa - s)
-    return frozenset(net.ids[:s] + [net.ids[i] for i in tail])
+    # The canonical cut holds the longest prefix {0..s-1} of any minimum
+    # cut, so the first s from kappa down whose tail has an answer is its s.
+    for s in range(kappa, -1, -1):
+        tail = net.tail_cut(s, kappa - s)
+        if tail is not None:
+            return frozenset(net.ids[:s] + [net.ids[i] for i in tail])
+    raise RuntimeError("max-flow connectivity and the canonical cut disagree")
 
 
 def split_by_cut(g: Graph, x: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:

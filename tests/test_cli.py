@@ -379,6 +379,23 @@ def test_memory_error_exits_4_and_names_the_phase(tmp_path, capsys, monkeypatch,
     assert f"{command}: out of memory while {phase}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["gen", "verify", "reproduce"])
+def test_memory_error_in_any_command_exits_4_not_1(tmp_path, capsys, monkeypatch, command):
+    # Exit 1 would read as a rejected certificate or a failed suite.
+    graph, cert = tmp_path / "k8.col", tmp_path / "k8.cert.json"
+    run("gen", "complete", "8", "--out", str(graph))
+    run("extract", str(graph), "--k", "1", "--out", str(cert))
+    monkeypatch.setattr(cli, "generate", _out_of_memory)
+    monkeypatch.setattr(cli, "verify_certificate", _out_of_memory)
+    monkeypatch.setitem(cli.SUITES, "theorem1", _out_of_memory)
+    argv = {"gen": ("gen", "complete", "8"), "verify": ("verify", str(graph), str(cert)),
+            "reproduce": ("reproduce", "theorem1")}[command]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_RESOURCE_LIMIT
+    err = capsys.readouterr().err
+    assert f"{command}: out of memory" in err and "Traceback" not in err
+
+
 def test_recursion_error_in_extract_exits_4_not_5(tmp_path, capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -247,8 +247,7 @@ def test_min_cut_avoiding_the_lowest_ids():
 def _dense_graphs(rng):
     """Near-complete graphs on n <= 11 non-contiguous labels, small joins
     of cycles (the shape of the final subgraphs of `search`), and two K6s
-    sharing {0, 1}, whose prefix is accepted on flows: every vertex of
-    G - 0 has degree at least 4."""
+    sharing {0, 1}, whose canonical cut is the prefix {0, 1} itself."""
     for _ in range(60):
         n = rng.randint(3, 11)
         labels = rng.sample(range(50), n)
@@ -272,30 +271,21 @@ def _count_flows(monkeypatch):
 
 
 def test_matches_brute_force_on_dense_graphs(monkeypatch):
-    # Record how each step of min_vertex_cut ends.  The prefix: a threshold
-    # query accepts with no flow (on a disconnected rest) or on a flow, or
-    # refuses s.  The queries that the minimum degree settles, on a prefix
-    # inside a degree-kappa neighbourhood, are accepted before any is asked.
-    # The tail: forcing a vertex into an s-t separator is accepted, or
-    # refused when the closure reaches in(t) or a forced vertex's out-node.
+    # Record how each tail scan of min_vertex_cut ends.  It has no answer,
+    # or s = kappa and the prefix {0..s-1} is itself the cut, or `least` is
+    # the cut and no flow runs, or the cut is a separator read off a flow.
+    # Forcing a vertex into an s-t separator is accepted, or refused when
+    # the closure reaches in(t) or a forced vertex's out-node.
     outcomes = set()
-    kappa, separator, close = conn._SplitNetwork.kappa, conn._SplitNetwork._separator, conn._SplitNetwork._close
-    degree_prefix = conn._SplitNetwork.degree_prefix
+    tail_cut, separator, close = conn._SplitNetwork.tail_cut, conn._SplitNetwork._separator, conn._SplitNetwork._close
     flows = _count_flows(monkeypatch)
     sink = [None]
 
-    def recording_degree_prefix(self, kappa):
-        start = degree_prefix(self, kappa)
-        if start:
-            outcomes.add("prefix settled from a degree-kappa neighbourhood")
-        return start
-
-    def recording_kappa(self, dead, limit, exact=True):
+    def recording_tail_cut(self, s, need):
         before = flows[0]
-        got = kappa(self, dead, limit, exact)
-        if not exact:
-            outcomes.add("prefix refused" if got >= limit else
-                         "prefix flow" if flows[0] > before else "prefix degree")
+        got = tail_cut(self, s, need)
+        outcomes.add("no answer" if got is None else "prefix is the cut" if not need else
+                     "least is the cut" if flows[0] == before else "separator")
         return got
 
     def recording_separator(self, alive, s, t, size):
@@ -308,20 +298,19 @@ def test_matches_brute_force_on_dense_graphs(monkeypatch):
                      "tail reached t" if grown >> sink[0] & 1 else "tail reached an out-node")
         return grown
 
-    monkeypatch.setattr(conn._SplitNetwork, "kappa", recording_kappa)
-    monkeypatch.setattr(conn._SplitNetwork, "degree_prefix", recording_degree_prefix)
+    monkeypatch.setattr(conn._SplitNetwork, "tail_cut", recording_tail_cut)
     monkeypatch.setattr(conn._SplitNetwork, "_separator", recording_separator)
     monkeypatch.setattr(conn._SplitNetwork, "_close", recording_close)
     for g in _dense_graphs(random.Random(4242)):
         _assert_matches_oracles(g)
-    assert outcomes == {"prefix degree", "prefix flow", "prefix refused",
-                        "prefix settled from a degree-kappa neighbourhood",
+    assert outcomes == {"no answer", "prefix is the cut", "least is the cut", "separator",
                         "tail accepted", "tail reached t", "tail reached an out-node"}
 
 
-# Flow counts of min_vertex_cut.  They depend only on Even's pair scan, the
-# prefix queries and the tail's flows above the kernel; on these joins the
-# tail's smallest candidate is already a cut, so it runs no flow.
+# Flow counts of min_vertex_cut.  They depend only on Even's pair scan and
+# the tail scans' flows above the kernel; on these joins each prefix above
+# the cut's is refused by flows that its s-w-t paths settle, and at the
+# cut's prefix the tail's smallest candidate is already a cut.
 CYCLE_JOIN_FLOWS = {(5, 10): 49, (5, 9): 44, (7, 6): 78}
 
 
@@ -345,19 +334,19 @@ def test_min_cut_of_a_dense_random_graph_is_pinned(monkeypatch):
     calls = _count_flows(monkeypatch)
     outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
     assert min_vertex_cut(g) == frozenset(range(100)) - outside
-    assert calls[0] == 886
+    assert calls[0] == 885
 
 
 def test_is_k_connected_answers_from_the_kappa_query(monkeypatch):
-    # kappa = 22 < 30.  The threshold query alone says so; building the
-    # canonical cut as well took 1,104 flows.
+    # kappa = 22 < 30.  The kappa query capped at 30 alone says so;
+    # building the canonical cut as well takes 1,083 flows.
     g = generate(FamilySpec.random(60, 0.5, 1))
     calls = _count_flows(monkeypatch)
     assert not is_k_connected(g, 30)
     assert calls[0] <= 555
     calls[0] = 0
     assert connectivity(g) == len(min_vertex_cut(g)) == 22
-    assert calls[0] == 555 + 1104
+    assert calls[0] == 555 + 1083
 
 
 def test_min_vertex_cut_seeded_differential_digest():
@@ -386,28 +375,39 @@ def _brute_kappa(g):
     return g.n - 1 if found is None else found[0]
 
 
-def test_kernel_kappa_matches_brute_force_with_dead_vertices():
-    rng = random.Random(1975)
-    checked = 0
-    while checked < 120:
+def _connected_graphs(rng):
+    """Connected graphs on 2..9 random labels, without end."""
+    while True:
         n = rng.randint(2, 9)
         labels = rng.sample(range(30), n)
         p = rng.uniform(0.3, 0.95)
         g = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
-        if not is_connected(g):
-            continue
-        net = conn._SplitNetwork(g)
-        for _ in range(4):
-            dead = set(rng.sample(range(n), rng.randint(0, n - 1)))
-            kappa = _brute_kappa(induced_subgraph(g, [net.ids[i] for i in range(n) if i not in dead]))
-            for limit in range(1, n + 1):
-                assert net.kappa(dead, limit) == min(limit, kappa)
-                # A threshold answer is an upper bound on kappa, below the
-                # limit exactly when kappa is.
-                got = net.kappa(dead, limit, exact=False)
-                assert min(limit, kappa) <= got <= limit
-                assert (got < limit) == (kappa < limit)
-        checked += 1
+        if is_connected(g):
+            yield g
+
+
+def test_kernel_kappa_matches_brute_force_at_every_limit():
+    for g in islice(_connected_graphs(random.Random(1975)), 120):
+        net, kappa = conn._SplitNetwork(g), _brute_kappa(g)
+        for limit in range(1, g.n + 1):
+            assert net.kappa(limit) == min(limit, kappa)
+
+
+def test_tail_cut_matches_brute_force_at_every_prefix():
+    # For every s <= kappa, tail_cut(s, kappa - s) is the first set of
+    # kappa - s ranks after s, in combinations order, whose removal
+    # disconnects G - {0..s-1}, and None when there is none.
+    answers = 0
+    incomplete = (g for g in _connected_graphs(random.Random(1956)) if not g.is_complete())
+    for g in islice(incomplete, 400):
+        net, kappa = conn._SplitNetwork(g), _brute_kappa(g)
+        for s in range(kappa + 1):
+            expected = next((cut for cut in combinations(range(s + 1, g.n), kappa - s)
+                             if not is_connected(induced_subgraph(
+                                 g, [net.ids[i] for i in range(s, g.n) if i not in cut]))), None)
+            assert net.tail_cut(s, kappa - s) == expected, (g.adj, s)
+            answers += expected is not None
+    assert answers > 400
 
 
 def test_flow_undoes_a_path_through_a_reverse_arc():

@@ -1,9 +1,10 @@
 """Growth gates on exact work counters, free of timing noise.
 
 Each ladder is a family of instances at growing sizes.  At every rung each
-recorded counter of `extract` (self-verify included) may stay at its value
-or fall, and the log-log slope between the last two rungs may not rise.  A
-change that lowers a counter records the new values here.
+recorded counter of `extract` (self-verify included), or of one uncapped
+`min_vertex_cut`, may stay at its value or fall, and the log-log slope
+between the last two rungs may not rise.  A change that lowers a counter
+records the new values here.
 """
 
 import math
@@ -41,8 +42,13 @@ CLIQUE_LADDER = {STEPS: (19, 39, 79), SIZES: (2945, 11505, 45425), FLOWS: (19, 3
 LADDERS = {
     "k15-star": (k15_star, 2, (20, 40, 80), CLIQUE_LADDER),
     "k15-chain": (k15_chain, 2, (20, 40, 80), CLIQUE_LADDER),
-    "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (406, 1772, 4200, 17634)}),
+    "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (404, 1770, 4200, 17624)}),
 }
+
+
+# The uncapped cut of C_n at these n: kappa = 2 and the cut holds only
+# vertex 0, so the tail scans every prefix from {0, 1} down.
+CYCLE_RUNGS, CYCLE_FLOWS = (150, 300, 600), (294, 594, 1194)
 
 
 def _slope(rungs, values):
@@ -51,9 +57,13 @@ def _slope(rungs, values):
     return math.log2(max(v1, 1) / max(v0, 1)) / math.log2(r1 / r0)
 
 
-@pytest.mark.parametrize("ladder", sorted(LADDERS))
-def test_work_counters_do_not_grow(monkeypatch, ladder):
-    make, k, rungs, recorded = LADDERS[ladder]
+def _assert_no_growth(counter, rungs, got, values):
+    assert all(g <= v for g, v in zip(got, values)), (counter, got, values)
+    assert _slope(rungs, got) <= _slope(rungs, values), (counter, got, values)
+
+
+def _count_flows(monkeypatch):
+    """A one-item list counting the calls of _SplitNetwork.flow from now on."""
     flow, flows = connectivity._SplitNetwork.flow, [0]
 
     def counting_flow(self, *args):
@@ -61,6 +71,13 @@ def test_work_counters_do_not_grow(monkeypatch, ladder):
         return flow(self, *args)
 
     monkeypatch.setattr(connectivity._SplitNetwork, "flow", counting_flow)
+    return flows
+
+
+@pytest.mark.parametrize("ladder", sorted(LADDERS))
+def test_work_counters_do_not_grow(monkeypatch, ladder):
+    make, k, rungs, recorded = LADDERS[ladder]
+    flows = _count_flows(monkeypatch)
     measured = {STEPS: [], SIZES: [], FLOWS: []}
     for rung in rungs:
         flows[0] = 0
@@ -69,6 +86,13 @@ def test_work_counters_do_not_grow(monkeypatch, ladder):
         measured[SIZES].append(sum(len(s.cut) + len(s.side_y) + len(s.side_z) for s in cert.trace))
         measured[FLOWS].append(flows[0])
     for counter, values in recorded.items():
-        got = measured[counter]
-        assert all(g <= v for g, v in zip(got, values)), (counter, got, values)
-        assert _slope(rungs, got) <= _slope(rungs, values), (counter, got, values)
+        _assert_no_growth(counter, rungs, measured[counter], values)
+
+
+def test_uncapped_cut_of_a_cycle_does_not_grow(monkeypatch):
+    flows, got = _count_flows(monkeypatch), []
+    for n in CYCLE_RUNGS:
+        flows[0] = 0
+        assert connectivity.min_vertex_cut(generate(FamilySpec.cycle(n))) == frozenset({0, 2})
+        got.append(flows[0])
+    _assert_no_growth(FLOWS, CYCLE_RUNGS, got, CYCLE_FLOWS)
