@@ -210,7 +210,8 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     CHOOSABILITY_CAP vertices (any size for k <= 2); past the cap it is
     the guarantee chi(h) >= k, which implies chi_ell(h) >= k, and when h
     is (k-1)-colourable no evidence is in reach: ResourceLimitError.  The
-    colouring searches run under cfg.budget, the witness search without.
+    colouring searches run under cfg.budget, the witness search under its
+    wall clock.
     Returns (connectivity_evidence, chromatic_evidence).
     """
     h, t, k = wp.h, wp.t, cfg.k
@@ -245,7 +246,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
             completion,
         )
     if k <= 2 or h.n <= CHOOSABILITY_CAP:
-        holds, witness = list_chromatic_at_least(h, k)
+        holds, witness = list_chromatic_at_least(h, k, cfg.budget)
         if not holds:
             raise RuntimeError("final graph fails the guaranteed choosability bound")
         lists = {str(v): sorted(witness[v]) for v in sorted(witness)}

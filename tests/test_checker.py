@@ -31,7 +31,7 @@ SOLVER_NAMES = {"PLAIN", "LIST", "is_colourable", "list_colour"}
 PACKAGE = Path(checker.__file__).parent
 
 # coloring.py's only loops that search: the choosability witness search.
-WITNESS_SEARCH = {"list_chromatic_at_least", "_colourings", "_first_refuted_assignment"}
+WITNESS_SEARCH = {"list_chromatic_at_least", "_colourings", "_refuted_last_pair", "_first_refuted_assignment"}
 
 
 def _tree(module):

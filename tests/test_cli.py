@@ -1,9 +1,10 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from chromcert import cli
+from chromcert import cli, coloring
 from chromcert.cli import (
     EXIT_NOT_INEXTENSIBLE,
     EXIT_OK,
@@ -119,6 +120,24 @@ def test_extract_budget_bounds_finalize(tmp_path):
     run("gen", "kneser", "7", "2", "--out", str(graph))
     code = run("extract", str(graph), "--k", "5", "--trust-precondition", "--budget-decisions", "1")
     assert code == EXIT_RESOURCE_LIMIT
+
+
+def test_extract_budget_seconds_bound_the_witness_search(tmp_path, capsys, monkeypatch):
+    # K3,3 with the lists {0,1} {0,2} {1,2} on each side at k = 3 in list
+    # mode: finalize searches for the bad-list witness.  The search's clock
+    # advances a second per reading, so it is past a 0.5 s budget at its
+    # first check; the solver's own clock is untouched.
+    graph, lists = tmp_path / "k33.col", tmp_path / "k33.lists"
+    graph.write_text("p edge 6 9\n" + "".join(f"e {u} {v}\n" for u in (1, 2, 3) for v in (4, 5, 6)))
+    lists.write_text("".join(f"list {v} {' '.join(map(str, cs))}\n"
+                             for v, cs in enumerate([(0, 1), (0, 2), (1, 2)] * 2)))
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(coloring, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    argv = ("extract", str(graph), "--k", "3", "--mode", "list", "--lists", str(lists))
+    assert run(*argv, "--out", str(tmp_path / "k33.cert.json")) == EXIT_OK  # no budget: no limit
+    capsys.readouterr()
+    assert run(*argv, "--budget-seconds", "0.5", "--out", str(tmp_path / "k33.cert.json")) == EXIT_RESOURCE_LIMIT
+    assert "choosability witness search ran past its 0.5 s budget" in capsys.readouterr().err
 
 
 def test_extract_palette_too_small_is_a_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from chromcert.coloring import greedy_list_colour, list_chromatic_at_least
+from chromcert.errors import ResourceLimitError
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
 from chromcert.oracles import (
@@ -12,7 +13,7 @@ from chromcert.oracles import (
     brute_list_colour,
     canonical_list_assignments,
 )
-from chromcert.solver import is_colourable, list_colour
+from chromcert.solver import SolverBudget, is_colourable, list_colour
 
 
 def proper(g, col):
@@ -248,12 +249,30 @@ def complete_bipartite(a, b):
     return Graph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+def k5_minus(*missing):
+    return Graph.build(5, [e for e in combinations(range(5), 2) if e not in missing])
+
+
 @pytest.mark.parametrize("g, t", [
-    (complete_bipartite(3, 3), 3),
+    (complete_bipartite(3, 3), 3),  # the last two positions are not adjacent
     (complete_bipartite(3, 4), 3),
     (k24(), 3),
     (generate(FamilySpec.complete(4)), 4),
-    (generate(FamilySpec.cycle(4)), 3),  # 2-choosable: the whole enumeration
+    (generate(FamilySpec.cycle(4)), 3),  # 2-choosable: the whole enumeration; the last two adjacent
+    (Graph.build(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)]), 3),  # K3,3, the last two adjacent
+    (Graph.build(4, [(0, 2), (1, 2), (1, 3), (0, 3)]), 3),  # C4, the last two not adjacent
+    # The triangle 0, 1, 2 has no colouring from the first lists, {0, 1}:
+    # under them the prefix gives no pair, meet stays all ones, and the
+    # first list at the last position is refuted.
+    (Graph.build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), 3),
+    # At t = 4 every graph on at most 5 vertices with minimum degree >= 3
+    # that the reference settles quickly: it takes 8-11 s on the choosable
+    # wheel K1 + C4, K5 minus two disjoint edges.
+    (k5_minus(), 4),
+    (k5_minus((0, 1)), 4),
+    (k5_minus((0, 4)), 4),
+    (k5_minus((2, 3)), 4),
+    (k5_minus((3, 4)), 4),
 ])
 def test_choosability_witness_is_first_refuted_canonical_assignment(g, t):
     # Minimum degree >= t - 1, so nothing is peeled and the witness is the
@@ -323,3 +342,21 @@ def test_choosability_witness_of_larger_bipartite_graphs_pinned(a, b, expected):
     assert ok
     assert list(witness.items()) == [(v, frozenset(cs)) for v, cs in enumerate(expected)]
     assert brute_list_colour(g, witness) is None
+
+
+@pytest.mark.parametrize("g", [k5_minus((0, 1), (2, 3)), k5_minus((1, 2), (3, 4)), k5_minus((0, 1), (3, 4))])
+def test_choosability_of_the_wheel_k1_c4_is_three(g):
+    # C4 is 2-choosable and a vertex joined to all of it needs one colour
+    # more, so K1 + C4 is 3-choosable: the whole t = 4 enumeration, with the
+    # hub at each place in the vertex order.
+    assert list_chromatic_at_least(g, 4) == (False, None)
+    assert list_chromatic_at_least(g, 3)[0]
+
+
+def test_witness_search_stops_at_its_wall_clock_budget():
+    # 3-choosable, so the search runs the whole t = 4 enumeration (about 0.3 s).
+    g = Graph.build(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (3, 5), (4, 5)])
+    with pytest.raises(ResourceLimitError, match="choosability witness search"):
+        list_chromatic_at_least(g, 4, SolverBudget(wall_clock_seconds=0.01))
+    # It makes no solver decisions, so a decision budget does not bound it.
+    assert list_chromatic_at_least(g, 4, SolverBudget(max_decisions=1)) == (False, None)

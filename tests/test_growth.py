@@ -3,15 +3,16 @@
 Each ladder is a family of instances at growing sizes.  At every rung each
 recorded counter of `extract` (self-verify included), or of one uncapped
 `min_vertex_cut`, may stay at its value or fall, and the log-log slope
-between the last two rungs may not rise.  A change that lowers a counter
-records the new values here.
+between the last two rungs may not rise.  The choosability witness search
+has no ladder: on each listed graph its counters may stay or fall.  A
+change that lowers a counter records the new values here.
 """
 
 import math
 
 import pytest
 
-from chromcert import connectivity
+from chromcert import coloring, connectivity
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
@@ -96,3 +97,36 @@ def test_uncapped_cut_of_a_cycle_does_not_grow(monkeypatch):
         assert connectivity.min_vertex_cut(generate(FamilySpec.cycle(n))) == frozenset({0, 2})
         got.append(flows[0])
     _assert_no_growth(FLOWS, CYCLE_RUNGS, got, CYCLE_FLOWS)
+
+
+def complete_bipartite(a, b):
+    return Graph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+# (graph, t, (colourings yielded, enumerations started) by coloring._colourings)
+WITNESS_SEARCHES = {
+    "K3,3": (complete_bipartite(3, 3), 3, (93, 16)),
+    "K3,4": (complete_bipartite(3, 4), 3, (64, 18)),
+    "K4,4": (complete_bipartite(4, 4), 3, (84, 18)),
+    "K2,6": (complete_bipartite(2, 6), 3, (62, 20)),
+    # 3-choosable, so the whole t = 4 enumeration runs (about 0.3 s)
+    "six": (Graph.build(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (3, 5), (4, 5)]),
+            4, (38211, 7457)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SEARCHES))
+def test_witness_search_colourings_do_not_grow(monkeypatch, name):
+    g, t, recorded = WITNESS_SEARCHES[name]
+    colourings, counts = coloring._colourings, [0, 0]
+
+    def counting_colourings(*args):
+        counts[1] += 1
+        for chosen in colourings(*args):
+            counts[0] += 1
+            yield chosen
+
+    monkeypatch.setattr(coloring, "_colourings", counting_colourings)
+    holds, _ = coloring.list_chromatic_at_least(g, t)
+    assert holds == (name != "six")
+    assert all(got <= value for got, value in zip(counts, recorded)), (name, counts, recorded)
