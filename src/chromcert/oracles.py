@@ -70,34 +70,29 @@ def brute_list_colour(g: Graph, lists: Mapping[int, frozenset[int]]) -> dict[int
     return None
 
 
-def brute_min_cut(g: Graph) -> tuple[int, frozenset[int]] | None:
-    """Smallest disconnecting vertex set by subset enumeration in
-    lexicographic order; None when the graph is complete."""
-    if not is_connected(g):
-        return 0, frozenset()
-    if g.is_complete():
-        return None
+def _disconnecting_sets(g: Graph, below: int) -> Iterator[tuple[int, ...]]:
+    """Every vertex set of fewer than `below` vertices whose removal leaves
+    more than one vertex and a disconnected rest, by size and then in
+    lexicographic order."""
     vs = g.sorted_vertices()
-    for size in range(0, g.n - 1):
+    for size in range(0, below):
         for cut in combinations(vs, size):
             rest = g.vertices - set(cut)
             if len(rest) > 1 and not is_connected(induced_subgraph(g, rest)):
-                return size, frozenset(cut)
-    return None
+                yield cut
+
+
+def brute_min_cut(g: Graph) -> tuple[int, frozenset[int]] | None:
+    """Smallest disconnecting vertex set by subset enumeration in
+    lexicographic order; None when the graph is complete."""
+    cut = next(_disconnecting_sets(g, g.n - 1), None)
+    return None if cut is None else (len(cut), frozenset(cut))
 
 
 def brute_is_k_connected(g: Graph, k: int) -> bool:
     """Definition check: more than k vertices and no disconnecting set of
     fewer than k vertices."""
-    if g.n <= k:
-        return False
-    vs = g.sorted_vertices()
-    for size in range(0, k):
-        for cut in combinations(vs, size):
-            rest = g.vertices - set(cut)
-            if len(rest) > 1 and not is_connected(induced_subgraph(g, rest)):
-                return False
-    return True
+    return g.n > k and next(_disconnecting_sets(g, k), None) is None
 
 
 def canonical_list_assignments(g: Graph, s: int) -> Iterator[dict[int, frozenset[int]]]:

@@ -11,7 +11,7 @@ import json
 import random
 import time
 from functools import partial
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
 from .checker import verify_certificate
 from .coloring import list_chromatic_at_least
@@ -49,10 +49,6 @@ def report_to_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # Instance suites
 # ---------------------------------------------------------------------------
-
-def _witness_refuted(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
-    return brute_list_colour(h, lists) is None
-
 
 def _run_sections(sections) -> tuple[dict, dict[str, float]]:
     """Run each (name, fn) in order: the results and the wall times, by name."""
@@ -101,7 +97,7 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> dic
         )
     else:
         holds, witness = list_chromatic_at_least(h, cfg.k)
-        record["chromatic_ok"] = bool(holds) and _witness_refuted(h, witness)
+        record["chromatic_ok"] = bool(holds) and brute_list_colour(h, witness) is None
     record["solver_decisions"] = cert.solver_decisions
     record["solver_backtracks"] = cert.solver_backtracks
     record["certificate"] = json.loads(cert.to_json())
@@ -292,38 +288,37 @@ def _all_graphs(n: int):
         yield Graph.build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def _solver_equivalence_exhaustive() -> dict:
+def _exhaustive_cases():
+    """Every graph on at most 5 vertices, each with palettes 2, 3 and 4."""
     rng = random.Random(20260801)
-    checked = 0
-    mismatches = 0
     for n in range(0, 6):
         for g in _all_graphs(n):
             for size in (2, 3, 4):
                 palette = Palette.plain(size)
-                t = _random_template(g, palette, rng, s_limit=2, f_limit=2)
-                fast = extend(g, t, palette)
-                slow = brute_force_extend(g, t, palette)
-                checked += 1
-                if fast.outcome != slow.outcome:
-                    mismatches += 1
-                if fast.outcome == "sat" and not respects(g, t, fast.colouring, palette):
-                    mismatches += 1
-    return {"checked": checked, "mismatches": mismatches}
+                yield g, _random_template(g, palette, rng, s_limit=2, f_limit=2), palette
 
 
-def _solver_equivalence_random(trials: int = 500) -> dict:
+def _random_cases():
     rng = random.Random(20260802)
-    checked = 0
-    mismatches = 0
-    for _ in range(trials):
+    for _ in range(500):
         n = rng.randint(1, 7)
         g = random_graph(n, rng.uniform(0.1, 0.9), rng)
         palette = Palette.plain(rng.randint(2, 4))
-        t = _random_template(g, palette, rng, s_limit=3, f_limit=2)
+        yield g, _random_template(g, palette, rng, s_limit=3, f_limit=2), palette
+
+
+def _solver_equivalence(cases) -> dict:
+    """extend against brute force: the same outcome, and a colouring that
+    respects the template when there is one."""
+    checked = 0
+    mismatches = 0
+    for g, t, palette in cases:
         fast = extend(g, t, palette)
         slow = brute_force_extend(g, t, palette)
         checked += 1
         if fast.outcome != slow.outcome:
+            mismatches += 1
+        if fast.outcome == "sat" and not respects(g, t, fast.colouring, palette):
             mismatches += 1
     return {"checked": checked, "mismatches": mismatches}
 
@@ -359,23 +354,16 @@ def _min_cut_ground_truth() -> dict:
     for _ in range(250):
         n = rng.randint(2, 8)
         samples.append(random_graph(n, rng.uniform(0.15, 0.95), rng))
-    checked = 0
     mismatches = 0
     for g in samples:
-        checked += 1
         expected = brute_min_cut(g)
-        got = min_vertex_cut(g)
-        if expected is None:
-            if got is not None:
-                mismatches += 1
-        else:
-            size, cut = expected
-            if got is None or len(got) != size or frozenset(got) != cut:
-                mismatches += 1
+        cut = min_vertex_cut(g)
+        if (None if cut is None else (len(cut), cut)) != expected:
+            mismatches += 1
         for k in range(1, 5):
             if is_k_connected(g, k) != brute_is_k_connected(g, k):
                 mismatches += 1
-    return {"checked": checked, "mismatches": mismatches}
+    return {"checked": len(samples), "mismatches": mismatches}
 
 
 def _k24() -> tuple[Graph, dict[int, frozenset[int]]]:
@@ -400,7 +388,7 @@ def _choosability_ground_truth() -> dict:
         failures.append("chi_ell(C4) <= 2")
     k4 = generate(FamilySpec.complete(4))
     holds, witness = list_chromatic_at_least(k4, 4)
-    if not (holds and _witness_refuted(k4, witness)):
+    if not (holds and brute_list_colour(k4, witness) is None):
         failures.append("chi_ell(K4) >= 4")
     if list_chromatic_at_least(k4, 5)[0]:
         failures.append("chi_ell(K4) <= 4")
@@ -408,15 +396,15 @@ def _choosability_ground_truth() -> dict:
     if list_colour(g24, lists24) is not None or brute_list_colour(g24, lists24) is not None:
         failures.append("K_{2,4} witness lists admit no colouring")
     holds, witness = list_chromatic_at_least(g24, 3)
-    if not (holds and _witness_refuted(g24, witness)):
+    if not (holds and brute_list_colour(g24, witness) is None):
         failures.append("chi_ell(K_{2,4}) >= 3")
     return {"checked": 6, "failures": failures}
 
 
 def run_oracles() -> tuple[dict, dict[str, float]]:
     sections, timings = _run_sections((
-        ("extend_vs_bruteforce_exhaustive", _solver_equivalence_exhaustive),
-        ("extend_vs_bruteforce_random", _solver_equivalence_random),
+        ("extend_vs_bruteforce_exhaustive", partial(_solver_equivalence, _exhaustive_cases())),
+        ("extend_vs_bruteforce_random", partial(_solver_equivalence, _random_cases())),
         ("colourability_all_graphs_n6", _colourability_ground_truth),
         ("min_cut_ground_truth", _min_cut_ground_truth),
         ("choosability_ground_truth", _choosability_ground_truth),
@@ -430,61 +418,50 @@ def run_oracles() -> tuple[dict, dict[str, float]]:
 # Property suite (proof inequalities and negative paths)
 # ---------------------------------------------------------------------------
 
-def _prop_degree_additivity(trials: int) -> dict:
-    rng = random.Random(20260810)
-    violations = 0
-    for _ in range(trials):
-        k = rng.randint(1, 4)
-        n = rng.randint(1, 10)
-        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
-        palette = Palette.plain(7 * k)
-        t = _random_template(g, palette, rng, s_limit=4, f_limit=3)
-        xs = frozenset(v for v in g.vertices if rng.random() < 0.5)
-        ys = g.vertices - xs
-        if degree(restrict(t, xs), k) + degree(restrict(t, ys), k) != degree(t, k):
-            violations += 1
-    return {"trials": trials, "violations": violations}
+def _seeded_trials(seed: int, check, trials: int) -> dict:
+    """Run check(rng, i) for trials i = 0, 1, ... on one seeded stream.
+    Each run yields the conditions it tests; each that holds is a violation."""
+    rng = random.Random(seed)
+    return {"trials": trials, "violations": sum(sum(check(rng, i)) for i in range(trials))}
 
 
-def _prop_strengthen(trials: int) -> dict:
-    rng = random.Random(20260811)
-    violations = 0
-    for i in range(trials):
-        if i % 10 == 0:
-            # list-mode exercise: K_{4k+2} core with identical lists of
-            # size 4k+1 is inextensible for the same subset reason
-            k = 1
-            g = generate(FamilySpec.complete(4 * k + 2))
-            palette = Palette.from_lists({v: range(4 * k + 1) for v in g.vertices})
-            t = _random_template(g, palette, rng, s_limit=2, f_limit=2 * k, degree_cap=2 * k * k, k=k)
-        else:
-            k = rng.choice((1, 1, 2))
-            g, t, palette = _random_inextensible_instance(rng, k)
-        before = degree(t, k)
-        out = strengthen_witness(g, t, k, palette)
-        if any(len(fs) > k - 1 for fs in out.forbidden.values()):
-            violations += 1
-        if degree(out, k) > before:
-            violations += 1
-        if extend(g, out, palette).outcome != "unsat":
-            violations += 1
-    return {"trials": trials, "violations": violations}
+def _degree_additivity(rng: random.Random, _: int):
+    k = rng.randint(1, 4)
+    n = rng.randint(1, 10)
+    g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+    palette = Palette.plain(7 * k)
+    t = _random_template(g, palette, rng, s_limit=4, f_limit=3)
+    xs = frozenset(v for v in g.vertices if rng.random() < 0.5)
+    ys = g.vertices - xs
+    yield degree(restrict(t, xs), k) + degree(restrict(t, ys), k) != degree(t, k)
 
 
-def _prop_separation(trials: int) -> dict:
-    rng = random.Random(20260812)
-    violations = 0
-    for _ in range(trials):
-        k = rng.randint(2, 4)
-        g, t, palette, x, y, z = _random_separated_instance(rng, k)
-        t_sep = derive_separation_template(g, t, x, y, z, k)
-        if degree(t_sep, k) > degree(t, k):
-            violations += 1
-        for v, fs in t_sep.forbidden.items():
-            bound = 2 * k - 1 if v in x else k - 1
-            if len(fs) > bound:
-                violations += 1
-    return {"trials": trials, "violations": violations}
+def _strengthen(rng: random.Random, i: int):
+    if i % 10 == 0:
+        # list-mode exercise: K_{4k+2} core with identical lists of
+        # size 4k+1 is inextensible for the same subset reason
+        k = 1
+        g = generate(FamilySpec.complete(4 * k + 2))
+        palette = Palette.from_lists({v: range(4 * k + 1) for v in g.vertices})
+        t = _random_template(g, palette, rng, s_limit=2, f_limit=2 * k, degree_cap=2 * k * k, k=k)
+    else:
+        k = rng.choice((1, 1, 2))
+        g, t, palette = _random_inextensible_instance(rng, k)
+    before = degree(t, k)
+    out = strengthen_witness(g, t, k, palette)
+    yield any(len(fs) > k - 1 for fs in out.forbidden.values())
+    yield degree(out, k) > before
+    yield extend(g, out, palette).outcome != "unsat"
+
+
+def _separation(rng: random.Random, _: int):
+    k = rng.randint(2, 4)
+    g, t, palette, x, y, z = _random_separated_instance(rng, k)
+    t_sep = derive_separation_template(g, t, x, y, z, k)
+    yield degree(t_sep, k) > degree(t, k)
+    for v, fs in t_sep.forbidden.items():
+        bound = 2 * k - 1 if v in x else k - 1
+        yield len(fs) > bound
 
 
 def _prop_completion_and_glue(trials: int) -> dict:
@@ -557,54 +534,45 @@ def _interval_instance(rng: random.Random, k: int):
     return g, t, palette, [[v for v in js if v not in pre] for js in sets]
 
 
-def _prop_intervals(trials: int) -> dict:
-    rng = random.Random(20260814)
-    violations = 0
-    for _ in range(trials):
-        k = rng.randint(2, 5)
-        g, t, palette, indep = _interval_instance(rng, k)
-        intervals = interval_partition(g, t, k, indep)
-        if len(intervals) > 3 * k:
-            violations += 1
-        homes = [frozenset(js) for js in indep]
-        for interval in intervals:
-            if sum(len(t.forbidden[v]) for v in interval) > 2 * k:
-                violations += 1
-            if not any(set(interval) <= home for home in homes):
-                violations += 1
-            for u, v in combinations(interval, 2):
-                if g.has_edge(u, v):
-                    violations += 1
-        col = colour_from_intervals(g, t, intervals, palette)
-        if not respects(g, t, col, palette):
-            violations += 1
-    return {"trials": trials, "violations": violations}
+def _intervals(rng: random.Random, _: int):
+    k = rng.randint(2, 5)
+    g, t, palette, indep = _interval_instance(rng, k)
+    intervals = interval_partition(g, t, k, indep)
+    yield len(intervals) > 3 * k
+    homes = [frozenset(js) for js in indep]
+    for interval in intervals:
+        yield sum(len(t.forbidden[v]) for v in interval) > 2 * k
+        yield not any(set(interval) <= home for home in homes)
+        for u, v in combinations(interval, 2):
+            yield g.has_edge(u, v)
+    col = colour_from_intervals(g, t, intervals, palette)
+    yield not respects(g, t, col, palette)
 
 
-def _prop_rainbow(trials: int) -> dict:
-    rng = random.Random(20260815)
-    violations = 0
-    for _ in range(trials):
-        k = rng.randint(2, 5)
-        n = rng.randint(1, k)
-        g = random_graph(n, rng.uniform(0.2, 0.9), rng)
-        palette = Palette.plain(7 * k)
-        t = _random_template(g, palette, rng, s_limit=n, f_limit=k - 1)
-        col = rainbow_small_case(g, t, k, palette)
-        if not respects(g, t, col, palette):
-            violations += 1
-        outside = [col[v] for v in sorted(t.forbidden)]
-        if len(set(outside)) != len(outside):
-            violations += 1
-    return {"trials": trials, "violations": violations}
+def _small_instance(rng: random.Random, k: int) -> tuple[Graph, Template, Palette]:
+    """A graph on at most k vertices with a template whose lists have at
+    most k - 1 colours: the rainbow small case."""
+    n = rng.randint(1, k)
+    g = random_graph(n, rng.uniform(0.2, 0.9), rng)
+    palette = Palette.plain(7 * k)
+    return g, _random_template(g, palette, rng, s_limit=n, f_limit=k - 1), palette
+
+
+def _rainbow(rng: random.Random, _: int):
+    k = rng.randint(2, 5)
+    g, t, palette = _small_instance(rng, k)
+    col = rainbow_small_case(g, t, k, palette)
+    yield not respects(g, t, col, palette)
+    outside = [col[v] for v in sorted(t.forbidden)]
+    yield len(set(outside)) != len(outside)
 
 
 def _mutated_witnesses(count: int):
     """Deliberately invalid witness pairs plus the stage to run them
     through; each must end in InternalContradiction."""
     rng = random.Random(20260816)
-    plan = (["descend"] * 40 + ["finalize_plain"] * 30 + ["rainbow"] * 20 + ["finalize_list"] * 10)[:count]
-    for kind in plan:
+    plan = ["descend"] * 40 + ["finalize_plain"] * 30 + ["rainbow"] * 20 + ["finalize_list"] * 10
+    for kind in islice(cycle(plan), count):
         if kind == "descend":
             k = rng.choice((1, 2, 3))
             nx = k - 1
@@ -638,10 +606,7 @@ def _mutated_witnesses(count: int):
             yield kind, g, t, cfg, "finalize"
         elif kind == "rainbow":
             k = rng.choice((3, 4, 5))
-            n = rng.randint(1, k)
-            g = random_graph(n, rng.uniform(0.2, 0.9), rng)
-            palette = Palette.plain(7 * k)
-            t = _random_template(g, palette, rng, s_limit=n, f_limit=k - 1)
+            g, t, _ = _small_instance(rng, k)
             cfg = ExtractConfig(k=k)
             yield kind, g, t, cfg, "descend"
         else:  # finalize_list
@@ -673,12 +638,12 @@ def _prop_mutations(count: int) -> dict:
 
 def run_properties(trials: int = 1000, mutations: int = 100) -> tuple[dict, dict[str, float]]:
     sections, timings = _run_sections((
-        ("degree_additivity", partial(_prop_degree_additivity, trials)),
-        ("strengthen_witness", partial(_prop_strengthen, trials)),
-        ("derive_separation", partial(_prop_separation, trials)),
+        ("degree_additivity", partial(_seeded_trials, 20260810, _degree_additivity, trials)),
+        ("strengthen_witness", partial(_seeded_trials, 20260811, _strengthen, trials)),
+        ("derive_separation", partial(_seeded_trials, 20260812, _separation, trials)),
         ("derive_completion_glue", partial(_prop_completion_and_glue, trials)),
-        ("interval_partition", partial(_prop_intervals, trials)),
-        ("rainbow_small_case", partial(_prop_rainbow, trials)),
+        ("interval_partition", partial(_seeded_trials, 20260814, _intervals, trials)),
+        ("rainbow_small_case", partial(_seeded_trials, 20260815, _rainbow, trials)),
         ("mutated_witnesses", partial(_prop_mutations, mutations)),
     ))
     muts = sections["mutated_witnesses"]

@@ -2,10 +2,16 @@
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -s` (or
 `chromcert reproduce <suite>` for the underlying machinery)."""
 
+import dataclasses
 import hashlib
+import random
+from collections.abc import Mapping
 
 import pytest
 
+from chromcert import suites
+from chromcert.graphs import Graph
+from chromcert.solver import Palette, Template
 from chromcert.suites import (
     report_to_json,
     run_oracles,
@@ -145,3 +151,65 @@ def test_suite_reports_pinned(theorem1, theorem2, oracles, properties):
         for name, (report, _) in reports.items()
     }
     assert digests == REPORT_SHA256
+
+
+def test_mutations_past_one_plan_cycle_all_fire():
+    report, _ = run_properties(trials=1, mutations=101)
+    muts = report["sections"]["mutated_witnesses"]
+    assert muts == {"count": 101, "contradictions": 101, "respecting_colourings": 101}
+    assert report["ok"]
+
+
+def canonical(x):
+    """x in a form free of set and dict order: graphs as sorted vertices and
+    edges, templates and palettes as sorted items, a random stream as a
+    digest of its state."""
+    if isinstance(x, Graph):
+        return ("graph", sorted(x.vertices), sorted(x.edges))
+    if isinstance(x, Template):
+        return ("template", canonical(x.precolour), canonical(x.forbidden))
+    if isinstance(x, Palette):
+        return ("palette", x.mode, x.size, canonical(x.lists))
+    if isinstance(x, random.Random):
+        return ("rng", hashlib.sha256(repr(x.getstate()).encode()).hexdigest())
+    if isinstance(x, Mapping):
+        return sorted((canonical(k), canonical(v)) for k, v in x.items())
+    if isinstance(x, (set, frozenset)):
+        return sorted(canonical(v) for v in x)
+    if isinstance(x, (list, tuple)):
+        return [canonical(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, [canonical(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    return x
+
+
+class Recorded:
+    """Logs the canonical arguments of each call, then makes it.  An
+    attribute such as Template.empty is recorded under its dotted name."""
+
+    def __init__(self, log: list[str], name: str, target):
+        self.log, self.name, self.target = log, name, target
+
+    def __call__(self, *args, **kwargs):
+        self.log.append(repr((self.name, canonical(args), canonical(kwargs))))
+        return self.target(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return Recorded(self.log, f"{self.name}.{attr}", getattr(self.target, attr))
+
+
+def test_property_suite_inputs_pinned(monkeypatch):
+    # The property report holds only counts, so REPORT_SHA256 cannot see a
+    # generator that draws other instances.  This pins every call the suite
+    # makes into the rest of the package, with its arguments.
+    log: list[str] = []
+    for name, obj in list(vars(suites).items()):
+        module = getattr(obj, "__module__", None) or ""
+        if not callable(obj) or not module.startswith("chromcert.") or module == suites.__name__:
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue  # caught by `except`, so it must stay a class
+        monkeypatch.setattr(suites, name, Recorded(log, name, obj))
+    run_properties(trials=50, mutations=20)
+    digest = hashlib.sha256("".join(line + "\n" for line in log).encode()).hexdigest()
+    assert (len(log), digest) == (4225, "7115e0b062b8ea920c6e6540e49ca5366cffa0354be22590543033c54e14c052")

@@ -34,6 +34,24 @@ def test_min_cut_disconnected_is_empty():
     assert min_vertex_cut(glued((4, 4), 0)) == frozenset()
 
 
+@pytest.mark.parametrize(
+    "g, cut, k_connected",
+    [
+        (Graph.build(0), None, (False, False, False, False)),
+        (Graph.build(1), None, (False, False, False, False)),
+        (Graph.build(2), (0, frozenset()), (False, False, False, False)),
+        (Graph.build(2, [(0, 1)]), None, (True, False, False, False)),
+        (generate(FamilySpec.complete(4)), None, (True, True, True, False)),
+        (Graph.build(4, [(0, 1), (1, 2), (2, 3)]), (1, frozenset({1})), (True, False, False, False)),
+        (generate(FamilySpec.cycle(5)), (2, frozenset({0, 2})), (True, True, False, False)),
+    ],
+    ids=["K0", "K1", "two-isolated", "K2", "K4", "P4", "C5"],
+)
+def test_cut_references_answer_corner_cases_by_definition(g, cut, k_connected):
+    assert brute_min_cut(g) == cut
+    assert tuple(brute_is_k_connected(g, k) for k in range(1, 5)) == k_connected
+
+
 def test_min_cut_petersen_matches_brute_force():
     # kneser(5,2) is the Petersen graph; the oracle enumerates all subsets.
     pet = generate(FamilySpec.kneser(5, 2))
