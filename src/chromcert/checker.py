@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain, pairwise, starmap
+from operator import lt
 
 from .connectivity import min_vertex_cut, separation_fault
 from .graphs import Graph, graph_hash, induced_subgraph
@@ -106,6 +108,12 @@ def _ints(xs) -> bool:
     return set(map(type, xs)) <= {int}
 
 
+def _increasing(*lists) -> bool:
+    """Each list holds JSON integers in strictly increasing order: the one
+    encoding of a vertex set or a colour list."""
+    return _ints(chain(*lists)) and all(starmap(lt, chain.from_iterable(map(pairwise, lists))))
+
+
 def _nats(*ns) -> bool:
     """Every argument is a nonnegative JSON integer."""
     return _ints(ns) and min(ns) >= 0
@@ -139,7 +147,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     try:
         k = cert.k
         # One encoding per claim: JSON true is not the integer 1, nor is 1.0.
-        if not (_nats(k, cert.solver_decisions, cert.solver_backtracks) and _ints(cert.final_vertices)):
+        if not (_nats(k, cert.solver_decisions, cert.solver_backtracks) and _increasing(cert.final_vertices)):
             return False
         # Plain mode records its palette's size, list mode none.
         if k < 1 or not (_nats(cert.palette_size) if cert.mode == PLAIN
@@ -151,7 +159,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         ksq = k * k
         prev_degree = 2 * k * k
         for step in cert.trace:
-            if not (_ints(step.cut + step.side_y + step.side_z) and _nats(
+            if not (_increasing(step.cut, step.side_y, step.side_z) and _nats(
                     step.template_degree, step.z_degree, step.derived_degree,
                     step.solver_decisions, step.solver_backtracks)):
                 return False
@@ -202,7 +210,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
             raw, names = chrom["lists"], {str(v): v for v in h.vertices}
             if not isinstance(raw, dict) or raw.keys() != names.keys():
                 return False
-            if not _ints([c for cs in raw.values() for c in cs]):
+            if not _increasing(*raw.values()):
                 return False
             lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
             return all(len(cs) == k - 1 for cs in lists.values()) and _witness_refutes(h, lists)

@@ -1,9 +1,9 @@
 """Independent brute-force reference oracles: all of chromcert's brute
 force lives here.
 
-Everything here answers straight from the definitions: colourability by
-plain backtracking in vertex id order, the other oracles by exhaustive
-enumeration, and brute_force_extend by testing every assignment against
+Everything here answers straight from the definitions: the colouring
+questions by one plain backtracking in vertex id order, the other oracles
+by exhaustive enumeration, and brute_force_extend checks its answer against
 the problem model of solver.py (validate_template, respects).  None of
 them uses the ordering heuristics, propagation or symmetry breaking of the
 exact engine (solver.extend, which also answers solver.is_colourable and
@@ -13,11 +13,11 @@ and the tests run both routes and demand exact agreement.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
 
 from .graphs import Graph, induced_subgraph, is_connected
-from .solver import Palette, SolveResult, SolverStats, Template, respects, validate_template
+from .solver import Palette, SolveResult, Template, respects, validate_template
 
 BRUTE_FORCE_VERTEX_CAP = 8
 BRUTE_FORCE_SPACE_CAP = 2_000_000
@@ -36,9 +36,10 @@ def brute_chromatic_number(g: Graph, upper: int) -> int | None:
     return None
 
 
-def brute_first_colouring(g: Graph, t: int) -> dict[int, int] | None:
-    """Lexicographically first proper t-colouring by plain recursion in
-    vertex id order (no ordering heuristics, no symmetry breaking)."""
+def _first_colouring(g: Graph, domains: Mapping[int, Iterable[int]]) -> dict[int, int] | None:
+    """Lexicographically first proper colouring from the per-vertex domains,
+    each tried in its own order, by plain recursion in vertex id order (no
+    ordering heuristics, no symmetry breaking), or None."""
     order = g.sorted_vertices()
     col: dict[int, int] = {}
 
@@ -46,7 +47,7 @@ def brute_first_colouring(g: Graph, t: int) -> dict[int, int] | None:
         if i == len(order):
             return True
         v = order[i]
-        for c in range(t):
+        for c in domains[v]:
             if all(col.get(u) != c for u in g.adj[v]):
                 col[v] = c
                 if rec(i + 1):
@@ -59,15 +60,14 @@ def brute_first_colouring(g: Graph, t: int) -> dict[int, int] | None:
     return None
 
 
+def brute_first_colouring(g: Graph, t: int) -> dict[int, int] | None:
+    """Lexicographically first proper t-colouring, or None."""
+    return _first_colouring(g, dict.fromkeys(g.vertices, range(t)))
+
+
 def brute_list_colour(g: Graph, lists: Mapping[int, frozenset[int]]) -> dict[int, int] | None:
     """First proper colouring in the product of the lists, or None."""
-    order = g.sorted_vertices()
-    domains = [sorted(lists[v]) for v in order]
-    for assignment in product(*domains):
-        col = dict(zip(order, assignment))
-        if all(col[u] != col[v] for u, v in g.edges):
-            return col
-    return None
+    return _first_colouring(g, {v: sorted(lists[v]) for v in g.sorted_vertices()})
 
 
 def _disconnecting_sets(g: Graph, below: int) -> Iterator[tuple[int, ...]]:
@@ -123,24 +123,22 @@ def canonical_list_assignments(g: Graph, s: int) -> Iterator[dict[int, frozenset
 
 
 def brute_force_extend(g: Graph, t: Template, palette: Palette) -> SolveResult:
-    """Enumerate every assignment of non-forbidden palette colours to the
-    uncoloured vertices, in lexicographic order, and test each against the
-    respects predicate: the reference for solver.extend."""
+    """The lexicographically first assignment of non-forbidden palette
+    colours to the uncoloured vertices that, joined to the pre-colouring,
+    passes the respects predicate: the reference for solver.extend."""
     validate_template(g, t, palette)
     if g.n > BRUTE_FORCE_VERTEX_CAP:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices")
-    order = sorted(t.forbidden)
-    domains = [sorted(palette.colours_of(v) - t.forbidden[v]) for v in order]
+    domains = {v: [c] for v, c in t.precolour.items()}
     space = 1
-    for d in domains:
-        space *= len(d)
+    for v in sorted(t.forbidden):
+        domains[v] = sorted(palette.colours_of(v) - t.forbidden[v])
+        space *= len(domains[v])
         if space > BRUTE_FORCE_SPACE_CAP:
             raise ValueError("brute force candidate space exceeds the cap")
-    stats = SolverStats()
-    for assignment in product(*domains):
-        stats.decisions += 1
-        col = dict(t.precolour)
-        col.update(zip(order, assignment))
-        if respects(g, t, col, palette):
-            return SolveResult("sat", col, stats)
-    return SolveResult("unsat", None, stats)
+    col = _first_colouring(g, domains)
+    if col is None:
+        return SolveResult("unsat", None)
+    if not respects(g, t, col, palette):
+        raise RuntimeError("brute force produced a colouring that fails the respects check")
+    return SolveResult("sat", col)

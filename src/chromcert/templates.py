@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 from .connectivity import separation_fault
 from .errors import InternalContradiction
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .solver import LIST, PLAIN, Palette, Template, extend, is_proper, respects
 # perfbench/tracer.py binds templates.validate_template by name, so it stays
 # here until its next revision.
@@ -273,26 +273,11 @@ def colour_from_intervals(
 def list_direct_completion(
     h: Graph, t: Template, k: int, palette: Palette, budget=None
 ) -> dict[int, int] | None:
-    """List-mode completion: per-vertex available lists (own list minus
-    forbidden colours minus pre-coloured neighbours' colours) are handed to
-    the solver on the uncoloured part.  Returns the full colouring or None.
-    """
+    """List-mode completion: a colouring of h that respects t, or None.  As
+    c is proper on S, that is a colouring of H - S from the lists
+    L(v) - F(v) - c(S & N(v)) joined to c; extend decides it on h."""
     if palette.mode != LIST:
         raise ValueError("direct completion is a list-mode construction")
     if any(len(fs) > k - 1 for fs in t.forbidden.values()):
         raise ValueError("direct completion requires a strengthened template")
-    rest = sorted(t.forbidden)
-    if not rest:
-        return dict(t.precolour)
-    avail = {v: _free_colours(h, t, v, palette) for v in rest}
-    if not all(avail.values()):
-        return None
-    sub = induced_subgraph(h, rest)
-    result = extend(sub, Template.empty(sub), Palette.from_lists(avail), budget)
-    if result.outcome == "unsat":
-        return None
-    col = dict(t.precolour)
-    col.update(result.colouring)
-    if not respects(h, t, col, palette):
-        raise RuntimeError("direct completion produced a non-respecting colouring")
-    return col
+    return extend(h, t, palette, budget).colouring

@@ -8,6 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from chromcert import connectivity  # noqa: E402
 from chromcert.solver import extend, validate_template  # noqa: E402
 from chromcert.templates import degree  # noqa: E402
 
@@ -26,3 +27,17 @@ def is_valid_witness():
         return extend(g, t, palette).outcome == "unsat"
 
     return check
+
+
+@pytest.fixture
+def count_flows(monkeypatch):
+    """A one-item list counting the calls of _SplitNetwork.flow during the
+    test; reset it to zero to count from a later point."""
+    flow, calls = connectivity._SplitNetwork.flow, [0]
+
+    def counting_flow(self, *args):
+        calls[0] += 1
+        return flow(self, *args)
+
+    monkeypatch.setattr(connectivity._SplitNetwork, "flow", counting_flow)
+    return calls

@@ -219,6 +219,50 @@ def test_a_step_whose_sides_touch_is_rejected():
     assert not verify_certificate(touching, replace(cert, graph_hash=graph_hash(touching)))
 
 
+def _unsorted_mutants(cert: Certificate) -> list[Certificate]:
+    """cert with a vertex list of its first step or its final set repeated
+    or reordered: each still names the same set."""
+    step, fv = cert.trace[0], cert.final_vertices
+
+    def at_step(**fields):
+        return replace(cert, trace=(replace(step, **fields),) + cert.trace[1:])
+
+    return [replace(cert, final_vertices=fv + fv[:1]), replace(cert, final_vertices=fv[::-1]),
+            at_step(cut=step.cut * 2), at_step(side_y=step.side_y + step.side_y[:1]),
+            at_step(side_z=step.side_z[::-1])]
+
+
+def k33_bad_lists():
+    """K3,3 with the lists {0,1}, {0,2}, {1,2} on each side: not colourable
+    from them, so at k = 3 extract writes these lists as its witness."""
+    g = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    return g, {v: frozenset(({0, 1}, {0, 2}, {1, 2})[v % 3]) for v in g.vertices}
+
+
+def _witness_mutants(cert: Certificate) -> list[Certificate]:
+    """cert with vertex 0's witness list reversed, or with a repeat."""
+    witness = cert.chromatic_evidence
+    lists = witness["lists"]
+    return [replace(cert, chromatic_evidence={**witness, "lists": {**lists, "0": cs}})
+            for cs in (lists["0"][::-1], lists["0"] + lists["0"][:1])]
+
+
+def test_vertex_and_witness_lists_must_be_strictly_increasing():
+    # One encoding per claim: extract writes every vertex list and witness
+    # list strictly increasing, and a repeat or a reordering names the same
+    # set in a second form.  Rejected in-process and after a JSON round trip.
+    g = generate(FamilySpec.glued_cliques((6, 6, 6), 1))
+    cert = extract(g, ExtractConfig(k=2, palette_size=5))
+    assert len(cert.trace) == 2 and verify_certificate(g, cert)
+    k33, lists = k33_bad_lists()
+    witnessed = extract(k33, ExtractConfig(k=3, mode="list", lists=lists))
+    assert witnessed.chromatic_evidence["lists"]["0"] == [0, 1] and verify_certificate(k33, witnessed)
+    cases = [(g, m) for m in _unsorted_mutants(cert)] + [(k33, m) for m in _witness_mutants(witnessed)]
+    for graph, mutant in cases:
+        assert not verify_certificate(graph, mutant), mutant
+        assert not verify_certificate(graph, Certificate.from_json(mutant.to_json())), mutant
+
+
 # -- list-mode claims --------------------------------------------------------------
 
 def k44():
@@ -289,6 +333,17 @@ def test_verify_rejects_forged_list_guarantee(tmp_path):
     cert = tmp_path / "cert.json"
     write_dimacs(k44(), str(graph))
     cert.write_text(forged_k44_certificate().to_json())
+    assert cli("verify", str(graph), str(cert)) == EXIT_REJECTED
+
+
+def test_verify_rejects_a_repeated_final_vertex(tmp_path):
+    g = generate(FamilySpec.glued_cliques((6, 6, 6), 1))
+    graph, cert = tmp_path / "glued.col", tmp_path / "cert.json"
+    write_dimacs(g, str(graph))
+    good = extract(g, ExtractConfig(k=2, palette_size=5))
+    cert.write_text(good.to_json())
+    assert cli("verify", str(graph), str(cert)) == EXIT_OK
+    cert.write_text(_unsorted_mutants(good)[0].to_json())
     assert cli("verify", str(graph), str(cert)) == EXIT_REJECTED
 
 

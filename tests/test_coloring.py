@@ -83,6 +83,23 @@ def test_brute_colourable_matches_the_definition():
                 assert brute_colourable(g, t) == expected, (sorted(g.edges), t)
 
 
+def test_brute_list_colour_is_the_first_proper_assignment_in_product_order():
+    # Every labelled graph on at most 5 vertices, under seeded list families,
+    # against the product of the sorted lists in vertex id order; key order
+    # included.
+    rng = random.Random(75)
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        families = [{v: frozenset(rng.sample(range(4), rng.randint(1, 3))) for v in range(n)} for _ in range(3)]
+        for mask in range(1 << len(pairs)):
+            g = Graph.build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for lists in families:
+                first = next((c for c in product(*(sorted(lists[v]) for v in range(n))) if proper(g, c)), None)
+                got = brute_list_colour(g, lists)
+                assert (None if got is None else tuple(got.items())) == (
+                    None if first is None else tuple(enumerate(first))), (sorted(g.edges), lists)
+
+
 def test_is_colourable_choices_pinned():
     # DSATUR order and colour choices, dict key order included.
     pet = generate(FamilySpec.kneser(5, 2))

@@ -276,19 +276,7 @@ def _dense_graphs(rng):
     yield glued((6, 6), 2)
 
 
-def _count_flows(monkeypatch):
-    """A one-item list counting the calls of _SplitNetwork.flow from now on."""
-    flow, calls = conn._SplitNetwork.flow, [0]
-
-    def counting_flow(self, *args):
-        calls[0] += 1
-        return flow(self, *args)
-
-    monkeypatch.setattr(conn._SplitNetwork, "flow", counting_flow)
-    return calls
-
-
-def test_matches_brute_force_on_dense_graphs(monkeypatch):
+def test_matches_brute_force_on_dense_graphs(monkeypatch, count_flows):
     # Record how each tail scan of min_vertex_cut ends.  It has no answer,
     # or s = kappa and the prefix {0..s-1} is itself the cut, or `least` is
     # the cut and no flow runs, or the cut is a separator read off a flow.
@@ -296,14 +284,13 @@ def test_matches_brute_force_on_dense_graphs(monkeypatch):
     # the closure reaches in(t) or a forced vertex's out-node.
     outcomes = set()
     tail_cut, separator, close = conn._SplitNetwork.tail_cut, conn._SplitNetwork._separator, conn._SplitNetwork._close
-    flows = _count_flows(monkeypatch)
     sink = [None]
 
     def recording_tail_cut(self, s, need):
-        before = flows[0]
+        before = count_flows[0]
         got = tail_cut(self, s, need)
         outcomes.add("no answer" if got is None else "prefix is the cut" if not need else
-                     "least is the cut" if flows[0] == before else "separator")
+                     "least is the cut" if count_flows[0] == before else "separator")
         return got
 
     def recording_separator(self, alive, s, t, size):
@@ -333,38 +320,35 @@ CYCLE_JOIN_FLOWS = {(5, 10): 49, (5, 9): 44, (7, 6): 78}
 
 
 @pytest.mark.parametrize("cycle, copies", [(5, 10), (5, 9), (7, 6)])
-def test_min_cut_of_cycle_joins_takes_linearly_many_flows(monkeypatch, cycle, copies):
+def test_min_cut_of_cycle_joins_takes_linearly_many_flows(count_flows, cycle, copies):
     # A cut of a join holds every part but one, plus a cut of that part's
     # cycle.  The lexicographically smallest minimum cut is every vertex
     # before the last cycle plus that cycle's vertices 0 and 2.
     g = generate(FamilySpec.join(*[FamilySpec.cycle(cycle)] * copies))
-    calls = _count_flows(monkeypatch)
     last = cycle * (copies - 1)
     assert min_vertex_cut(g) == frozenset(range(last + 1)) | {last + 2}
-    assert calls[0] <= 2 * g.n
-    assert calls[0] == CYCLE_JOIN_FLOWS[cycle, copies]
+    assert count_flows[0] <= 2 * g.n
+    assert count_flows[0] == CYCLE_JOIN_FLOWS[cycle, copies]
 
 
-def test_min_cut_of_a_dense_random_graph_is_pinned(monkeypatch):
+def test_min_cut_of_a_dense_random_graph_is_pinned(count_flows):
     # kappa = 81: the uncapped cut that finalize and verify run on a dense H.
     # The greedy that ran one threshold query per vertex took 4488 flows.
     g = generate(FamilySpec.random(100, 0.9, 3))
-    calls = _count_flows(monkeypatch)
     outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
     assert min_vertex_cut(g) == frozenset(range(100)) - outside
-    assert calls[0] == 885
+    assert count_flows[0] == 885
 
 
-def test_is_k_connected_answers_from_the_kappa_query(monkeypatch):
+def test_is_k_connected_answers_from_the_kappa_query(count_flows):
     # kappa = 22 < 30.  The kappa query capped at 30 alone says so;
     # building the canonical cut as well takes 1,083 flows.
     g = generate(FamilySpec.random(60, 0.5, 1))
-    calls = _count_flows(monkeypatch)
     assert not is_k_connected(g, 30)
-    assert calls[0] <= 555
-    calls[0] = 0
+    assert count_flows[0] <= 555
+    count_flows[0] = 0
     assert connectivity(g) == len(min_vertex_cut(g)) == 22
-    assert calls[0] == 555 + 1083
+    assert count_flows[0] == 555 + 1083
 
 
 def test_min_vertex_cut_seeded_differential_digest():

@@ -1,11 +1,11 @@
 """Growth gates on exact work counters, free of timing noise.
 
 Each ladder is a family of instances at growing sizes.  At every rung each
-recorded counter of `extract` (self-verify included), or of one uncapped
-`min_vertex_cut`, may stay at its value or fall, and the log-log slope
-between the last two rungs may not rise.  The choosability witness search
-has no ladder: on each listed graph its counters may stay or fall.  A
-change that lowers a counter records the new values here.
+recorded counter of `extract` (self-verify included), of one uncapped
+`min_vertex_cut` or of one `extend` may stay at its value or fall, and the
+log-log slope between the last two rungs may not rise.  The choosability
+witness search has no ladder: on each listed graph its counters may stay or
+fall.  A change that lowers a counter records the new values here.
 """
 
 import math
@@ -16,6 +16,7 @@ from chromcert import coloring, connectivity
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
+from chromcert.solver import Palette, Template, extend
 
 
 def k15_star(m):
@@ -32,6 +33,16 @@ def k15_chain(m):
     return Graph.build(14 * m + 1, edges)
 
 
+def pendant_path(length):
+    """A path on `length` vertices whose last vertex lies in a K15: each
+    canonical cut is the smallest cut vertex, so each step peels one path
+    vertex."""
+    edges = [(v, v + 1) for v in range(length - 1)]
+    clique = range(length - 1, length + 14)
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    return Graph.build(length + 14, edges)
+
+
 def dense_random(n):
     return generate(FamilySpec.random(n, 0.9, 3))
 
@@ -44,6 +55,9 @@ LADDERS = {
     "k15-star": (k15_star, 2, (20, 40, 80), CLIQUE_LADDER),
     "k15-chain": (k15_chain, 2, (20, 40, 80), CLIQUE_LADDER),
     "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (404, 1770, 4200, 17624)}),
+    # The minimum degree settles every query, so no flow runs.
+    "pendant-path": (pendant_path, 2, (100, 200, 400), {STEPS: (99, 199, 399), SIZES: (6435, 22885, 85785),
+                                                       FLOWS: (0, 0, 0)}),
 }
 
 
@@ -63,40 +77,44 @@ def _assert_no_growth(counter, rungs, got, values):
     assert _slope(rungs, got) <= _slope(rungs, values), (counter, got, values)
 
 
-def _count_flows(monkeypatch):
-    """A one-item list counting the calls of _SplitNetwork.flow from now on."""
-    flow, flows = connectivity._SplitNetwork.flow, [0]
-
-    def counting_flow(self, *args):
-        flows[0] += 1
-        return flow(self, *args)
-
-    monkeypatch.setattr(connectivity._SplitNetwork, "flow", counting_flow)
-    return flows
-
-
 @pytest.mark.parametrize("ladder", sorted(LADDERS))
-def test_work_counters_do_not_grow(monkeypatch, ladder):
+def test_work_counters_do_not_grow(count_flows, ladder):
     make, k, rungs, recorded = LADDERS[ladder]
-    flows = _count_flows(monkeypatch)
     measured = {STEPS: [], SIZES: [], FLOWS: []}
     for rung in rungs:
-        flows[0] = 0
+        count_flows[0] = 0
         cert = extract(make(rung), ExtractConfig(k=k))
         measured[STEPS].append(len(cert.trace))
         measured[SIZES].append(sum(len(s.cut) + len(s.side_y) + len(s.side_z) for s in cert.trace))
-        measured[FLOWS].append(flows[0])
+        measured[FLOWS].append(count_flows[0])
     for counter, values in recorded.items():
         _assert_no_growth(counter, rungs, measured[counter], values)
 
 
-def test_uncapped_cut_of_a_cycle_does_not_grow(monkeypatch):
-    flows, got = _count_flows(monkeypatch), []
+def test_uncapped_cut_of_a_cycle_does_not_grow(count_flows):
+    got = []
     for n in CYCLE_RUNGS:
-        flows[0] = 0
+        count_flows[0] = 0
         assert connectivity.min_vertex_cut(generate(FamilySpec.cycle(n))) == frozenset({0, 2})
-        got.append(flows[0])
+        got.append(count_flows[0])
     _assert_no_growth(FLOWS, CYCLE_RUNGS, got, CYCLE_FLOWS)
+
+
+# extend's proof that join(C5 x r) is not (3r - 1)-colourable, at these r.
+JOIN_RUNGS = (9, 10, 11)
+JOIN_WORK = {"decisions": (61455, 202938, 670220), "backtracks": (48486, 160102, 528740)}
+
+
+def test_solver_work_on_cycle_joins_does_not_grow():
+    got = {counter: [] for counter in JOIN_WORK}
+    for r in JOIN_RUNGS:
+        g = generate(FamilySpec.join(*[FamilySpec.cycle(5)] * r))
+        res = extend(g, Template.empty(g), Palette.plain(3 * r - 1))
+        assert res.outcome == "unsat"
+        got["decisions"].append(res.stats.decisions)
+        got["backtracks"].append(res.stats.backtracks)
+    for counter, values in JOIN_WORK.items():
+        _assert_no_growth(counter, JOIN_RUNGS, got[counter], values)
 
 
 def complete_bipartite(a, b):

@@ -1,11 +1,12 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from chromcert.errors import InternalContradiction, TemplateError
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
+from chromcert.oracles import brute_force_extend
 from chromcert.solver import Palette, Template, extend, respects, validate_template
 from chromcert.templates import (
     colour_from_intervals,
@@ -433,3 +434,31 @@ def test_list_completion_never_unsat_below_choosability():
         forb = {v: frozenset(rng.sample(range(13), rng.randint(0, 2))) for v in g.vertices}
         col = list_direct_completion(g, Template({}, forb), 3, pal)
         assert col is not None and respects(g, Template({}, forb), col, pal)
+
+
+def test_list_completion_with_precoloured_neighbours_matches_brute_force():
+    # A pre-coloured neighbour takes its colour out of an uncoloured
+    # vertex's list.  The completion is None exactly when brute force finds
+    # no colouring that respects T, and any colouring it returns respects T.
+    rng, k, outcomes = random.Random(26), 3, set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        g = Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5])
+        pal = Palette.from_lists({v: rng.sample(range(6), rng.randint(1, 3)) for v in g.vertices})
+        pre = {}
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            options = sorted(pal.colours_of(v) - {pre[u] for u in g.adj[v] if u in pre})
+            if options:
+                pre[v] = rng.choice(options)
+        forb = {}
+        for v in g.sorted_vertices():
+            if v not in pre:
+                pool = sorted(pal.colours_of(v))
+                forb[v] = frozenset(rng.sample(pool, min(rng.randint(0, k - 1), len(pool))))
+        t = Template(pre, forb)
+        col = list_direct_completion(g, t, k, pal)
+        assert (col is None) == (brute_force_extend(g, t, pal).outcome == "unsat")
+        assert col is None or respects(g, t, col, pal)
+        if any(pre[u] in pal.colours_of(v) - fs for v, fs in forb.items() for u in g.adj[v] if u in pre):
+            outcomes.add(col is None)
+    assert outcomes == {True, False}
