@@ -270,10 +270,10 @@ def min_vertex_cut(g: Graph, below: int | None = None):
     the answer is deterministic.  With `below`, flows stop at that cap and
     None is returned when g has no vertex cut smaller than `below`.
     """
+    if g.is_complete():  # connected, and with no cut: no component walk needed
+        return None
     if not is_connected(g):
         return frozenset()
-    if g.is_complete():
-        return None
     net = _SplitNetwork(g)
     kappa = net.kappa(g.n - 1 if below is None else below)
     if below is not None and kappa >= below:

@@ -68,14 +68,23 @@ class ExtractConfig:
         if self.palette_size is not None and self.mode != PLAIN:
             raise ValueError("a palette size is only used in plain mode")
 
+    def colour_count(self) -> int | None:
+        """The colours of the plain palette, or of each default list; None
+        when the lists are given."""
+        if self.mode == PLAIN:
+            return self.palette_size if self.palette_size is not None else 7 * self.k
+        return 4 * self.k if self.lists is None else None
+
     def palette_for(self, g: Graph) -> Palette:
         if self.mode == PLAIN:
-            size = self.palette_size if self.palette_size is not None else 7 * self.k
-            return Palette.plain(size)
+            return Palette.plain(self.colour_count())
         if self.lists is not None:
             return Palette(LIST, lists=dict(self.lists))
-        default = frozenset(range(4 * self.k))
+        default = frozenset(range(self.colour_count()))
         return Palette(LIST, lists={v: default for v in g.vertices})
+
+
+_REFUTED = "graph admits a proper palette colouring; the extraction hypothesis fails"
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,16 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
     colouring exists at all, which is exactly the chromatic-threshold
     hypothesis; a colouring instead raises NotInextensibleError carrying it.  In list
     mode the lists must name exactly g's vertices, else ValueError.
+
+    A plain palette or default lists with at least n colours refute the
+    hypothesis outright, trusted or not, before any palette is built: each
+    vertex takes its index in id order.
     """
     if g.n == 0:
         raise NotInextensibleError("the empty graph is trivially colourable", {})
+    count = cfg.colour_count()
+    if count is not None and count >= g.n:
+        raise NotInextensibleError(_REFUTED, {v: i for i, v in enumerate(g.sorted_vertices())})
     palette = cfg.palette_for(g)
     if cfg.mode == LIST and palette.lists.keys() != g.vertices:
         stray, missing = sorted(palette.lists.keys() - g.vertices), sorted(g.vertices - palette.lists.keys())
@@ -107,11 +123,7 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
         if totals is not None:
             totals.add(result.stats)
         if result.outcome == "sat":
-            raise NotInextensibleError(
-                "graph admits a proper palette colouring; the extraction "
-                "hypothesis fails",
-                result.colouring,
-            )
+            raise NotInextensibleError(_REFUTED, result.colouring)
     return WitnessPair(g, t)
 
 
@@ -271,7 +283,7 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
         graph_hash=graph_hash(g),
         k=cfg.k,
         mode=cfg.mode,
-        palette_size=cfg.palette_for(g).size if cfg.mode == PLAIN else None,
+        palette_size=cfg.colour_count() if cfg.mode == PLAIN else None,
         trace=tuple(trace),
         final_vertices=tuple(sorted(final.h.vertices)),
         connectivity_evidence=conn,

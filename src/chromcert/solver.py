@@ -13,9 +13,13 @@ top.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
 bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
-colour-by-rank holder matrix (bit i*n + r: rank r still holds colour i, the
-i-th smallest colour in g's lists), and the candidate counts are bit-sliced
-over the ranks into about log2(C) planes.  Ranks order vertices by
+colour-by-rank holder matrix (bit i*w + r: rank r still holds colour i, the
+i-th smallest of the C colours in g's lists), and the candidate counts are
+bit-sliced over the ranks into about log2(C) planes.  The rows lie w >= n
+bits apart, with w - 1 a multiple of some d > C, so 2**(i*w) = 2**i modulo
+2**d - 1; a rank's C-bit candidate mask, below 2**C <= 2**d - 1, is then one
+remainder of its bits i*w by 2**d - 1.  _stride keeps w near n, because the
+replay keys below are rows of the matrix.  Ranks order vertices by
 (-degree, id), so Brelaz's rule "fewest candidates, then larger degree, then
 smaller id" picks the lowest uncoloured rank of least count, found by
 scanning the planes from the top.  Colouring v with i prunes neighbours(v) &
@@ -23,10 +27,12 @@ uncoloured & holders(i), a wipeout when one of them had one candidate; one
 ripple borrow over the planes counts them down and one ripple carry counts
 them up on the undo, so a decision costs O(log C) mask operations.  Small
 calls are dominated by the setup, so it reads edges only at pre-coloured
-vertices: the matrix and the counts come from g's distinct lists less the
-template's forbidden colours and pre-coloured neighbours' colours, a
-vertex's neighbour mask is built at its first push, and the empty template
-skips validate_template, which has nothing to check there.
+vertices: the matrix and the counts come from g's distinct lists (in plain
+mode one list, read once) less the template's forbidden colours and
+pre-coloured neighbours' colours, a vertex's neighbour mask is one sum over
+its adjacency of a per-call map from vertex to rank bit (0 when
+pre-coloured), built at its first push, and the empty template skips
+validate_template, which has nothing to check there.
 
 Within one call, subtrees proven UNSAT are kept by the exact search state
 at their push, one int, and replayed by count when that state recurs
@@ -248,6 +254,19 @@ def _anonymity_classes(t: Template, lists: Collection[frozenset[int]]) -> tuple[
     return colours, [0 if c in mentioned else masks[carriers[c]] for c in colours]
 
 
+def _stride(n: int, nc: int) -> tuple[int, int]:
+    """(w, d): the holder matrix's row stride w >= n and a fold width d > nc
+    dividing w - 1; w is the least such stride for d up to nc + 31 when
+    n >= 2.
+    """
+    m = max(n - 1, 0)
+    if m <= nc:  # w - 1 = d, the least width
+        return nc + 2, nc + 1
+    if m <= nc + 31:  # rows exactly n bits apart
+        return n, m
+    return min((-(-m // d) * d + 1, d) for d in range(nc + 1, nc + 32))
+
+
 def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None = None) -> SolveResult:
     """Complete backtracking search for a colouring respecting t.
 
@@ -270,44 +289,53 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     adj = g.adj
     verts = sorted(sorted(t.forbidden), key=lambda v: len(adj[v]), reverse=True)  # (-degree, id)
     n = len(verts)
-    rank = {v: r for r, v in enumerate(verts)}
+    # Each vertex's rank bit, 0 at the pre-coloured ones, so that a neighbour
+    # mask is one sum over the adjacency.
+    rank_bit = {v: 1 << r for r, v in enumerate(verts)}
+    rank_bit.update(dict.fromkeys(t.precolour, 0))
     nbm: list[int | None] = [None] * n  # neighbour-rank masks, lazily
     # g's distinct lists (one in plain mode), each with the ranks carrying it;
     # a missing list raises in validate_template's order.
-    holders: dict[frozenset[int], int] = {}
-    for v in t.forbidden:
-        cs = palette.colours_of(v)
-        holders[cs] = holders.get(cs, 0) | 1 << rank[v]
-    for v in t.precolour:
-        holders.setdefault(palette.colours_of(v), 0)
+    if palette.mode == PLAIN:
+        holders = {palette.universe(): (1 << n) - 1} if g.vertices else {}
+    else:
+        holders = {}
+        for v in t.forbidden:
+            cs = palette.colours_of(v)
+            holders[cs] = holders.get(cs, 0) | rank_bit[v]
+        for v in t.precolour:
+            holders.setdefault(palette.colours_of(v), 0)
     colours, peers = _anonymity_classes(t, holders)
+    nc = len(colours)
+    w, d = _stride(n, nc)
+    fold = (1 << d) - 1
     index = {c: i for i, c in enumerate(colours)}
     anon = sum(set(peers))  # the anonymous colours; distinct classes are disjoint
-    held = rep = 0  # bit i*n + r of held: rank r holds colour i; of rep: i's slot
+    held = rep = 0  # bit i*w + r of held: rank r holds colour i; of rep: i's slot
     # Rank r's candidate count: bit r of odd is its bit 0, of planes[j] its bit j + 1.
-    odd, planes = 0, [0] * max(0, len(colours).bit_length() - 1)
+    odd, planes = 0, [0] * max(0, nc.bit_length() - 1)
     for cs, ranks in holders.items():
         row = 0
         for c in cs:
-            row |= 1 << index[c] * n
+            row |= 1 << index[c] * w
         rep |= row
         held |= ranks * row
         odd |= ranks if len(cs) & 1 else 0
         for j in range(len(planes)):
             planes[j] |= ranks if len(cs) >> j + 1 & 1 else 0
-    if not empty:  # rank r loses colour c: count it down
-        for r, c in [(rank[v], c) for v, fs in t.forbidden.items() for c in fs] + [
-                (rank[w], c) for u, c in t.precolour.items() for w in adj[u] if w in rank]:
-            bit = 1 << index[c] * n + r
+    if not empty:  # the ranks in mask r lose colour c (none at a pre-coloured vertex): count them down
+        for r, c in [(rank_bit[v], c) for v, fs in t.forbidden.items() for c in fs] + [
+                (rank_bit[u], c) for z, c in t.precolour.items() for u in adj[z]]:
+            bit = r << index[c] * w
             if held & bit:
                 held ^= bit
-                b, odd = 1 << r & ~odd, odd ^ 1 << r
+                b, odd = r & ~odd, odd ^ r
                 for j, p in enumerate(planes):
                     planes[j], b = p ^ b, b & ~p
     unc = (1 << n) - 1  # uncoloured ranks
 
     # One frame per vertex on the current path, no int in it wider than n or
-    # C bits: [rank, colours left to try, shift i*n of the colour i in use,
+    # C bits: [rank, colours left to try, shift i*w of the colour i in use,
     # ranks it pruned, its uncoloured neighbours, those with at most one
     # candidate, colours used below, decisions and backtracks before its
     # push].  Each try starts from the state at the push, so the neighbour
@@ -324,7 +352,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     # pops.  So a recurring state is replayed by count, and the counters stay
     # those of the whole tree.
     table: dict[int, dict[int, tuple[int, int]]] = {}
-    nc, small = len(colours), _REPLAY_SMALL_ENTRIES  # small: small subtrees it may still keep
+    small = _REPLAY_SMALL_ENTRIES  # small subtrees it may still keep
     while unc:
         known = table.get(unc)
         hit = known and known.get((held & unc * rep) << nc | used & anon)
@@ -351,10 +379,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
             vb = low & -low
             unc ^= vb
             v = vb.bit_length() - 1
-            x, todo = held >> v & rep, 0  # v's candidates i at bits i*n, folded to bits i
-            while x:
-                k = x.bit_length() - 1
-                x, todo = x ^ 1 << k, todo | 1 << k // n
+            todo = (held >> v & rep) % fold  # v's candidates i, folded from bits i*w to bits i
             free = todo & anon & ~used
             todo ^= free
             while free:
@@ -363,11 +388,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
                 free &= ~peers[b.bit_length() - 1]
             nb = nbm[v]
             if nb is None:
-                nb = 0
-                for u in adj[verts[v]]:
-                    if u in rank:
-                        nb |= 1 << rank[u]
-                nbm[v] = nb
+                nb = nbm[v] = sum(map(rank_bit.__getitem__, adj[verts[v]]))
             nb &= unc
             stack.append([v, todo, 0, 0, nb, nb & ~hi, used, decisions, backtracks])
         while stack:
@@ -396,7 +417,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
             if (cap and decisions > cap) or (seconds and decisions % _TIME_CHECK_EVERY == 0
                                              and time.perf_counter() - start > seconds):
                 raise ResourceLimitError(f"solver budget exhausted after {decisions} decisions")
-            sh = (bit.bit_length() - 1) * n
+            sh = (bit.bit_length() - 1) * w
             pruned = nb & held >> sh
             if pruned & crit:  # wipeout: a pruned vertex, holding i, had no other candidate
                 frame[1], frame[3] = todo, 0
@@ -413,7 +434,7 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
             return SolveResult("unsat", None, SolverStats(decisions, backtracks))
     colour = dict(t.precolour)
     for frame in stack:
-        colour[verts[frame[0]]] = colours[frame[2] // n]
+        colour[verts[frame[0]]] = colours[frame[2] // w]
     if not respects(g, t, colour, palette):
         raise RuntimeError("solver produced a colouring that fails the respects check")
     return SolveResult("sat", colour, SolverStats(decisions, backtracks))

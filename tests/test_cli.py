@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -86,12 +91,36 @@ def test_extract_not_inextensible(tmp_path):
 
 
 def test_extract_trusted_false_hypothesis(tmp_path):
-    # C_4 is 21-colourable, so trusting the k=3 hypothesis ends in a refuted
-    # witness; the contradiction maps to the hypothesis-failure exit code.
+    # C_4 is 3-colourable, so trusting the k=3 hypothesis at palette 3 ends
+    # in a refuted witness; the contradiction maps to the hypothesis-failure
+    # exit code.  (The default 21 colours would be refuted by the count.)
     graph = tmp_path / "c4.col"
     run("gen", "cycle", "4", "--out", str(graph))
-    assert run("extract", str(graph), "--k", "3",
+    assert run("extract", str(graph), "--k", "3", "--palette-size", "3",
                "--trust-precondition") == EXIT_NOT_INEXTENSIBLE
+
+
+@pytest.mark.parametrize("options", [
+    ("--k", "2", "--palette-size", "1000000"),
+    ("--k", "99999999999999999999"),
+    ("--k", "10000000", "--mode", "list"),
+])
+def test_extract_oversized_palette_exits_at_once(tmp_path, options):
+    # At least n colours refute the hypothesis by counting, before any
+    # palette of that size is built: the child runs under a 1.5 GB
+    # address-space cap and a timeout.
+    graph = tmp_path / "glued.col"
+    run("gen", "glued", "6", "6", "--shared", "1", "--out", str(graph))
+    cap = 3 << 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "chromcert.cli", "extract", str(graph), *options],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=20)
+    assert done.returncode == EXIT_NOT_INEXTENSIBLE, done.stderr
+    assert "hypothesis fails" in done.stderr
 
 
 def test_extract_budget_exhaustion(tmp_path):
@@ -118,7 +147,8 @@ def test_extract_budget_bounds_finalize(tmp_path):
     # finalize's proof that it is not 4-colourable takes 32 decisions.
     graph = tmp_path / "kneser72.col"
     run("gen", "kneser", "7", "2", "--out", str(graph))
-    code = run("extract", str(graph), "--k", "5", "--trust-precondition", "--budget-decisions", "1")
+    code = run("extract", str(graph), "--k", "5", "--palette-size", "20", "--trust-precondition",
+               "--budget-decisions", "1")
     assert code == EXIT_RESOURCE_LIMIT
 
 

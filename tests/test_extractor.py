@@ -68,8 +68,22 @@ def test_precondition_glued_k15s():
 
 def test_precondition_trust_skips_solver():
     g = generate(FamilySpec.cycle(5))  # would fail under verify
-    wp = check_precondition(g, ExtractConfig(k=1, trust_precondition=True))
+    wp = check_precondition(g, ExtractConfig(k=1, palette_size=4, trust_precondition=True))
     assert wp.h == g
+
+
+@pytest.mark.parametrize("mode", ["plain", "list"])
+@pytest.mark.parametrize("trusted", [False, True])
+def test_precondition_counts_an_oversized_palette_first(mode, trusted):
+    # 7k (or 4k) colours for 3 vertices: a colouring by index, found without
+    # building the palette of 7 * 10**20 colours.
+    g = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+    cfg = ExtractConfig(k=10**20, mode=mode, trust_precondition=trusted)
+    with pytest.raises(NotInextensibleError) as exc:
+        check_precondition(g, cfg)
+    col = exc.value.colouring
+    assert col == {0: 0, 1: 1, 2: 2}
+    assert all(col[u] != col[v] for u, v in g.edges) and max(col.values()) < cfg.colour_count()
 
 
 def test_precondition_budget_surfaces_limit():

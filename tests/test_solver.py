@@ -473,3 +473,57 @@ def test_anonymity_classes_single_list_shortcut_matches_the_definition():
                 assert got == solver._anonymity_classes(t, lists * 2)
                 shortcut += 1
     assert shortcut == 8
+
+
+def _fold_edge_cases():
+    # Every row stride and fold modulus edge: n <= 2, colour counts around n,
+    # and C = 29/30/31, where the fold's modulus passes one 30-bit int digit.
+    rng = random.Random(27)
+    for n in (0, 1, 2, 3, 5, 8):
+        labels = rng.sample(range(40), n)
+        g = Graph.build(labels, [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5])
+        for size in sorted({c for c in (0, 1, n - 2, n - 1, n, n + 3, 29, 30, 31) if c >= 0}):
+            palettes = [Palette.plain(size)]
+            if size:
+                lists = {v: set(rng.sample(range(size), rng.randint(1, size))) for v in labels}
+                for c in range(size) if labels else ():
+                    lists[rng.choice(labels)].add(c)
+                palettes.append(Palette.from_lists(lists))
+            for palette in palettes:
+                yield g, Template.empty(g), palette
+                yield g, random_template(g, palette, rng), palette
+
+
+def test_fold_edges_against_brute_force():
+    lines = []
+    for g, t, palette in _fold_edge_cases():
+        try:
+            reference = brute_force_extend(g, t, palette)
+        except ValueError:  # past the brute-force caps
+            reference = None
+        for cap in (0, 5, 50):
+            try:
+                res = extend(g, t, palette, SolverBudget(cap))
+            except ResourceLimitError as exc:
+                lines.append(str(exc))
+                continue
+            if reference is not None:
+                assert res.outcome == reference.outcome
+            assert res.colouring is None or respects(g, t, res.colouring, palette)
+            lines.append(repr((res.outcome, res.colouring and list(res.colouring.items()),
+                               res.stats.decisions, res.stats.backtracks)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fcb59aa8cd1b9a5846996f276a2f5a15ac3c88aac3f13aa90ccd13d53d07913a"
+
+
+def test_stride_spaces_rows_and_folds_exactly():
+    # The remainder by 2**d - 1 folds bits i*w to bits i, as a loop over
+    # the set bits would.
+    rng = random.Random(7)
+    for n in range(0, 130):
+        for nc in range(0, 70):
+            w, d = solver._stride(n, nc)
+            assert w >= n and d > nc and (w - 1) % d == 0
+            mask = (1 << nc) - 1 if n % 7 == 0 else rng.getrandbits(nc)
+            column = sum(1 << i * w for i in range(nc) if mask >> i & 1)
+            assert column % ((1 << d) - 1) == mask
