@@ -33,7 +33,7 @@ the smallest one is built greedily in id order by closure steps.
 
 from __future__ import annotations
 
-from .graphs import Graph, is_connected, reach
+from .graphs import Graph, is_connected, reach  # noqa: F401  (perfbench's tracer test asserts the binding)
 
 
 class _SplitNetwork:
@@ -129,11 +129,11 @@ class _SplitNetwork:
         return seen == alive
 
     def kappa(self, limit: int) -> int:
-        """min(limit, kappa(G)) with kappa(K_m) = m - 1; G must be connected."""
+        """min(limit, kappa(G)): kappa(K_m) = m - 1, and 0 when G is disconnected."""
         nbm = self.nbm
-        if len(nbm) <= 1:
-            return 0
         alive = (1 << len(nbm)) - 1
+        if len(nbm) <= 1 or not self.connected(alive):
+            return 0
         best = min(limit, min(m.bit_count() for m in nbm))
         # Connected, so kappa >= 1 and a bound of 1 is already exact.
         if best <= 1:
@@ -254,26 +254,24 @@ def is_k_connected(g: Graph, k: int) -> bool:
     the kappa query alone, without building a cut."""
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    return g.n > k and is_connected(g) and _SplitNetwork(g).kappa(k) >= k
+    return g.n > k and _SplitNetwork(g).kappa(k) >= k
 
 
 def connectivity(g: Graph) -> int:
     """kappa(g): n-1 for complete graphs, 0 when disconnected."""
-    return _SplitNetwork(g).kappa(g.n - 1) if is_connected(g) else 0
+    return _SplitNetwork(g).kappa(g.n - 1)
 
 
 def min_vertex_cut(g: Graph, below: int | None = None):
     """A minimum vertex cut of g, or None when g has none (g is complete).
 
-    Disconnected graphs return the empty cut.  Among all minimum cuts the
-    lexicographically smallest (as a sorted vertex tuple) is returned, so
-    the answer is deterministic.  With `below`, flows stop at that cap and
+    A disconnected g (kappa = 0) has the empty cut.  Among all minimum cuts
+    the lexicographically smallest (as a sorted vertex tuple) is returned,
+    so the answer is deterministic.  With `below`, flows stop at that cap and
     None is returned when g has no vertex cut smaller than `below`.
     """
-    if g.is_complete():  # connected, and with no cut: no component walk needed
+    if g.is_complete():
         return None
-    if not is_connected(g):
-        return frozenset()
     net = _SplitNetwork(g)
     kappa = net.kappa(g.n - 1 if below is None else below)
     if below is not None and kappa >= below:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# extract calls the self-verify through this module's verify_certificate
-# binding, and is_k_connected stays bound here, because perfbench/tracer.py
-# patches both names in this module.
+# extract self-verifies through this module's verify_certificate, which the
+# tracer patches; is_k_connected is unused, bound for perfbench's tracer test.
 from .checker import Certificate, DescentStep, _k_connected, connectivity_evidence, verify_certificate
 from .coloring import CHOOSABILITY_CAP, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401

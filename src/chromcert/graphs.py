@@ -199,6 +199,8 @@ def parse_lists(text: str) -> dict[int, frozenset[int]]:
         if v in lists:
             raise ValueError(f"line {lineno}: second list for vertex {v}")
         lists[v] = frozenset(colours)
+        if len(lists[v]) != len(colours):
+            raise ValueError(f"line {lineno}: repeated colour in the list of vertex {v}")
     return lists
 
 

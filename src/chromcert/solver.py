@@ -16,23 +16,24 @@ bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
 colour-by-rank holder matrix (bit i*w + r: rank r still holds colour i, the
 i-th smallest of the C colours in g's lists), and the candidate counts are
 bit-sliced over the ranks into about log2(C) planes.  The rows lie w >= n
-bits apart, with w - 1 a multiple of some d > C, so 2**(i*w) = 2**i modulo
+bits apart, with w - 1 a multiple of d = C + 1, so 2**(i*w) = 2**i modulo
 2**d - 1; a rank's C-bit candidate mask, below 2**C <= 2**d - 1, is then one
-remainder of its bits i*w by 2**d - 1.  _stride keeps w near n, because the
-replay keys below are rows of the matrix.  Ranks order vertices by
-(-degree, id), so Brelaz's rule "fewest candidates, then larger degree, then
-smaller id" picks the lowest uncoloured rank of least count, found by
-scanning the planes from the top.  Colouring v with i prunes neighbours(v) &
-uncoloured & holders(i), a wipeout when one of them had one candidate; one
-ripple borrow over the planes counts them down and one ripple carry counts
-them up on the undo, so a decision costs O(log C) mask operations.  Small
-calls are dominated by the setup, so it reads edges only at pre-coloured
-vertices: the matrix and the counts come from g's distinct lists (in plain
-mode one list, read once) less the template's forbidden colours and
-pre-coloured neighbours' colours, a vertex's neighbour mask is one sum over
-its adjacency of a per-call map from vertex to rank bit (0 when
-pre-coloured), built at its first push, and the empty template skips
-validate_template, which has nothing to check there.
+remainder of its bits i*w by 2**d - 1, one int digit while C < 30.  A wider
+d could bring w nearer n, but a push would pay a long division; so w is the
+least such stride, below n + d, and the replay keys (rows of the matrix)
+grow by at most C bits.  Ranks order vertices by (-degree, id), so Brelaz's
+rule "fewest candidates, then larger degree, then smaller id" picks the
+lowest uncoloured rank of least count, found by scanning the planes from the
+top.  Colouring v with i prunes neighbours(v) & uncoloured & holders(i), a
+wipeout when one of them had one candidate; one ripple borrow over the
+planes counts them down and one ripple carry counts them up on the undo, so
+a decision costs O(log C) mask operations.  Small calls are dominated by the
+setup, so it reads edges only at pre-coloured vertices: the matrix and the
+counts come from g's distinct lists (in plain mode one list, read once) less
+the template's forbidden colours and pre-coloured neighbours' colours, a
+vertex's neighbour mask is one sum over its adjacency of a per-call map from
+vertex to rank bit (0 when pre-coloured), built at its first push, and the
+empty template skips validate_template, which has nothing to check there.
 
 Within one call, subtrees proven UNSAT are kept by the exact search state
 at their push, one int, and replayed by count when that state recurs
@@ -194,7 +195,7 @@ class SolverBudget:
     wall_clock_seconds: float = 0.0
 
     def __post_init__(self):
-        if self.max_decisions < 0 or self.wall_clock_seconds < 0:
+        if not (self.max_decisions >= 0 and self.wall_clock_seconds >= 0):  # NaN too
             raise ValueError("budget limits must be nonnegative")
 
 
@@ -255,16 +256,9 @@ def _anonymity_classes(t: Template, lists: Collection[frozenset[int]]) -> tuple[
 
 
 def _stride(n: int, nc: int) -> tuple[int, int]:
-    """(w, d): the holder matrix's row stride w >= n and a fold width d > nc
-    dividing w - 1; w is the least such stride for d up to nc + 31 when
-    n >= 2.
-    """
-    m = max(n - 1, 0)
-    if m <= nc:  # w - 1 = d, the least width
-        return nc + 2, nc + 1
-    if m <= nc + 31:  # rows exactly n bits apart
-        return n, m
-    return min((-(-m // d) * d + 1, d) for d in range(nc + 1, nc + 32))
+    """(w, d): fold width d = nc + 1 and the least row stride w >= n with d | w - 1."""
+    d = nc + 1
+    return n + (1 - n) % d, d
 
 
 def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None = None) -> SolveResult:

@@ -56,30 +56,25 @@ def _palette_too_small(what: str, v: int, k: int, palette: Palette) -> ValueErro
 def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=None) -> Template:
     """Shrink every forbidden list below k by pre-colouring heavy vertices.
 
-    While some vertex v outside S has |F(v)| >= k, the smallest such v is
-    pre-coloured with the smallest eligible colour and its list dropped;
-    the degree cannot increase (the |S| term grows by k, the list term
-    shrinks by at least k).  If anything changed, the result is re-checked
-    UNSAT; a respecting colouring at that point disproves the input witness
-    and is raised as an InternalContradiction.  No eligible colour means the
-    palette is too small for k: ValueError.
+    One scan finds the heavy vertices v outside S, with |F(v)| >= k: each
+    pre-colouring drops only its own vertex's list.  In id order each is
+    pre-coloured with its smallest eligible colour and its list dropped; the
+    degree cannot increase (k|S| grows by k, the lists lose at least k).
+    If any was, the result is re-checked UNSAT; a respecting colouring then
+    disproves the input witness (InternalContradiction).  No eligible
+    colour means the palette is too small for k: ValueError.
     """
     pre = dict(t.precolour)
     forb = dict(t.forbidden)
-    changed = False
-    while True:
-        heavy = sorted(v for v, fs in forb.items() if len(fs) >= k)
-        if not heavy:
-            break
-        v = heavy[0]
+    heavy = sorted(v for v, fs in forb.items() if len(fs) >= k)
+    for v in heavy:
         eligible = _free_colours(g, Template(pre, forb), v, palette)
         if not eligible:
             raise _palette_too_small("no eligible colour", v, k, palette)
         pre[v] = min(eligible)
         del forb[v]
-        changed = True
     out = Template(pre, forb)
-    if changed:
+    if heavy:
         if degree(out, k) > degree(t, k):
             raise RuntimeError("strengthening increased the template degree")
         result = extend(g, out, palette, budget)

@@ -247,6 +247,24 @@ def test_extract_lists_with_repeated_vertex(tmp_path, capsys):
     assert "line 6: second list for vertex 0" in capsys.readouterr().err
 
 
+def test_extract_lists_with_repeated_colour(tmp_path, capsys):
+    graph = tmp_path / "k5.col"
+    lists = tmp_path / "repeated.txt"
+    run("gen", "complete", "5", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3\n" for v in range(4)) + "list 4 0 1 1 3\n")
+    assert run("extract", str(graph), "--k", "1", "--mode", "list",
+               "--lists", str(lists)) == EXIT_PARSE_ERROR
+    assert "line 5: repeated colour in the list of vertex 4" in capsys.readouterr().err
+
+
+def test_extract_nan_budget_is_a_usage_error(tmp_path, capsys):
+    # NaN compares false with everything, so it must not pass as a limit.
+    graph = tmp_path / "k8.col"
+    run("gen", "complete", "8", "--out", str(graph))
+    assert run("extract", str(graph), "--k", "1", "--budget-seconds", "nan") == EXIT_USAGE
+    assert "budget limits must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_rejects_tampered_certificate(tmp_path):
     graph = tmp_path / "glued.col"
     cert = tmp_path / "cert.json"

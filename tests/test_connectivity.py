@@ -32,6 +32,11 @@ def test_min_cut_complete_marker():
 
 def test_min_cut_disconnected_is_empty():
     assert min_vertex_cut(glued((4, 4), 0)) == frozenset()
+    # kappa = 0: the empty cut is smaller than any positive bound, and no
+    # cut is smaller than 0.
+    two_triangles = glued((3, 3), 0)
+    assert min_vertex_cut(two_triangles, below=1) == frozenset()
+    assert min_vertex_cut(two_triangles, below=0) is None
 
 
 @pytest.mark.parametrize(
@@ -377,22 +382,56 @@ def _brute_kappa(g):
     return g.n - 1 if found is None else found[0]
 
 
-def _connected_graphs(rng):
-    """Connected graphs on 2..9 random labels, without end."""
+def _graphs(rng):
+    """Graphs on 2..9 random labels, without end."""
     while True:
         n = rng.randint(2, 9)
         labels = rng.sample(range(30), n)
         p = rng.uniform(0.3, 0.95)
-        g = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
-        if is_connected(g):
-            yield g
+        yield Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+
+
+def _connected_graphs(rng):
+    """Connected graphs on 2..9 random labels, without end."""
+    return filter(is_connected, _graphs(rng))
+
+
+def _two_component_graphs(rng):
+    """Disjoint unions of two connected graphs, their labels interleaved (even
+    and odd), so every vertex has a neighbour and the minimum degree is >= 1."""
+    parts = _connected_graphs(rng)
+    for a, b in zip(parts, parts):
+        yield Graph.build(
+            [2 * v for v in a.vertices] + [2 * v + 1 for v in b.vertices],
+            [(2 * u, 2 * v) for u, v in a.edges] + [(2 * u + 1, 2 * v + 1) for u, v in b.edges],
+        )
 
 
 def test_kernel_kappa_matches_brute_force_at_every_limit():
-    for g in islice(_connected_graphs(random.Random(1975)), 120):
+    # The first 120 connected graphs of the stream, and the disconnected
+    # ones drawn between them, on which kappa is 0 at every limit.
+    connected = disconnected = 0
+    for g in _graphs(random.Random(1975)):
         net, kappa = conn._SplitNetwork(g), _brute_kappa(g)
-        for limit in range(1, g.n + 1):
+        if is_connected(g):
+            connected += 1
+        else:
+            assert kappa == 0
+            disconnected += 1
+        for limit in range(g.n + 1):
             assert net.kappa(limit) == min(limit, kappa)
+        if connected == 120:
+            break
+    assert disconnected >= 10
+    # Two components with no isolated vertex: the minimum-degree bound is >= 1,
+    # so only kappa's connectedness walk gives 0.
+    for g in islice(_two_component_graphs(random.Random(1976)), 60):
+        assert not is_connected(g) and min(map(len, g.adj.values())) >= 1
+        net = conn._SplitNetwork(g)
+        for limit in range(g.n + 1):
+            assert net.kappa(limit) == 0
+        assert connectivity(g) == 0 and not is_k_connected(g, 1)
+        assert min_vertex_cut(g) == min_vertex_cut(g, below=1) == frozenset()
 
 
 def test_tail_cut_matches_brute_force_at_every_prefix():

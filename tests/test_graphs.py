@@ -162,6 +162,9 @@ def test_lists_round_trip():
         parse_lists("forbid 0 1\n")
     with pytest.raises(ValueError, match="line 2: second list for vertex 0"):
         parse_lists("list 0 1 2\nlist 0 3 4\n")
+    # as a repeated edge is refused: a typo must not shrink a list silently
+    with pytest.raises(ValueError, match="^line 2: repeated colour in the list of vertex 0$"):
+        parse_lists("list 1 0 1\nlist 0 1 1\n")
     with pytest.raises(ValueError, match="^line 1: "):
         parse_lists("list a 1\n")
     with pytest.raises(ValueError, match="^line 2: "):

@@ -152,6 +152,13 @@ def test_wall_clock_budget():
         extend(g, Template.empty(g), Palette.plain(14), SolverBudget(wall_clock_seconds=1e-9))
 
 
+def test_budget_refuses_a_nan_limit():
+    with pytest.raises(ValueError, match="^budget limits must be nonnegative$"):
+        SolverBudget(wall_clock_seconds=float("nan"))
+    with pytest.raises(ValueError, match="^budget limits must be nonnegative$"):
+        SolverBudget(wall_clock_seconds=-1.0)
+
+
 def test_stats_populated():
     g = generate(FamilySpec.complete(5))
     res = extend(g, Template.empty(g), Palette.plain(5))
@@ -524,6 +531,9 @@ def test_stride_spaces_rows_and_folds_exactly():
         for nc in range(0, 70):
             w, d = solver._stride(n, nc)
             assert w >= n and d > nc and (w - 1) % d == 0
+            # the least width, and the least stride for it
+            assert d == nc + 1
+            assert w == min(x for x in range(n, n + d + 1) if (x - 1) % d == 0)
             mask = (1 << nc) - 1 if n % 7 == 0 else rng.getrandbits(nc)
             column = sum(1 << i * w for i in range(nc) if mask >> i & 1)
             assert column % ((1 << d) - 1) == mask

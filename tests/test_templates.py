@@ -20,6 +20,7 @@ from chromcert.templates import (
     restrict,
     strengthen_witness,
 )
+from chromcert.templates import _free_colours, _palette_too_small
 
 
 def k15():
@@ -217,6 +218,96 @@ def test_strengthen_list_mode_avoids_neighbour_colours_only(is_valid_witness):
     out = strengthen_witness(g, t, 2, pal)
     assert out.precolour[11] == 3  # avoids F = {1,2} and the neighbour's 0
     assert out.precolour[12] == 0  # not adjacent to S: reuses 0
+
+
+def _strengthen_by_rescan(g, t, k, palette, budget=None):
+    # Kept as the reference: the loop that rescanned for the smallest heavy
+    # vertex after every pre-colouring, before strengthen_witness scanned once.
+    pre = dict(t.precolour)
+    forb = dict(t.forbidden)
+    changed = False
+    while True:
+        heavy = sorted(v for v, fs in forb.items() if len(fs) >= k)
+        if not heavy:
+            break
+        v = heavy[0]
+        eligible = _free_colours(g, Template(pre, forb), v, palette)
+        if not eligible:
+            raise _palette_too_small("no eligible colour", v, k, palette)
+        pre[v] = min(eligible)
+        del forb[v]
+        changed = True
+    out = Template(pre, forb)
+    if changed:
+        if degree(out, k) > degree(t, k):
+            raise RuntimeError("strengthening increased the template degree")
+        result = extend(g, out, palette, budget)
+        if result.outcome == "sat":
+            raise InternalContradiction(
+                "strengthened template admits a respecting colouring; "
+                "the input was not a witness",
+                result.colouring,
+            )
+    return out
+
+
+def _strengthen_cases(rng, count):
+    """Dense graphs with a plain palette of k + 1..k + 4 colours, or lists
+    of that size or one less from one more colour, and templates whose
+    forbidden lists reach k at about half the uncoloured vertices.  Half of
+    the graphs hold a clique of size + 2 vertices, too many to colour, so
+    that their strengthened templates are UNSAT."""
+    for i in range(count):
+        n = rng.randint(3, 10)
+        labels = rng.sample(range(40), n)
+        k = rng.randint(1, 3)
+        size = rng.randint(k + 1, k + 4)
+        clique = labels[:size + 2] if rng.random() < 0.5 else []
+        p = rng.uniform(0.4, 1.0)
+        g = Graph.build(labels, [(u, v) for u, v in combinations(labels, 2)
+                                 if rng.random() < p or u in clique and v in clique])
+        if i % 2:
+            palette = Palette.from_lists({v: rng.sample(range(size + 1), size - rng.randint(0, 1)) for v in labels})
+        else:
+            palette = Palette.plain(size)
+        pre, forb = {}, {}
+        for v in sorted(labels):
+            options = sorted(palette.colours_of(v) - {pre[u] for u in g.adj[v] if u in pre})
+            if options and rng.random() < 0.2:
+                pre[v] = rng.choice(options)
+            else:
+                pool = sorted(palette.colours_of(v))
+                length = rng.choice((k, k + 1)) if rng.random() < 0.5 else rng.randint(0, k - 1)
+                forb[v] = frozenset(rng.sample(pool, min(length, len(pool))))
+        yield g, Template(pre, forb), k, palette
+
+
+def _strengthen_outcome(fn, g, t, k, palette):
+    try:
+        out = fn(g, t, k, palette)
+    except InternalContradiction as exc:
+        return "contradiction", str(exc), list(exc.colouring.items())
+    except ValueError as exc:
+        return "palette", str(exc)
+    return "template", list(out.precolour.items()), list(out.forbidden.items())
+
+
+def test_strengthen_scans_as_the_rescanning_loop_did():
+    kinds, taken = {}, 0
+    for g, t, k, palette in _strengthen_cases(random.Random(2012), 300):
+        got = _strengthen_outcome(strengthen_witness, g, t, k, palette)
+        assert got == _strengthen_outcome(_strengthen_by_rescan, g, t, k, palette)
+        heavy = sorted(v for v, fs in t.forbidden.items() if len(fs) >= k)
+        if len(heavy) >= 2:
+            kinds[got[0]] = kinds.get(got[0], 0) + 1
+        if palette.mode == "list" and got[0] != "palette":
+            # A later heavy vertex lost an eligible colour to an earlier one;
+            # a contradiction's colouring keeps every pre-colour.
+            col = dict(got[1] if got[0] == "template" else got[2])
+            taken += any(col[u] in palette.colours_of(v) - t.forbidden[v]
+                         for u, v in combinations(heavy, 2) if u in g.adj[v])
+    assert min(kinds.get(kind, 0) for kind in ("contradiction", "palette", "template")) >= 20, kinds
+    assert taken >= 10, taken
 
 
 # -- separation / completion templates ----------------------------------------
