@@ -6,8 +6,8 @@ builder of the connectivity record that extraction writes and the checker
 recomputes.
 
 verify_certificate re-checks a certificate from scratch against the graph.
-Its trust base is explicit and small: graph hashing and induced subgraphs
-(graphs), the max-flow minimum vertex cut and the separation rule
+Its trust base is explicit and small: the graph digest and induced
+subgraphs (graphs), the max-flow minimum vertex cut and the separation rule
 (connectivity), and the exact colouring search behind is_colourable and
 list_colour (solver: the colouring problem and extend, which re-checks
 each colouring it returns against the respects predicate).  It imports
@@ -24,7 +24,7 @@ from itertools import chain, pairwise, starmap
 from operator import lt
 
 from .connectivity import min_vertex_cut, separation_fault
-from .graphs import Graph, graph_hash, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .solver import LIST, PLAIN, is_colourable, list_colour
 
 CERTIFICATE_FORMAT = "chromcert-certificate-v1"
@@ -153,7 +153,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         if k < 1 or not (_nats(cert.palette_size) if cert.mode == PLAIN
                          else cert.mode == LIST and cert.palette_size is None):
             return False
-        if graph_hash(g) != cert.graph_hash:
+        if g.digest != cert.graph_hash:
             return False
         current = frozenset(g.vertices)
         ksq = k * k

@@ -24,7 +24,7 @@ from .checker import Certificate, DescentStep, _k_connected, connectivity_eviden
 from .coloring import CHOOSABILITY_CAP, list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
-from .graphs import Graph, graph_hash, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .solver import LIST, PLAIN, Palette, SolverBudget, SolverStats, Template, extend, is_colourable, respects
 from .templates import (
     colour_from_intervals,
@@ -58,6 +58,10 @@ class ExtractConfig:
     trust_precondition: bool = False
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an integer, not {self.k!r}")
+        if self.palette_size is not None and type(self.palette_size) is not int:
+            raise ValueError(f"palette_size must be an integer, not {self.palette_size!r}")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.mode not in (PLAIN, LIST):
@@ -86,17 +90,9 @@ class ExtractConfig:
 _REFUTED = "graph admits a proper palette colouring; the extraction hypothesis fails"
 
 
-@dataclass(frozen=True)
-class WitnessPair:
-    """An induced subgraph and a template certified unsatisfiable on it;
-    k and the mode are the ExtractConfig's."""
-
-    h: Graph
-    t: Template
-
-
-def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None = None) -> WitnessPair:
-    """Initial witness pair: the empty template on g.
+def check_precondition(g: Graph, cfg: ExtractConfig) -> SolverStats:
+    """Establish the initial witness pair (g, empty template); return the
+    solver work of its proof (none when the precondition is trusted).
 
     Unless the precondition is trusted, the solver confirms that no palette
     colouring exists at all, which is exactly the chromatic-threshold
@@ -116,14 +112,12 @@ def check_precondition(g: Graph, cfg: ExtractConfig, totals: SolverStats | None 
     if cfg.mode == LIST and palette.lists.keys() != g.vertices:
         stray, missing = sorted(palette.lists.keys() - g.vertices), sorted(g.vertices - palette.lists.keys())
         raise ValueError(f"the lists must name exactly the graph's vertices: stray {stray}, missing {missing}")
-    t = Template.empty(g)
-    if not cfg.trust_precondition:
-        result = extend(g, t, palette, cfg.budget)
-        if totals is not None:
-            totals.add(result.stats)
-        if result.outcome == "sat":
-            raise NotInextensibleError(_REFUTED, result.colouring)
-    return WitnessPair(g, t)
+    if cfg.trust_precondition:
+        return SolverStats()
+    result = extend(g, Template.empty(g), palette, cfg.budget)
+    if result.outcome == "sat":
+        raise NotInextensibleError(_REFUTED, result.colouring)
+    return result.stats
 
 
 def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
@@ -138,8 +132,10 @@ def _orient_sides(t: Template, k: int, y: frozenset[int], z: frozenset[int]):
     return z, y, dy
 
 
-def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], WitnessPair]:
-    """Run the descent until the witness pair is k-connected.
+def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep], Graph, Template]:
+    """Run the descent from the witness pair (h, t), t certified
+    unsatisfiable on h, until h is k-connected; return the trace and the
+    final pair.
 
     Each iteration strengthens the witness, stops if the graph is
     k-connected, and otherwise recurses into whichever derived side the
@@ -150,10 +146,9 @@ def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], Wit
     the solver work of its side solves.
     """
     k = cfg.k
-    palette = cfg.palette_for(wp.h)
+    palette = cfg.palette_for(h)
     trace: list[DescentStep] = []
-    h, t = wp.h, wp.t
-    for _ in range(wp.h.n + 1):
+    for _ in range(h.n + 1):
         t = strengthen_witness(h, t, k, palette, cfg.budget)
         if h.n <= k:
             col = rainbow_small_case(h, t, k, palette)
@@ -165,7 +160,7 @@ def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], Wit
         # h.n > k here, so "no cut below k" is k-connectivity.
         cut = min_vertex_cut(h, below=k)
         if cut is None:
-            return trace, WitnessPair(h, t)
+            return trace, h, t
         y0, z0 = split_by_cut(h, cut)
         y, z, deg_z = _orient_sides(t, k, y0, z0)
         deg_t = degree(t, k)
@@ -208,8 +203,8 @@ def descend(wp: WitnessPair, cfg: ExtractConfig) -> tuple[list[DescentStep], Wit
     raise RuntimeError("descent failed to terminate")
 
 
-def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]:
-    """Chromatic evidence for the final k-connected pair.
+def finalize_chromatic(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[dict, dict]:
+    """Chromatic evidence for the final k-connected witness pair (h, t).
 
     Plain mode: the uncoloured part must not be (k-1)-colourable, since a
     (k-1)-colouring feeds the interval construction which would complete
@@ -225,7 +220,7 @@ def finalize_chromatic(wp: WitnessPair, cfg: ExtractConfig) -> tuple[dict, dict]
     wall clock.
     Returns (connectivity_evidence, chromatic_evidence).
     """
-    h, t, k = wp.h, wp.t, cfg.k
+    k = cfg.k
     palette = cfg.palette_for(h)
     conn = connectivity_evidence(h)
     if not _k_connected(h, k, conn):
@@ -274,21 +269,20 @@ def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     """check_precondition, descend, finalize; the result is self-verified
     against verify_certificate before being returned.  The recorded solver
     stats cover the precondition check and the descent's steps."""
-    totals = SolverStats()
-    wp = check_precondition(g, cfg, totals)
-    trace, final = descend(wp, cfg)
-    conn, chrom = finalize_chromatic(final, cfg)
+    proof = check_precondition(g, cfg)
+    trace, h, t = descend(g, Template.empty(g), cfg)
+    conn, chrom = finalize_chromatic(h, t, cfg)
     cert = Certificate(
-        graph_hash=graph_hash(g),
+        graph_hash=g.digest,
         k=cfg.k,
         mode=cfg.mode,
         palette_size=cfg.colour_count() if cfg.mode == PLAIN else None,
         trace=tuple(trace),
-        final_vertices=tuple(sorted(final.h.vertices)),
+        final_vertices=tuple(sorted(h.vertices)),
         connectivity_evidence=conn,
         chromatic_evidence=chrom,
-        solver_decisions=totals.decisions + sum(step.solver_decisions for step in trace),
-        solver_backtracks=totals.backtracks + sum(step.solver_backtracks for step in trace),
+        solver_decisions=proof.decisions + sum(step.solver_decisions for step in trace),
+        solver_backtracks=proof.backtracks + sum(step.solver_backtracks for step in trace),
     )
     if not verify_certificate(g, cert):
         raise RuntimeError("freshly extracted certificate failed verification")

@@ -59,7 +59,7 @@ class Graph:
 
     @cached_property
     def digest(self) -> str:
-        """sha256 of the canonical (comment-free, sorted) DIMACS form."""
+        """sha256 of the canonical (comment-free, sorted) DIMACS form, computed once."""
         return "sha256:" + hashlib.sha256(to_dimacs(self).encode("utf-8")).hexdigest()
 
     def degree(self, v: int) -> int:
@@ -202,9 +202,3 @@ def parse_lists(text: str) -> dict[int, frozenset[int]]:
         if len(lists[v]) != len(colours):
             raise ValueError(f"line {lineno}: repeated colour in the list of vertex {v}")
     return lists
-
-
-def graph_hash(g: Graph) -> str:
-    """sha256 of the canonical (comment-free, sorted) DIMACS form, computed
-    once per graph."""
-    return g.digest

@@ -28,14 +28,6 @@ def brute_colourable(g: Graph, t: int) -> bool:
     return brute_first_colouring(g, t) is not None
 
 
-def brute_chromatic_number(g: Graph, upper: int) -> int | None:
-    """Smallest t <= upper admitting a proper colouring, else None."""
-    for t in range(0, upper + 1):
-        if brute_colourable(g, t):
-            return t
-    return None
-
-
 def _first_colouring(g: Graph, domains: Mapping[int, Iterable[int]]) -> dict[int, int] | None:
     """Lexicographically first proper colouring from the per-vertex domains,
     each tried in its own order, by plain recursion in vertex id order (no

@@ -17,11 +17,10 @@ from .checker import verify_certificate
 from .coloring import list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut
 from .errors import InternalContradiction
-from .extractor import ExtractConfig, WitnessPair, descend, extract, finalize_chromatic
+from .extractor import ExtractConfig, descend, extract, finalize_chromatic
 from .families import FamilySpec, generate, random_graph
 from .graphs import Graph, induced_subgraph
 from .oracles import (
-    brute_chromatic_number,
     brute_colourable,
     brute_force_extend,
     brute_is_k_connected,
@@ -329,11 +328,9 @@ def _colourability_ground_truth() -> dict:
     for n in range(0, 7):
         for g in _all_graphs(n):
             graphs += 1
-            chi = brute_chromatic_number(g, 4)
             for t in range(1, 5):
                 col = is_colourable(g, t)
-                expected = chi is not None and chi <= t
-                if (col is not None) != expected:
+                if (col is not None) != brute_colourable(g, t):
                     mismatches += 1
                 if col is not None and any(col[u] == col[v] for u, v in g.edges):
                     mismatches += 1
@@ -622,13 +619,12 @@ def _prop_mutations(count: int) -> dict:
     fired = 0
     respecting = 0
     for kind, g, t, cfg, stage in _mutated_witnesses(count):
-        wp = WitnessPair(g, t)
         palette = cfg.palette_for(g)
         try:
             if stage == "descend":
-                descend(wp, cfg)
+                descend(g, t, cfg)
             else:
-                finalize_chromatic(wp, cfg)
+                finalize_chromatic(g, t, cfg)
         except InternalContradiction as exc:
             fired += 1
             if respects(g, t, exc.colouring, palette):

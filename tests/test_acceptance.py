@@ -212,4 +212,4 @@ def test_property_suite_inputs_pinned(monkeypatch):
         monkeypatch.setattr(suites, name, Recorded(log, name, obj))
     run_properties(trials=50, mutations=20)
     digest = hashlib.sha256("".join(line + "\n" for line in log).encode()).hexdigest()
-    assert (len(log), digest) == (4225, "7115e0b062b8ea920c6e6540e49ca5366cffa0354be22590543033c54e14c052")
+    assert (len(log), digest) == (4205, "2c69e1b7819a34210d2514fca7fb4f2e26fdf2c4f6887bc87d09a708e7618926")

@@ -20,7 +20,7 @@ from chromcert.checker import CERTIFICATE_FORMAT, Certificate, connectivity_evid
 from chromcert.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_REJECTED, EXIT_RESOURCE_LIMIT, main
 from chromcert.extractor import ExtractConfig, extract
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph, graph_hash, write_dimacs
+from chromcert.graphs import Graph, write_dimacs
 from chromcert.suites import theorem1_instances, theorem2_instances
 
 # The chromcert modules checker.py may import, and the only names it may
@@ -216,7 +216,7 @@ def test_a_step_whose_sides_touch_is_rejected():
     cert = extract(g, ExtractConfig(k=2))
     assert cert.trace[0].side_y[0] == 1 and cert.trace[0].side_z[0] == 15
     touching = Graph.build(g.n, g.edges | {(1, 15)})
-    assert not verify_certificate(touching, replace(cert, graph_hash=graph_hash(touching)))
+    assert not verify_certificate(touching, replace(cert, graph_hash=touching.digest))
 
 
 def _unsorted_mutants(cert: Certificate) -> list[Certificate]:
@@ -274,7 +274,7 @@ def forged_k44_certificate() -> Certificate:
     chi_ell(K4,4) = 3.  Everything else in it is true."""
     g = k44()
     return Certificate(
-        graph_hash=graph_hash(g),
+        graph_hash=g.digest,
         k=4,
         mode="list",
         palette_size=None,

@@ -17,6 +17,7 @@ from chromcert.cli import (
     EXIT_REJECTED,
     EXIT_RESOURCE_LIMIT,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     main,
 )
 from chromcert.graphs import read_dimacs
@@ -74,6 +75,19 @@ def test_gen_usage_errors():
     assert run("gen", "complete", "3", "--seed", "9") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["glued"], "glued_cliques needs at least one clique"),
+    (["glued", "3", "3", "--shared", "-1"], "shared vertex count must be nonnegative"),
+    (["join"], "join needs at least one part"),
+    (["random", "-1", "0.5"], "random graph needs n >= 0"),
+])
+def test_gen_family_guards_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.col"
+    assert run("gen", *argv, "--out", str(out)) == EXIT_USAGE
+    assert f"gen {argv[0]}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_and_verify_round_trip(tmp_path, capsys):
     graph = tmp_path / "k8.col"
     cert = tmp_path / "k8.cert.json"
@@ -88,6 +102,30 @@ def test_extract_not_inextensible(tmp_path):
     graph = tmp_path / "c5.col"
     run("gen", "cycle", "5", "--out", str(graph))
     assert run("extract", str(graph), "--k", "1") == EXIT_NOT_INEXTENSIBLE
+
+
+@pytest.mark.parametrize("mode", ["plain", "list"])
+def test_extract_empty_graph_exits_3(tmp_path, capsys, mode):
+    graph = tmp_path / "empty.col"
+    graph.write_text("p edge 0 0\n")
+    lists = tmp_path / "empty.lists"
+    lists.write_text("")
+    options = ["--mode", "list", "--lists", str(lists)] if mode == "list" else []
+    out = tmp_path / "empty.cert.json"
+    assert run("extract", str(graph), "--k", "1", *options, "--out", str(out)) == EXIT_NOT_INEXTENSIBLE
+    assert "extract: the empty graph is trivially colourable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_self_verify_failure_exits_5(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k8.col"
+    cert = tmp_path / "k8.cert.json"
+    run("gen", "complete", "8", "--out", str(graph))
+    monkeypatch.setattr("chromcert.extractor.verify_certificate", lambda g, cert: False)
+    assert run("extract", str(graph), "--k", "1", "--out", str(cert)) == EXIT_VERIFY_FAILED
+    err = capsys.readouterr().err
+    assert "extract: verification failure: freshly extracted certificate failed verification" in err
+    assert not cert.exists()
 
 
 def test_extract_trusted_false_hypothesis(tmp_path):
@@ -334,6 +372,18 @@ def test_reproduce_theorem2_and_report(tmp_path, capsys):
     assert "4 passed, 0 failed" in out
     doc = json.loads(report.read_text())
     assert doc["ok"] and doc["suite"] == "theorem2"
+
+
+@pytest.mark.parametrize("ok, line, code", [(True, "suite ok", EXIT_OK), (False, "suite FAILED", EXIT_REJECTED)])
+def test_reproduce_prints_one_line_per_section(capsys, monkeypatch, ok, line, code):
+    report = {"suite": "stub", "sections": {"first": {"checked": 2}, "second": {"violations": 0}}, "ok": ok}
+    monkeypatch.setitem(cli.SUITES, "stub", lambda: (report, {}))
+    assert run("reproduce", "stub") == code
+    assert capsys.readouterr().out.splitlines() == [
+        "first: {'checked': 2} (0.00s)",
+        "second: {'violations': 0} (0.00s)",
+        line,
+    ]
 
 
 def test_reproduce_unknown_suite():

@@ -229,6 +229,18 @@ def test_choosability_k24_witness_found_and_refuted():
     assert brute_list_colour(k24(), witness) is None
 
 
+def test_choosability_peels_a_vertex_of_low_degree():
+    # The pendant vertex has degree 1 < t - 1, so the search runs on the K4
+    # alone and the pendant vertex gets t - 1 colours of its own.
+    k4 = generate(FamilySpec.complete(4))
+    g = Graph.build(5, list(k4.edges) + [(0, 4)])
+    holds, witness = list_chromatic_at_least(g, 4)
+    assert holds and set(witness) == set(g.vertices)
+    assert witness[4] == frozenset({0, 1, 2})
+    assert {v: witness[v] for v in k4.vertices} == list_chromatic_at_least(k4, 4)[1]
+    assert brute_list_colour(g, witness) is None
+
+
 def test_choosability_cap():
     big = generate(FamilySpec.cycle(9))
     with pytest.raises(ValueError):

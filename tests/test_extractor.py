@@ -11,7 +11,6 @@ from chromcert.errors import (
 from chromcert.extractor import (
     Certificate,
     ExtractConfig,
-    WitnessPair,
     check_precondition,
     descend,
     extract,
@@ -19,9 +18,9 @@ from chromcert.extractor import (
     verify_certificate,
 )
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph, graph_hash, induced_subgraph, is_connected
+from chromcert.graphs import Graph, induced_subgraph, is_connected
 from chromcert.oracles import brute_is_k_connected
-from chromcert.solver import SolverBudget, Template, is_colourable, respects
+from chromcert.solver import SolverBudget, SolverStats, Template, is_colourable, respects
 
 
 def glued15():
@@ -48,8 +47,12 @@ def gadget_witness():
 # -- check_precondition -------------------------------------------------------
 
 def test_precondition_k8():
-    wp = check_precondition(generate(FamilySpec.complete(8)), ExtractConfig(k=1))
-    assert wp.t == Template.empty(wp.h)
+    # The proof's work is what extract adds to the steps' counts.
+    g = generate(FamilySpec.complete(8))
+    stats = check_precondition(g, ExtractConfig(k=1))
+    assert stats.decisions > 0
+    cert = extract(g, ExtractConfig(k=1))
+    assert (cert.solver_decisions, cert.solver_backtracks) == (stats.decisions, stats.backtracks)
 
 
 def test_precondition_rejects_colourable_graph():
@@ -62,14 +65,12 @@ def test_precondition_rejects_colourable_graph():
 
 
 def test_precondition_glued_k15s():
-    wp = check_precondition(glued15(), ExtractConfig(k=2))
-    assert wp.h.n == 29
+    assert check_precondition(glued15(), ExtractConfig(k=2)).decisions > 0
 
 
 def test_precondition_trust_skips_solver():
     g = generate(FamilySpec.cycle(5))  # would fail under verify
-    wp = check_precondition(g, ExtractConfig(k=1, palette_size=4, trust_precondition=True))
-    assert wp.h == g
+    assert check_precondition(g, ExtractConfig(k=1, palette_size=4, trust_precondition=True)) == SolverStats()
 
 
 @pytest.mark.parametrize("mode", ["plain", "list"])
@@ -98,51 +99,53 @@ def test_descend_side_solve_budget_surfaces_limit():
     # No heavy list, so strengthening runs no solve: the first solve is the
     # separation side's, and it needs more than one decision.
     cfg = ExtractConfig(k=2, budget=SolverBudget(max_decisions=1), trust_precondition=True)
-    wp = check_precondition(glued15(), cfg)
+    g = glued15()
     with pytest.raises(ResourceLimitError, match="after 2 decisions"):
-        descend(wp, cfg)
+        descend(g, Template.empty(g), cfg)
 
 
 def test_descend_zero_steps_on_complete_graph():
     cfg = ExtractConfig(k=2)
-    wp = check_precondition(generate(FamilySpec.complete(15)), cfg)
-    trace, final = descend(wp, cfg)
+    g = generate(FamilySpec.complete(15))
+    check_precondition(g, cfg)
+    trace, h, t = descend(g, Template.empty(g), cfg)
     assert trace == []
-    assert final.h.n == 15
+    assert h.n == 15
 
 
 def test_descend_glued_k15s_one_step(is_valid_witness):
     cfg = ExtractConfig(k=2)
-    wp = check_precondition(glued15(), cfg)
-    trace, final = descend(wp, cfg)
-    assert is_valid_witness(final.h, final.t, 2, cfg.palette_for(final.h))
+    g = glued15()
+    check_precondition(g, cfg)
+    trace, h, t = descend(g, Template.empty(g), cfg)
+    assert is_valid_witness(h, t, 2, cfg.palette_for(h))
     assert len(trace) == 1
     step = trace[0]
     assert step.cut == (0,)
     assert step.recursed == "separation"
     assert step.z_degree <= 4 and step.derived_degree <= step.template_degree
-    assert final.h.vertices == frozenset(range(15))
+    assert h.vertices == frozenset(range(15))
 
 
 def test_descend_join_is_immediately_connected():
     g = generate(FamilySpec.join(FamilySpec.cycle(5), FamilySpec.complete(5)))
     cfg = ExtractConfig(k=1)
-    wp = check_precondition(g, cfg)
-    trace, final = descend(wp, cfg)
+    check_precondition(g, cfg)
+    trace, h, _ = descend(g, Template.empty(g), cfg)
     assert trace == []
-    assert final.h == g
-    assert brute_is_k_connected(final.h, 1)
+    assert h == g
+    assert brute_is_k_connected(h, 1)
 
 
 def test_descend_nonempty_template_witness(is_valid_witness):
     g, t = gadget_witness()
     cfg = ExtractConfig(k=2, trust_precondition=True)
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
-    trace, final = descend(WitnessPair(g, t), cfg)
+    trace, h, t = descend(g, t, cfg)
     assert len(trace) == 1
     assert trace[0].cut == (1,)
-    assert final.h.vertices == frozenset(range(15))
-    conn, chrom = finalize_chromatic(final, cfg)
+    assert h.vertices == frozenset(range(15))
+    conn, chrom = finalize_chromatic(h, t, cfg)
     assert chrom == {"kind": "colouring_unsat", "colours": 1}
 
 
@@ -157,20 +160,20 @@ def test_descend_completion_branch(is_valid_witness):
     t = Template({1: 0, 2: 1}, forb)
     cfg = ExtractConfig(k=2, trust_precondition=True)
     assert is_valid_witness(g, t, 2, cfg.palette_for(g))
-    trace, final = descend(WitnessPair(g, t), cfg)
+    trace, h, t = descend(g, t, cfg)
     assert len(trace) == 1
     assert trace[0].recursed == "completion"
     assert trace[0].derived_degree <= 8
-    assert final.h.vertices == frozenset({0}) | frozenset(range(5, 19))
+    assert h.vertices == frozenset({0}) | frozenset(range(5, 19))
     # a hand-assembled certificate over this trace must replay cleanly
-    conn, chrom = finalize_chromatic(final, cfg)
+    conn, chrom = finalize_chromatic(h, t, cfg)
     cert = Certificate(
-        graph_hash=graph_hash(g),
+        graph_hash=g.digest,
         k=2,
         mode="plain",
         palette_size=14,
         trace=tuple(trace),
-        final_vertices=tuple(sorted(final.h.vertices)),
+        final_vertices=tuple(sorted(h.vertices)),
         connectivity_evidence=conn,
         chromatic_evidence=chrom,
         solver_decisions=0,
@@ -188,11 +191,11 @@ def test_descend_multi_step_chain():
         edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
     g = Graph.build(43, edges)
     cfg = ExtractConfig(k=2)
-    wp = check_precondition(g, cfg)
-    trace, final = descend(wp, cfg)
+    check_precondition(g, cfg)
+    trace, h, t = descend(g, Template.empty(g), cfg)
     assert len(trace) == 2
-    assert final.h.is_complete() and final.h.n == 15
-    conn, chrom = finalize_chromatic(final, cfg)
+    assert h.is_complete() and h.n == 15
+    conn, chrom = finalize_chromatic(h, t, cfg)
     assert chrom == {"kind": "colouring_unsat", "colours": 1}
 
 
@@ -203,7 +206,7 @@ def test_descend_contradiction_on_corrupted_witness():
     broken = Template(dict(t.precolour), {**t.forbidden, 0: frozenset()})
     cfg = ExtractConfig(k=2, trust_precondition=True)
     with pytest.raises(InternalContradiction) as exc:
-        descend(WitnessPair(g, broken), cfg)
+        descend(g, broken, cfg)
     assert respects(g, broken, exc.value.colouring, cfg.palette_for(g))
 
 
@@ -212,8 +215,7 @@ def test_descend_contradiction_on_corrupted_witness():
 def test_finalize_k15():
     cfg = ExtractConfig(k=2)
     g = generate(FamilySpec.complete(15))
-    wp = WitnessPair(g, Template.empty(g))
-    conn, chrom = finalize_chromatic(wp, cfg)
+    conn, chrom = finalize_chromatic(g, Template.empty(g), cfg)
     assert conn["kind"] == "complete"
     assert chrom == {"kind": "colouring_unsat", "colours": 1}
 
@@ -221,7 +223,7 @@ def test_finalize_k15():
 def test_finalize_k1_trivial_evidence():
     g = generate(FamilySpec.complete(8))
     cfg = ExtractConfig(k=1)
-    conn, chrom = finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
+    conn, chrom = finalize_chromatic(g, Template.empty(g), cfg)
     assert chrom == {"kind": "colouring_unsat", "colours": 0}
     assert is_colourable(g, 0) is None
 
@@ -232,7 +234,7 @@ def test_finalize_contradiction_on_bipartite_fake_witness():
     g = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     cfg = ExtractConfig(k=3, trust_precondition=True)
     with pytest.raises(InternalContradiction) as exc:
-        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
+        finalize_chromatic(g, Template.empty(g), cfg)
     assert respects(g, Template.empty(g), exc.value.colouring, cfg.palette_for(g))
 
 
@@ -240,14 +242,14 @@ def test_finalize_list_completion_budget_surfaces_limit():
     g = generate(FamilySpec.complete(9))
     cfg = ExtractConfig(k=2, mode="list", budget=SolverBudget(max_decisions=1))
     with pytest.raises(ResourceLimitError, match="after 2 decisions"):
-        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
+        finalize_chromatic(g, Template.empty(g), cfg)
 
 
 def test_finalize_requires_connectivity():
     g = glued15()
     cfg = ExtractConfig(k=2)
     with pytest.raises(ValueError):
-        finalize_chromatic(WitnessPair(g, Template.empty(g)), cfg)
+        finalize_chromatic(g, Template.empty(g), cfg)
 
 
 # -- extract end-to-end ----------------------------------------------------------
@@ -361,7 +363,7 @@ def test_certificate_json_round_trip():
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     assert again.to_json() == cert.to_json()
-    assert cert.graph_hash == graph_hash(g)
+    assert cert.graph_hash == g.digest
 
 
 def test_certificate_rejects_unknown_format():
@@ -378,6 +380,14 @@ def test_extract_config_validation():
         ExtractConfig(k=1, lists={0: frozenset({0})})
     with pytest.raises(ValueError, match="only used in plain mode"):
         ExtractConfig(k=1, mode="list", palette_size=2)
+    # The checker accepts k and palette_size only as JSON integers: a bool
+    # would give a certificate that extract's own self-verify rejects, and a
+    # float a TypeError deep inside the palette.
+    for options, field in [({"k": True}, "k"), ({"k": 2.5}, "k"),
+                           ({"k": 2, "palette_size": True}, "palette_size"),
+                           ({"k": 2, "palette_size": 13.5}, "palette_size")]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExtractConfig(**options)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -117,6 +117,8 @@ def test_validate_template_errors():
     lists = Palette.from_lists({0: {0, 1}, 1: {2}})
     with pytest.raises(TemplateError):
         validate_template(g, Template({0: 0}, {1: frozenset({0})}), lists)  # F outside L_v
+    with pytest.raises(TemplateError, match=r"vertices \[0\] both pre-coloured and forbidden"):
+        validate_template(g, Template({0: 0}, {0: frozenset(), 1: frozenset()}), pal)
 
 
 # -- witness checks ----------------------------------------------------------
