@@ -124,15 +124,6 @@ def _k_connected(h: Graph, k: int, evidence: dict) -> bool:
     return h.n > k and (evidence["kind"] == "complete" or evidence["size"] >= k)
 
 
-def _witness_refutes(h: Graph, lists: dict[int, frozenset[int]]) -> bool:
-    """True when no proper colouring from the witness lists, one for each
-    vertex of h, exists.  Empty lists refute immediately (the vertex cannot
-    be coloured at all)."""
-    if any(not cs for cs in lists.values()):
-        return True
-    return list_colour(h, lists) is None
-
-
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate from scratch against the graph.
 
@@ -188,8 +179,6 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         if frozenset(cert.final_vertices) != current:
             return False
         h = induced_subgraph(g, current)
-        if h.n == 0:
-            return False
         evidence, ev = connectivity_evidence(h), cert.connectivity_evidence
         # == takes 8.0 and true for integers, so the numbers' types are checked too.
         if not (_k_connected(h, k, evidence) and ev == evidence and _ints(ev.get("cut", ()))
@@ -213,7 +202,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
             if not _increasing(*raw.values()):
                 return False
             lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
-            return all(len(cs) == k - 1 for cs in lists.values()) and _witness_refutes(h, lists)
+            return all(len(cs) == k - 1 for cs in lists.values()) and list_colour(h, lists) is None
         # Plain mode, or the list-mode guarantee: chi(H) >= k, which
         # implies chi_ell(H) >= k.
         return is_colourable(h, k - 1) is None

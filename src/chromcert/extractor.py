@@ -17,6 +17,7 @@ chromatic bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 # extract self-verifies through this module's verify_certificate, which the
 # tracer patches; is_k_connected is unused, bound for perfbench's tracer test.
@@ -44,16 +45,17 @@ class ExtractConfig:
     """Extraction parameters.
 
     Plain mode uses a palette of `palette_size` colours (default 7k); list
-    mode uses `lists` (default: every vertex gets {0..4k-1}, the list
-    analogue of the plain palette).  The solver first proves that no
-    palette colouring exists; `trust_precondition` skips that check for
-    graphs whose chromatic number is known by construction.
+    mode uses `lists`, a collection of colours per vertex (default: every
+    vertex gets {0..4k-1}, the list analogue of the plain palette).  The
+    solver first proves that no palette colouring exists;
+    `trust_precondition` skips that check for graphs whose chromatic number
+    is known by construction.
     """
 
     k: int
     mode: str = PLAIN
     palette_size: int | None = None
-    lists: dict[int, frozenset[int]] | None = None
+    lists: Mapping[int, Iterable[int]] | None = None
     budget: SolverBudget = field(default_factory=SolverBudget)
     trust_precondition: bool = False
 
@@ -81,10 +83,10 @@ class ExtractConfig:
     def palette_for(self, g: Graph) -> Palette:
         if self.mode == PLAIN:
             return Palette.plain(self.colour_count())
-        if self.lists is not None:
-            return Palette(LIST, lists=dict(self.lists))
-        default = frozenset(range(self.colour_count()))
-        return Palette(LIST, lists={v: default for v in g.vertices})
+        lists = self.lists
+        if lists is None:
+            lists = dict.fromkeys(g.vertices, frozenset(range(self.colour_count())))
+        return Palette.from_lists(lists)
 
 
 _REFUTED = "graph admits a proper palette colouring; the extraction hypothesis fails"
@@ -97,7 +99,8 @@ def check_precondition(g: Graph, cfg: ExtractConfig) -> SolverStats:
     Unless the precondition is trusted, the solver confirms that no palette
     colouring exists at all, which is exactly the chromatic-threshold
     hypothesis; a colouring instead raises NotInextensibleError carrying it.  In list
-    mode the lists must name exactly g's vertices, else ValueError.
+    mode no list may be empty, and the lists must name exactly g's vertices,
+    else ValueError.
 
     A plain palette or default lists with at least n colours refute the
     hypothesis outright, trusted or not, before any palette is built: each
@@ -109,6 +112,9 @@ def check_precondition(g: Graph, cfg: ExtractConfig) -> SolverStats:
     if count is not None and count >= g.n:
         raise NotInextensibleError(_REFUTED, {v: i for i, v in enumerate(g.sorted_vertices())})
     palette = cfg.palette_for(g)
+    if cfg.mode == LIST and not all(palette.lists.values()):
+        empty = next(v for v, cs in palette.lists.items() if not cs)
+        raise ValueError(f"vertex {empty} has an empty list")
     if cfg.mode == LIST and palette.lists.keys() != g.vertices:
         stray, missing = sorted(palette.lists.keys() - g.vertices), sorted(g.vertices - palette.lists.keys())
         raise ValueError(f"the lists must name exactly the graph's vertices: stray {stray}, missing {missing}")

@@ -68,7 +68,8 @@ ListAssignment = Mapping[int, frozenset[int]]
 @dataclass(frozen=True)
 class Palette:
     """Fixed colour supply: a colour set {0..size-1} in plain mode, or a
-    per-vertex list assignment in list mode."""
+    per-vertex list assignment in list mode.  A list may be empty: its
+    vertex has no colour, so no colouring from the palette exists."""
 
     mode: str
     size: int | None = None
@@ -81,9 +82,6 @@ class Palette:
         elif self.mode == LIST:
             if self.lists is None:
                 raise ValueError("list palette needs per-vertex lists")
-            for v, colours in self.lists.items():
-                if not colours:
-                    raise ValueError(f"vertex {v} has an empty list")
         else:
             raise ValueError(f"unknown palette mode {self.mode!r}")
 
@@ -442,6 +440,6 @@ def is_colourable(g: Graph, t: int, budget: SolverBudget | None = None) -> dict[
 
 def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
     """A proper colouring drawing each vertex from its own list, or None:
-    extend on the empty template with the lists as palette.  Raises
-    ValueError when a vertex has no list or an empty one."""
+    extend on the empty template with the lists as palette.  An empty list
+    answers None; a vertex with no list raises ValueError."""
     return extend(g, Template.empty(g), Palette.from_lists(lists)).colouring

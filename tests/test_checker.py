@@ -195,6 +195,15 @@ def test_certificate_bytes_pinned(make, cfg, recursed, kind, digest):
     assert again == cert and verify_certificate(g, again)
 
 
+def test_list_values_of_any_collection_type_give_one_certificate():
+    # ExtractConfig freezes the caller's lists into one palette, whatever
+    # collection holds each vertex's colours.
+    for g in (k5_cycle7(), generate(FamilySpec.glued_cliques((9, 9, 9), 1))):
+        texts = {extract(g, ExtractConfig(k=2, mode="list", lists=dict.fromkeys(g.vertices, colours))).to_json()
+                 for colours in (frozenset(range(4)), set(range(4)), list(range(4)), tuple(range(4)), range(4))}
+        assert len(texts) == 1
+
+
 def test_from_json_rejects_unknown_and_missing_fields():
     g = generate(FamilySpec.glued_cliques((15, 15), 1))
     doc = json.loads(extract(g, ExtractConfig(k=2)).to_json())
@@ -217,6 +226,36 @@ def test_a_step_whose_sides_touch_is_rejected():
     assert cert.trace[0].side_y[0] == 1 and cert.trace[0].side_z[0] == 15
     touching = Graph.build(g.n, g.edges | {(1, 15)})
     assert not verify_certificate(touching, replace(cert, graph_hash=touching.digest))
+
+
+def test_degree_claims_chain_and_a_completion_stays_within_2k_squared():
+    # A step's template degree is at most the degree the step before it
+    # derived (2k^2 before the first step), and a completion derives at most
+    # 2k^2.  Each mutant breaks one of these claims and nothing else.
+    g = generate(FamilySpec.glued_cliques((6, 6, 6), 1))
+    cert = extract(g, ExtractConfig(k=2, palette_size=5))
+    first, second = cert.trace
+    assert second.template_degree == first.derived_degree == 0 and first.template_degree <= 8
+    for trace in [(first, replace(second, template_degree=1)), (replace(first, template_degree=9), second)]:
+        assert not verify_certificate(g, replace(cert, trace=trace))
+    h = k5_cycle7()
+    cert = extract(h, ExtractConfig(k=2, palette_size=4))
+    (step,) = cert.trace
+    assert step.recursed == "completion" and step.derived_degree <= 8
+    assert not verify_certificate(h, replace(cert, trace=(replace(step, derived_degree=9),)))
+
+
+def test_a_certificate_for_the_empty_graph_is_rejected():
+    # No graph on at most k vertices is k-connected, the empty one included.
+    g = Graph.build(0, [])
+    evidence = connectivity_evidence(g)
+    assert evidence == {"kind": "complete", "order": 0}
+    for mode, size, chrom in [("plain", 7, {"kind": "colouring_unsat", "colours": 0}),
+                              ("list", None, {"kind": "choosability_witness", "t": 1, "lists": {}})]:
+        cert = Certificate(graph_hash=g.digest, k=1, mode=mode, palette_size=size, trace=(), final_vertices=(),
+                           connectivity_evidence=evidence, chromatic_evidence=chrom,
+                           solver_decisions=0, solver_backtracks=0)
+        assert not verify_certificate(g, cert)
 
 
 def _unsorted_mutants(cert: Certificate) -> list[Certificate]:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -266,6 +267,21 @@ def test_extract_lists_naming_a_stray_vertex(tmp_path, capsys):
     assert "stray [99], missing []" in capsys.readouterr().err
 
 
+def test_extract_lists_giving_a_vertex_no_colour(tmp_path, capsys):
+    # A lists file parses with an empty list; extract refuses it before any
+    # work, naming the first such vertex, and writes no certificate.
+    graph = tmp_path / "glued9.col"
+    lists = tmp_path / "empty.txt"
+    cert = tmp_path / "cert.json"
+    run("gen", "glued", "9", "9", "--out", str(graph))
+    lists.write_text("".join(f"list {v} 0 1 2 3 4 5 6 7\n" if v not in (1, 5) else f"list {v}\n" for v in range(17)))
+    capsys.readouterr()
+    assert run("extract", str(graph), "--k", "2", "--mode", "list",
+               "--lists", str(lists), "--out", str(cert)) == EXIT_USAGE
+    assert "extract: invalid configuration: vertex 1 has an empty list" in capsys.readouterr().err
+    assert not cert.exists()
+
+
 def test_extract_option_unused_by_the_mode(tmp_path):
     graph = tmp_path / "k5.col"
     lists = tmp_path / "lists.txt"
@@ -365,6 +381,28 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command)
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["gen", "extract", "reproduce"])
+def test_a_failed_write_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # The path passes the check before the work, and then the write fails,
+    # as on a full disk: cli.open, a module global, shadows the builtin.
+    graph, out = tmp_path / "k8.col", tmp_path / "out.txt"
+    run("gen", "complete", "8", "--out", str(graph))
+
+    def full(path, *args, **kwargs):
+        if path == str(out):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    monkeypatch.setitem(cli.SUITES, "stub", lambda: ({"suite": "stub", "sections": {}, "ok": True}, {}))
+    args = {"gen": ["complete", "8"], "extract": [str(graph), "--k", "1"], "reproduce": ["stub"]}[command]
+    capsys.readouterr()
+    assert run(command, *args, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{command}: cannot write {out}: No space left on device" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reproduce_theorem2_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run("reproduce", "theorem2", "--out", str(report)) == EXIT_OK
@@ -429,12 +467,16 @@ def test_verify_rejects_malformed_evidence(tmp_path, capsys):
         {**plain, "chromatic_evidence": {**plain["chromatic_evidence"], "lists": {}}},
         {**plain, "chromatic_evidence": {**plain["chromatic_evidence"], "t": "x"}},
         {**lst, "chromatic_evidence": {**witness, "colours": 1}},
+        # Shapes that make the checker raise inside its try.
+        {**lst, "chromatic_evidence": {**witness, "lists": {v: 1 for v in witness["lists"]}}},
+        {**lst, "chromatic_evidence": list(witness.values())},
     ]
     for doc in mutants:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("verify", str(graph), str(cert)) == EXIT_REJECTED, doc
-        assert "certificate rejected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "certificate rejected" in err and "Traceback" not in err
 
 
 def test_verify_ill_typed_certificate_is_a_parse_error(tmp_path):

@@ -158,12 +158,29 @@ def test_list_colour_choices_pinned_on_k24():
     assert brute_list_colour(g, lists) is not None
 
 
-def test_list_colour_rejects_missing_or_empty_lists():
+def test_list_colour_rejects_a_missing_list_and_answers_an_empty_one():
     g = Graph.build(2, [(0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 1 missing from the list assignment"):
         list_colour(g, {0: frozenset({1})})
-    with pytest.raises(ValueError):
-        list_colour(g, {0: frozenset({1}), 1: frozenset()})
+    assert list_colour(g, {0: frozenset({1}), 1: frozenset()}) is None
+
+
+def test_list_colour_agrees_with_brute_force_on_every_small_instance():
+    # Every labelled graph on at most 4 vertices under every assignment of
+    # lists from {}, {0}, {1}, {0, 1}: 16,933 cases, empty lists included.
+    domains = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    cases = 0
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for choice in product(domains, repeat=n):
+                lists = dict(enumerate(choice))
+                col = list_colour(g, lists)
+                assert (col is None) == (brute_list_colour(g, lists) is None), (g.edges, lists)
+                assert col is None or (proper(g, col) and all(col[v] in lists[v] for v in g.vertices))
+                cases += 1
+    assert cases == 16_933
 
 
 def test_list_colour_matches_product_enumeration():

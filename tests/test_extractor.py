@@ -393,6 +393,10 @@ def test_extract_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("connectivity_evidence", []),
     ("chromatic_evidence", {"kind": "choosability_witness", "t": 2, "lists": [1, 2]}),
+    # Shapes that make the checker raise inside its try (H is the clique on
+    # 0..15, so the keys name its vertices): it returns False.
+    ("chromatic_evidence", {"kind": "choosability_witness", "t": 2, "lists": {str(v): 1 for v in range(16)}}),
+    ("chromatic_evidence", ["choosability_witness", 2]),
 ])
 def test_verify_rejects_malformed_evidence(field, value):
     g = generate(FamilySpec.glued_cliques((16, 16), 1))

@@ -107,6 +107,25 @@ def test_agreement_in_list_mode():
         assert fast.outcome == slow.outcome
 
 
+def test_agreement_on_an_empty_list():
+    # Vertex 1 has no colour: uncoloured, both searches answer UNSAT on the
+    # empty template and on nonempty ones; pre-coloured, or with a forbidden
+    # colour, it lies outside its palette and both raise TemplateError.
+    g = Graph.build(4, [(0, 1), (1, 2)])
+    pal = Palette.from_lists({0: {0, 1}, 1: set(), 2: {1}, 3: {0}})
+    none = frozenset()
+    for t in (Template.empty(g), Template({2: 1}, {0: frozenset({0}), 1: none, 3: none}),
+              Template({0: 0, 3: 0}, {1: none, 2: none})):
+        assert extend(g, t, pal).outcome == brute_force_extend(g, t, pal).outcome == "unsat"
+    assert extend(g, Template.empty(g), Palette.from_lists(dict.fromkeys(range(4), ()))).outcome == "unsat"
+    for t, message in [(Template({1: 0}, {0: none, 2: none, 3: none}), "pre-colour 0 at vertex 1 outside"),
+                       (Template({}, {0: none, 1: frozenset({1}), 2: none, 3: none}),
+                        r"forbidden colours \[1\] at vertex 1")]:
+        for search in (extend, brute_force_extend):
+            with pytest.raises(TemplateError, match=message):
+                search(g, t, pal)
+
+
 def test_monotone_in_forbidden_lists():
     # Adding a forbidden colour can never turn UNSAT into SAT.
     rng = random.Random(41)

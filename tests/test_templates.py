@@ -1,8 +1,10 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 
+from chromcert.coloring import list_chromatic_at_least
 from chromcert.errors import InternalContradiction, TemplateError
 from chromcert.families import FamilySpec, generate
 from chromcert.graphs import Graph
@@ -517,8 +519,6 @@ def test_list_completion_unsat_on_short_lists():
 
 
 def test_list_completion_never_unsat_below_choosability():
-    from chromcert.coloring import list_chromatic_at_least
-
     g = generate(FamilySpec.cycle(6))
     assert not list_chromatic_at_least(g, 3)[0]  # chi_ell(C_6) = 2 <= k-1
     pal = Palette.from_lists({v: range(13) for v in g.vertices})
@@ -555,3 +555,52 @@ def test_list_completion_with_precoloured_neighbours_matches_brute_force():
         if any(pre[u] in pal.colours_of(v) - fs for v, fs in forb.items() for u in g.adj[v] if u in pre):
             outcomes.add(col is None)
     assert outcomes == {True, False}
+
+
+# -- input refusals -----------------------------------------------------------------
+
+def path(n):
+    return Graph.build(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def precoloured(g, pre):
+    """The template on g with pre-colouring pre and no forbidden colour."""
+    return Template(pre, {v: frozenset() for v in g.vertices - pre.keys()})
+
+
+LISTS = Palette.from_lists({0: {0, 1, 2}, 1: {0, 1, 2}})
+HEAVY = Template({}, {0: frozenset({0, 1}), 1: frozenset()})  # |F(0)| = 2 = k at k = 2
+
+
+# Each construction lemma and the palette model refuse an input outside
+# their preconditions with a ValueError that names the reason.
+@pytest.mark.parametrize("refused, message", [
+    (lambda: derive_separation_template(glued15(), precoloured(glued15(), {15: 0, 16: 1, 17: 2}), frozenset({0}),
+                                        frozenset(range(1, 15)), frozenset(range(15, 29)), 2),
+     "restriction to z has degree 6 > k^2"),
+    (lambda: derive_completion_template(path(3), Template.empty(path(3)), frozenset({0, 1}), frozenset({2}),
+                                        {0: 0, 1: 1}, 2), "|x| = 2 exceeds k-1 = 1"),
+    (lambda: derive_completion_template(path(5), precoloured(path(5), {2: 0, 3: 1, 4: 0}), frozenset({1}),
+                                        frozenset({2, 3, 4}), {1: 1}, 2), "restriction to z has degree 6 > k^2"),
+    (lambda: derive_completion_template(path(3), Template.empty(path(3)), frozenset({1}), frozenset({2}),
+                                        {0: 0}, 2), "cprime does not colour the cut vertices [1]"),
+    (lambda: rainbow_small_case(path(2), HEAVY, 2, Palette.plain(14)),
+     "small case requires forbidden lists of size at most k-1"),
+    (lambda: interval_partition(Graph.build(2, []), Template.empty(Graph.build(2, [])), 2, [[0]]),
+     "independent sets must partition the uncoloured vertices"),
+    (lambda: interval_partition(Graph.build(2, []), Template({}, {0: frozenset({0, 1, 2}), 1: frozenset()}), 2,
+                                [[0], [1]]), "interval partition requires forbidden lists of size at most k"),
+    (lambda: colour_from_intervals(path(2), Template.empty(path(2)), [(0,), (1,)], LISTS),
+     "interval colouring is a plain-mode construction"),
+    (lambda: list_direct_completion(path(2), Template.empty(path(2)), 2, Palette.plain(3)),
+     "direct completion is a list-mode construction"),
+    (lambda: list_direct_completion(path(2), HEAVY, 2, LISTS), "direct completion requires a strengthened template"),
+    (lambda: degree(Template.empty(path(2)), 0), "k must be a positive integer"),
+    (lambda: list_chromatic_at_least(path(2), 0), "t must be a positive integer"),
+    (lambda: Palette("list"), "list palette needs per-vertex lists"),
+    (lambda: Palette("banana"), "unknown palette mode 'banana'"),
+    (lambda: LISTS.colours_of(2), "vertex 2 missing from the list assignment"),
+])
+def test_refusals_name_their_reason(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
