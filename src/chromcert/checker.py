@@ -70,13 +70,24 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        """Parse a certificate; an unknown or missing field is a TypeError."""
-        doc = json.loads(text)
+        """Parse a certificate; an unknown or missing field is a TypeError,
+        and a key repeated in any JSON object a ValueError."""
+        doc = json.loads(text, object_pairs_hook=_distinct_keys)
         if doc.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unknown certificate format {doc.get('format')!r}")
         del doc["format"]
         cert = Certificate(**_tuples(doc))
         return replace(cert, trace=tuple(DescentStep(**_tuples(s)) for s in cert.trace))
+
+
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct: one encoding per claim, where
+    json.loads alone would keep the last of two values."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return doc
 
 
 _TUPLE_FIELDS = ("cut", "side_y", "side_z", "final_vertices")

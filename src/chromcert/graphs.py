@@ -111,8 +111,12 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
+    """g as DIMACS text; each comment must stay one line, as the reader splits them."""
     ranks = {v: i + 1 for i, v in enumerate(g.sorted_vertices())}
     lines = [f"c {c}" for c in comments]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ValueError(f"comment {line[2:]!r} is not one line")
     lines.append(f"p edge {g.n} {g.m}")
     for u, v in sorted((ranks[a], ranks[b]) for a, b in g.edges):
         lines.append(f"e {u} {v}")
@@ -182,8 +186,9 @@ def read_dimacs(path: str) -> Graph:
 
 
 def write_dimacs(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
+    text = to_dimacs(g, comments)  # a refused comment leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dimacs(g, comments))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

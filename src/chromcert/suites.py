@@ -11,7 +11,7 @@ import json
 import random
 import time
 from functools import partial
-from itertools import combinations, cycle, islice
+from itertools import combinations, cycle, islice, repeat
 
 from .checker import verify_certificate
 from .coloring import list_chromatic_at_least
@@ -87,16 +87,17 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> dic
     record["h_size"] = h.n
     evidence = cert.connectivity_evidence
     record["h_min_cut"] = "complete" if evidence["kind"] == "complete" else evidence["size"]
-    record["chromatic_evidence"] = cert.chromatic_evidence["kind"]
+    chromatic = cert.chromatic_evidence
+    record["chromatic_evidence"] = chromatic["kind"]
     record["verified"] = verify_certificate(g, cert)
     record["kappa_ok"] = brute_is_k_connected(h, cfg.k)
-    if cfg.mode == "plain":
-        record["chromatic_ok"] = (
-            is_colourable(h, cfg.k - 1) is None and not brute_colourable(h, cfg.k - 1)
-        )
+    # The certificate's own chromatic claim by brute force: bad lists, else chi(H) >= k.
+    if chromatic["kind"] == "choosability_witness":
+        lists = {int(v): frozenset(cs) for v, cs in chromatic["lists"].items()}
+        sized = lists.keys() == h.vertices and all(len(cs) == cfg.k - 1 for cs in lists.values())
+        record["chromatic_ok"] = sized and brute_list_colour(h, lists) is None
     else:
-        holds, witness = list_chromatic_at_least(h, cfg.k)
-        record["chromatic_ok"] = bool(holds) and brute_list_colour(h, witness) is None
+        record["chromatic_ok"] = not brute_colourable(h, cfg.k - 1)
     record["solver_decisions"] = cert.solver_decisions
     record["solver_backtracks"] = cert.solver_backtracks
     record["certificate"] = json.loads(cert.to_json())
@@ -281,20 +282,31 @@ def _random_separated_instance(
 # Oracle suite (solver equivalence and ground truths)
 # ---------------------------------------------------------------------------
 
-def _all_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+def _tally(cases, check, total: str, counted: str) -> dict:
+    """Count the cases, argument tuples (zip(xs) wraps each x in one), under
+    `total`, and under `counted` the conditions that check(*case) yields true."""
+    cases_seen = conditions = 0
+    for case in cases:
+        cases_seen += 1
+        conditions += sum(check(*case))
+    return {total: cases_seen, counted: conditions}
+
+
+def _all_graphs(most: int):
+    """Every labelled graph on at most `most` vertices, the smaller first."""
+    for n in range(most + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph.build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
 def _exhaustive_cases():
     """Every graph on at most 5 vertices, each with palettes 2, 3 and 4."""
     rng = random.Random(20260801)
-    for n in range(0, 6):
-        for g in _all_graphs(n):
-            for size in (2, 3, 4):
-                palette = Palette.plain(size)
-                yield g, _random_template(g, palette, rng, s_limit=2, f_limit=2), palette
+    for g in _all_graphs(5):
+        for size in (2, 3, 4):
+            palette = Palette.plain(size)
+            yield g, _random_template(g, palette, rng, s_limit=2, f_limit=2), palette
 
 
 def _random_cases():
@@ -306,104 +318,67 @@ def _random_cases():
         yield g, _random_template(g, palette, rng, s_limit=3, f_limit=2), palette
 
 
-def _solver_equivalence(cases) -> dict:
+def _extend_agrees(g: Graph, t: Template, palette: Palette):
     """extend against brute force: the same outcome, and a colouring that
     respects the template when there is one."""
-    checked = 0
-    mismatches = 0
-    for g, t, palette in cases:
-        fast = extend(g, t, palette)
-        slow = brute_force_extend(g, t, palette)
-        checked += 1
-        if fast.outcome != slow.outcome:
-            mismatches += 1
-        if fast.outcome == "sat" and not respects(g, t, fast.colouring, palette):
-            mismatches += 1
-    return {"checked": checked, "mismatches": mismatches}
+    fast = extend(g, t, palette)
+    yield fast.outcome != brute_force_extend(g, t, palette).outcome
+    yield fast.outcome == "sat" and not respects(g, t, fast.colouring, palette)
 
 
-def _colourability_ground_truth() -> dict:
-    graphs = 0
-    mismatches = 0
-    for n in range(0, 7):
-        for g in _all_graphs(n):
-            graphs += 1
-            for t in range(1, 5):
-                col = is_colourable(g, t)
-                if (col is not None) != brute_colourable(g, t):
-                    mismatches += 1
-                if col is not None and any(col[u] == col[v] for u, v in g.edges):
-                    mismatches += 1
-    return {"graphs": graphs, "mismatches": mismatches}
+def _colourability_agrees(g: Graph):
+    for t in range(1, 5):
+        col = is_colourable(g, t)
+        yield (col is not None) != brute_colourable(g, t)
+        yield col is not None and any(col[u] == col[v] for u, v in g.edges)
 
 
-def _min_cut_ground_truth() -> dict:
+def _cut_samples():
+    """Six named graphs, then 250 seeded random ones on 2 to 8 vertices."""
+    yield from map(generate, (FamilySpec.kneser(5, 2), FamilySpec.cycle(5), FamilySpec.complete(6),
+                              FamilySpec.glued_cliques((4, 4), 1)))
+    yield from (Graph.build(4, [(0, 1), (1, 2), (2, 3)]), Graph.build(2, []))
     rng = random.Random(20260803)
-    named = [
-        generate(FamilySpec.kneser(5, 2)),
-        generate(FamilySpec.cycle(5)),
-        generate(FamilySpec.complete(6)),
-        generate(FamilySpec.glued_cliques((4, 4), 1)),
-        Graph.build(4, [(0, 1), (1, 2), (2, 3)]),
-        Graph.build(2, []),
-    ]
-    samples = list(named)
     for _ in range(250):
         n = rng.randint(2, 8)
-        samples.append(random_graph(n, rng.uniform(0.15, 0.95), rng))
-    mismatches = 0
-    for g in samples:
-        expected = brute_min_cut(g)
-        cut = min_vertex_cut(g)
-        if (None if cut is None else (len(cut), cut)) != expected:
-            mismatches += 1
-        for k in range(1, 5):
-            if is_k_connected(g, k) != brute_is_k_connected(g, k):
-                mismatches += 1
-    return {"checked": len(samples), "mismatches": mismatches}
+        yield random_graph(n, rng.uniform(0.15, 0.95), rng)
 
 
-def _k24() -> tuple[Graph, dict[int, frozenset[int]]]:
-    g = Graph.build(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
-    lists = {
-        0: frozenset({1, 2}),
-        1: frozenset({3, 4}),
-        2: frozenset({1, 3}),
-        3: frozenset({1, 4}),
-        4: frozenset({2, 3}),
-        5: frozenset({2, 4}),
-    }
-    return g, lists
+def _cut_agrees(g: Graph):
+    cut = min_vertex_cut(g)
+    yield brute_min_cut(g) != (None if cut is None else (len(cut), cut))
+    for k in range(1, 5):
+        yield is_k_connected(g, k) != brute_is_k_connected(g, k)
 
 
 def _choosability_ground_truth() -> dict:
+    """ch(C4) = 2, ch(K4) = 4 and ch(K_{2,4}) >= 3: each bound that holds
+    has a witness that brute force refutes, and each one past ch fails; then
+    the bad lists of K_{2,4} from the definition (Erdos-Rubin-Taylor 1979)."""
+    c4, k4 = generate(FamilySpec.cycle(4)), generate(FamilySpec.complete(4))
+    k24 = Graph.build(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
     failures: list[str] = []
-    c4 = generate(FamilySpec.cycle(4))
-    if not list_chromatic_at_least(c4, 2)[0]:
-        failures.append("chi_ell(C4) >= 2")
-    if list_chromatic_at_least(c4, 3)[0]:
-        failures.append("chi_ell(C4) <= 2")
-    k4 = generate(FamilySpec.complete(4))
-    holds, witness = list_chromatic_at_least(k4, 4)
-    if not (holds and brute_list_colour(k4, witness) is None):
-        failures.append("chi_ell(K4) >= 4")
-    if list_chromatic_at_least(k4, 5)[0]:
-        failures.append("chi_ell(K4) <= 4")
-    g24, lists24 = _k24()
-    if list_colour(g24, lists24) is not None or brute_list_colour(g24, lists24) is not None:
+    for name, g, t, holds in (("C4", c4, 2, True), ("C4", c4, 3, False), ("K4", k4, 4, True),
+                              ("K4", k4, 5, False), ("K_{2,4}", k24, 3, True)):
+        found, witness = list_chromatic_at_least(g, t)
+        if found != holds or found and brute_list_colour(g, witness) is not None:
+            failures.append(f"chi_ell({name}) >= {t}" if holds else f"chi_ell({name}) <= {t - 1}")
+    lists24 = dict(enumerate(map(frozenset, ({1, 2}, {3, 4}, {1, 3}, {1, 4}, {2, 3}, {2, 4}))))
+    if list_colour(k24, lists24) is not None or brute_list_colour(k24, lists24) is not None:
         failures.append("K_{2,4} witness lists admit no colouring")
-    holds, witness = list_chromatic_at_least(g24, 3)
-    if not (holds and brute_list_colour(g24, witness) is None):
-        failures.append("chi_ell(K_{2,4}) >= 3")
     return {"checked": 6, "failures": failures}
 
 
 def run_oracles() -> tuple[dict, dict[str, float]]:
     sections, timings = _run_sections((
-        ("extend_vs_bruteforce_exhaustive", partial(_solver_equivalence, _exhaustive_cases())),
-        ("extend_vs_bruteforce_random", partial(_solver_equivalence, _random_cases())),
-        ("colourability_all_graphs_n6", _colourability_ground_truth),
-        ("min_cut_ground_truth", _min_cut_ground_truth),
+        ("extend_vs_bruteforce_exhaustive",
+         partial(_tally, _exhaustive_cases(), _extend_agrees, "checked", "mismatches")),
+        ("extend_vs_bruteforce_random",
+         partial(_tally, _random_cases(), _extend_agrees, "checked", "mismatches")),
+        ("colourability_all_graphs_n6",
+         partial(_tally, zip(_all_graphs(6)), _colourability_agrees, "graphs", "mismatches")),
+        ("min_cut_ground_truth",
+         partial(_tally, zip(_cut_samples()), _cut_agrees, "checked", "mismatches")),
         ("choosability_ground_truth", _choosability_ground_truth),
     ))
     ok = all(not s.get("mismatches") and not s.get("failures") for s in sections.values())
@@ -416,10 +391,8 @@ def run_oracles() -> tuple[dict, dict[str, float]]:
 # ---------------------------------------------------------------------------
 
 def _seeded_trials(seed: int, check, trials: int) -> dict:
-    """Run check(rng, i) for trials i = 0, 1, ... on one seeded stream.
-    Each run yields the conditions it tests; each that holds is a violation."""
-    rng = random.Random(seed)
-    return {"trials": trials, "violations": sum(sum(check(rng, i)) for i in range(trials))}
+    """_tally of check(rng, i) for trials i = 0, 1, ... on one seeded stream."""
+    return _tally(zip(repeat(random.Random(seed)), range(trials)), check, "trials", "violations")
 
 
 def _degree_additivity(rng: random.Random, _: int):

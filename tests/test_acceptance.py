@@ -62,6 +62,23 @@ def test_criterion_2_theorem2_instances(theorem2):
         assert record["chromatic_evidence"] == "choosability_witness"
 
 
+@pytest.mark.parametrize("lists", [
+    {str(v): [v] for v in range(9)},  # K9 with nine distinct colours: the lists admit a colouring
+    {**{str(v): [0] for v in range(8)}, "8": [0, 1]},  # one list past k - 1 colours
+])
+def test_theorem_record_judges_the_certificates_own_witness(monkeypatch, lists):
+    instance_id, spec, cfg = next(i for i in suites.theorem2_instances() if i[0] == "t2-k2-complete9")
+    real_extract = suites.extract
+
+    def forged_extract(g, cfg):
+        cert = real_extract(g, cfg)
+        return dataclasses.replace(cert, chromatic_evidence={**cert.chromatic_evidence, "lists": lists})
+
+    monkeypatch.setattr(suites, "extract", forged_extract)
+    record = suites._run_instance(instance_id, spec, cfg)
+    assert (record["verified"], record["chromatic_ok"], record["outcome"]) == (False, False, "fail")
+
+
 def test_criterion_3_solver_equivalence(oracles):
     report, _ = oracles
     exhaustive = report["sections"]["extend_vs_bruteforce_exhaustive"]

@@ -359,6 +359,28 @@ def test_verify_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"format": "chromcert-certificate-v1",', '"format": "chromcert-certificate-v1", "k": 99,'),
+    ('"cut": [', '"cut": [], "cut": ['),
+    ('"connectivity_evidence": {', '"connectivity_evidence": {"kind": "complete",'),
+    ('"lists": {', '"lists": {"0": [5],'),
+], ids=["top-level", "step", "evidence", "witness-lists"])
+def test_verify_a_repeated_key_is_a_parse_error(tmp_path, capsys, old, new):
+    # json.loads keeps the last value of a repeated key, so the first would
+    # be a second, unchecked encoding of the claim.
+    graph = tmp_path / "glued.col"
+    cert = tmp_path / "cert.json"
+    run("gen", "glued", "16", "16", "--out", str(graph))
+    assert run("extract", str(graph), "--k", "2", "--mode", "list", "--out", str(cert)) == EXIT_OK
+    text = cert.read_text()
+    assert json.loads(text)["trace"] and text.count(old) >= 1
+    cert.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert run("verify", str(graph), str(cert)) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert "cannot parse certificate: repeated key" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["gen", "extract", "reproduce"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
     graph = tmp_path / "k8.col"

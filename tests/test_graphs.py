@@ -10,6 +10,7 @@ from chromcert.graphs import (
     parse_lists,
     reach,
     to_dimacs,
+    write_dimacs,
 )
 from chromcert.families import FamilySpec, generate
 
@@ -152,6 +153,32 @@ def test_dimacs_parses_one_based_ids():
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(ValueError, match=r"^line \d+: "):
         from_dimacs(text)
+
+
+# Every line boundary of str.splitlines, the rule by which the reader splits lines.
+LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+def test_a_comment_that_is_not_one_line_is_refused(tmp_path, boundary):
+    # Written as is, "hello<boundary>e 2 3" would put an edge line before the header.
+    comment = f"hello{boundary}e 2 3"
+    g = Graph.build(3, [(0, 1)])
+    with pytest.raises(ValueError, match="is not one line"):
+        to_dimacs(g, comments=[comment])
+    with pytest.raises(ValueError, match="is not one line"):
+        to_dimacs(g, comments=["fine", "hello" + boundary])
+    path = tmp_path / "g.col"
+    with pytest.raises(ValueError, match="is not one line"):
+        write_dimacs(g, str(path), comments=[comment])
+    assert not path.exists()
+
+
+def test_a_one_line_comment_round_trips():
+    g = k4()
+    text = to_dimacs(g, comments=["a plain comment\tand a tab", ""])
+    assert text.startswith("c a plain comment\tand a tab\nc \np edge 4 6\n")
+    assert from_dimacs(text).digest == g.digest
 
 
 def test_lists_round_trip():

@@ -9,6 +9,8 @@ fall.  A change that lowers a counter records the new values here.
 """
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -47,7 +49,23 @@ def dense_random(n):
     return generate(FamilySpec.random(n, 0.9, 3))
 
 
+def planted(n, d, clique, seed):
+    """A sparse random graph with a planted clique: each vertex draws d
+    partners, a drawn partner other than itself gives an edge, and then
+    `clique` sampled vertices become a clique."""
+    rng = random.Random(seed)
+    edges = set()
+    for v in range(n):
+        for _ in range(d):
+            u = rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    edges |= set(combinations(sorted(rng.sample(range(n), clique)), 2))
+    return Graph.build(n, sorted(edges))
+
+
 STEPS, SIZES, FLOWS = "descent steps", "sum of |V(H_i)|", "flows"
+SEPARATORS = "_SplitNetwork._separator calls"
 CLIQUE_LADDER = {STEPS: (19, 39, 79), SIZES: (2945, 11505, 45425), FLOWS: (19, 39, 79)}
 
 # (graph at a rung, k, rungs, recorded counter values at the rungs)
@@ -58,6 +76,12 @@ LADDERS = {
     # The minimum degree settles every query, so no flow runs.
     "pendant-path": (pendant_path, 2, (100, 200, 400), {STEPS: (99, 199, 399), SIZES: (6435, 22885, 85785),
                                                        FLOWS: (0, 0, 0)}),
+    # Each canonical cut at kappa = 1 takes a flow per non-neighbour of the
+    # first vertex, and a separator closure per flow of value 1, which the
+    # flow count does not see.
+    "planted-clique": (lambda n: planted(n, 1, 15, seed=1), 2, (60, 125, 250),
+                       {STEPS: (18, 30, 66), SIZES: (830, 2377, 10378), FLOWS: (828, 2225, 10296),
+                        SEPARATORS: (185, 1951, 5882)}),
 }
 
 
@@ -78,15 +102,23 @@ def _assert_no_growth(counter, rungs, got, values):
 
 
 @pytest.mark.parametrize("ladder", sorted(LADDERS))
-def test_work_counters_do_not_grow(count_flows, ladder):
+def test_work_counters_do_not_grow(monkeypatch, count_flows, ladder):
     make, k, rungs, recorded = LADDERS[ladder]
-    measured = {STEPS: [], SIZES: [], FLOWS: []}
+    separator, separators = connectivity._SplitNetwork._separator, [0]
+
+    def counting_separator(self, *args):
+        separators[0] += 1
+        return separator(self, *args)
+
+    monkeypatch.setattr(connectivity._SplitNetwork, "_separator", counting_separator)
+    measured = {STEPS: [], SIZES: [], FLOWS: [], SEPARATORS: []}
     for rung in rungs:
-        count_flows[0] = 0
+        count_flows[0] = separators[0] = 0
         cert = extract(make(rung), ExtractConfig(k=k))
         measured[STEPS].append(len(cert.trace))
         measured[SIZES].append(sum(len(s.cut) + len(s.side_y) + len(s.side_z) for s in cert.trace))
         measured[FLOWS].append(count_flows[0])
+        measured[SEPARATORS].append(separators[0])
     for counter, values in recorded.items():
         _assert_no_growth(counter, rungs, measured[counter], values)
 
