@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import chain, pairwise, starmap
+from json.encoder import encode_basestring_ascii as _string
 from operator import lt
 
 from .connectivity import min_vertex_cut, separation_fault
@@ -63,10 +64,10 @@ class Certificate:
 
     def to_json(self) -> str:
         # The fields in order, read in place: asdict would deep-copy every
-        # nested list and dict only for json.dumps to read them once.
+        # nested list and dict only for _indented to read them once.
         doc = {"format": CERTIFICATE_FORMAT, **vars(self)}
         doc["trace"] = [vars(step) for step in self.trace]
-        return json.dumps(doc, indent=2) + "\n"
+        return _indented(doc, "\n") + "\n"
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -78,6 +79,33 @@ class Certificate:
         del doc["format"]
         cert = Certificate(**_tuples(doc))
         return replace(cert, trace=tuple(DescentStep(**_tuples(s)) for s in cert.trace))
+
+
+def _indented(value, newline: str) -> str:
+    """json.dumps(value, indent=2) placed after `newline`, the line break
+    and indent before it.  json's indent mode runs its pure-Python encoder,
+    so the layout is written here, and the scalars by the C string encoder,
+    int.__repr__ (json's own) or json.dumps; a list of ints is one join."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _string(value)
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items, ends = [f"{_key(key)}: {_indented(v, inner)}" for key, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        items, ends = (map(int.__repr__, value) if set(map(type, value)) == {int}
+                       else [_indented(v, inner) for v in value]), "[]"
+    else:
+        return json.dumps(value)
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{newline}{ends[1]}"
+
+
+def _key(key) -> str:
+    """An object key as json writes it: a string, or the string of a
+    number, boolean or null key's JSON value."""
+    return _string(key) if type(key) is str else json.dumps({key: 0})[1:-4]
 
 
 def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -165,7 +165,9 @@ class _SplitNetwork:
         `touch`, the vertices with a neighbour in rest.  No cut is smaller
         than `least`, the first `need` vertices of touch, so it is the
         answer when it is a cut, and there is none when touch is smaller
-        than `need`."""
+        than `need`.  Past that check, one vertex is a cut exactly when it is
+        a cut vertex of G - {0..s-1} other than s, so at need = 1 one
+        depth-first search replaces the flows."""
         nbm = self.nbm
         alive = (1 << len(nbm)) - (1 << s)
         rest = alive & ~nbm[s] & ~(1 << s)
@@ -186,6 +188,9 @@ class _SplitNetwork:
         least = touch & ((1 << end) - 1)
         if not self.connected(alive & ~least):
             return tuple(v for v in range(s + 1, end) if least >> v & 1)
+        if need == 1:
+            cuts = self._cut_vertices(alive, s)
+            return ((cuts & -cuts).bit_length() - 1,) if cuts else None
         # With need = 0 the empty `least` was the only candidate.
         best = None
         while need and rest:
@@ -197,6 +202,45 @@ class _SplitNetwork:
                 if best is None or sep < best:
                     best = sep
         return best
+
+    def _cut_vertices(self, alive: int, s: int) -> int:
+        """The mask of the cut vertices other than s of the connected
+        subgraph on `alive`, by one depth-first search from s with low
+        points (Hopcroft-Tarjan 1973), kept as depths on the current path.
+        A neighbour of w seen before w is an ancestor of w, so w's own low
+        point is the depth of its shallowest neighbour on the path, which a
+        bisection over the path's prefix masks finds.  A vertex other than
+        s is a cut vertex when the subtree of one of its children has no
+        edge to a vertex above it."""
+        nbm = self.nbm
+        path, prefix, low = [s], [1 << s], [0]
+        unseen, cuts = alive & ~(1 << s), 0
+        while path:
+            m = nbm[path[-1]] & unseen
+            if m:
+                w = (m & -m).bit_length() - 1
+                unseen ^= 1 << w
+                lo, hi = 0, len(path) - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if prefix[mid] & nbm[w]:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                path.append(w)
+                prefix.append(prefix[-1] | 1 << w)
+                low.append(lo)
+                continue
+            path.pop()
+            prefix.pop()
+            below = low.pop()
+            # The parent is path[-1], at depth len(path) - 1; s is depth 0.
+            if len(path) > 1:
+                if below < low[-1]:
+                    low[-1] = below
+                elif below >= len(path) - 1:
+                    cuts |= 1 << path[-1]
+        return cuts
 
     def _separator(self, alive: int, s: int, t: int, size: int) -> tuple[int, ...]:
         """The lexicographically smallest minimum s-t separator, of `size`

@@ -209,15 +209,17 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
     raise RuntimeError("descent failed to terminate")
 
 
-def finalize_chromatic(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[dict, dict]:
+def finalize_chromatic(h: Graph, t: Template, cfg: ExtractConfig, proven: bool = False) -> tuple[dict, dict]:
     """Chromatic evidence for the final k-connected witness pair (h, t).
 
     Plain mode: the uncoloured part must not be (k-1)-colourable, since a
     (k-1)-colouring feeds the interval construction which would complete
     the witness template.  It is an induced subgraph of h, so h is not
     (k-1)-colourable either (extract's self-verify checks h itself).  List
-    mode: the direct completion must come back unsatisfiable.  Either
-    construction succeeding raises InternalContradiction with the
+    mode: the direct completion must come back unsatisfiable, which is
+    exactly the claim that (h, t) is a witness; `proven` says an extend
+    call already decided that very problem UNSAT, and skips the solve.
+    Either construction succeeding raises InternalContradiction with the
     completed colouring.  List-mode evidence is a bad-list witness up to
     CHOOSABILITY_CAP vertices (any size for k <= 2); past the cap it is
     the guarantee chi(h) >= k, which implies chi_ell(h) >= k, and when h
@@ -250,7 +252,7 @@ def finalize_chromatic(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[dict,
             )
         return conn, {"kind": "colouring_unsat", "colours": k - 1}
 
-    completion = list_direct_completion(h, t, k, palette, cfg.budget)
+    completion = None if proven else list_direct_completion(h, t, k, palette, cfg.budget)
     if completion is not None:
         raise InternalContradiction(
             "list completion succeeded on the final pair; the witness claim "
@@ -274,10 +276,16 @@ def finalize_chromatic(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[dict,
 def extract(g: Graph, cfg: ExtractConfig) -> Certificate:
     """check_precondition, descend, finalize; the result is self-verified
     against verify_certificate before being returned.  The recorded solver
-    stats cover the precondition check and the descent's steps."""
+    stats cover the precondition check and the descent's steps.
+
+    The final pair is proven UNSAT, and finalize need not solve it again,
+    when the descent took a step (its last side solve, or strengthening's
+    re-check, decided exactly that pair) or when the precondition proof
+    decided (g, empty), which strengthening leaves as it is.  Only a
+    trusted precondition with no step leaves the pair to finalize."""
     proof = check_precondition(g, cfg)
     trace, h, t = descend(g, Template.empty(g), cfg)
-    conn, chrom = finalize_chromatic(h, t, cfg)
+    conn, chrom = finalize_chromatic(h, t, cfg, proven=bool(trace) or not cfg.trust_precondition)
     cert = Certificate(
         graph_hash=g.digest,
         k=cfg.k,

@@ -111,7 +111,8 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def to_dimacs(g: Graph, comments: Iterable[str] = ()) -> str:
-    """g as DIMACS text; each comment must stay one line, as the reader splits them."""
+    """g as DIMACS text; each comment must stay one line by the readers'
+    line rule, so it may hold no line boundary at all."""
     ranks = {v: i + 1 for i, v in enumerate(g.sorted_vertices())}
     lines = [f"c {c}" for c in comments]
     for line in lines:
@@ -133,11 +134,20 @@ def int_fields(lineno: int, fields: list[str]) -> list[int]:
     return [int(f) for f in fields]
 
 
+_NEWLINE = re.compile(r"\r\n?|\n")
+# The other line boundaries of str.splitlines; a line holding one has two
+# readings, and its line number differs between editors.
+_OTHER_BREAK = re.compile("[\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, stripped line, its fields) for each line of text that
     is neither blank nor a comment, whose first field is exactly `c`; both
-    input formats read these."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    input formats read these.  A line ends at LF, CR LF or CR, and a line
+    that holds any other boundary of str.splitlines is refused."""
+    for lineno, raw in enumerate(_NEWLINE.split(text), start=1):
+        if bad := _OTHER_BREAK.search(raw):
+            raise ValueError(f"line {lineno}: line break {bad[0]!r} inside a line")
         line = raw.strip()
         fields = line.split()
         if fields and fields[0] != "c":

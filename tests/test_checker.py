@@ -7,6 +7,7 @@ choosability witnesses)."""
 
 import ast
 import hashlib
+import importlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -181,6 +182,45 @@ def test_to_json_matches_the_asdict_serialisation():
     for g, cfg in cases:
         cert = extract(g, cfg)
         assert cert.to_json() == json.dumps({"format": CERTIFICATE_FORMAT, **asdict(cert)}, indent=2) + "\n"
+
+
+def _reference_json(cert: Certificate) -> str:
+    return json.dumps({"format": CERTIFICATE_FORMAT, **asdict(cert)}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("workload", ["cuts", "search", "lists"])
+def test_to_json_matches_json_indent_on_the_benchmark_certificates(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    certs = [extract(inst.graph, inst.cfg) for inst in workloads.build(workload, 0)
+             if inst.expected == workloads.CERT and not inst.known_defect]
+    assert certs
+    for cert in certs:
+        assert cert.to_json() == _reference_json(cert)
+
+
+def test_to_json_matches_json_indent_on_awkward_documents():
+    g = generate(FamilySpec.glued_cliques((9, 9), 1))
+    base = extract(g, ExtractConfig(k=2, mode="list"))
+    assert base.trace and base.palette_size is None
+    awkward = [
+        replace(base, trace=()),
+        replace(base, chromatic_evidence={"kind": "choosability_witness", "t": 1, "lists": {"0": [], "1": []}}),
+        replace(base, chromatic_evidence={"kind": "x", "lists": {}}, connectivity_evidence={}),
+        replace(base, connectivity_evidence={1: [2], None: {}, 2.5: True, False: "x", "": [None]}),
+        replace(base, graph_hash="sha256:\u00e9\u2028\"\\\x00", mode="\u5217\U0001f600", final_vertices=()),
+        replace(base, k=True, palette_size=False, solver_decisions=10**40, solver_backtracks=-(2**70)),
+    ]
+    # A parsed certificate's fields hold whatever its JSON holds: floats,
+    # nested lists, nulls and objects where numbers were.
+    doc = json.loads(base.to_json())
+    doc.update(k=2.0, solver_decisions=1e300, solver_backtracks=float("-inf"), final_vertices=[[0, [1.5]], [], {}])
+    doc["trace"][0].update(cut=[None, True, -0.0], side_y=[[[]]], z_degree=[{"a": [1, {"b": []}]}])
+    doc["chromatic_evidence"]["lists"]["0"] = [0.5, [2, [3]], "s, t"]
+    awkward.append(Certificate.from_json(json.dumps(doc)))
+    for cert in awkward:
+        assert cert.to_json() == _reference_json(cert)
+    assert awkward[-1].to_json() == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("make, cfg, recursed, kind, digest", PINNED)

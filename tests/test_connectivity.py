@@ -342,18 +342,18 @@ def test_min_cut_of_a_dense_random_graph_is_pinned(count_flows):
     g = generate(FamilySpec.random(100, 0.9, 3))
     outside = {2, 4, 10, 11, 13, 24, 29, 35, 38, 39, 40, 43, 59, 62, 68, 75, 90, 91, 95}
     assert min_vertex_cut(g) == frozenset(range(100)) - outside
-    assert count_flows[0] == 885
+    assert count_flows[0] == 883
 
 
 def test_is_k_connected_answers_from_the_kappa_query(count_flows):
     # kappa = 22 < 30.  The kappa query capped at 30 alone says so;
-    # building the canonical cut as well takes 1,083 flows.
+    # building the canonical cut as well takes 1,069 flows.
     g = generate(FamilySpec.random(60, 0.5, 1))
     assert not is_k_connected(g, 30)
     assert count_flows[0] <= 555
     count_flows[0] = 0
     assert connectivity(g) == len(min_vertex_cut(g)) == 22
-    assert count_flows[0] == 555 + 1083
+    assert count_flows[0] == 555 + 1069
 
 
 def test_min_vertex_cut_seeded_differential_digest():
@@ -449,6 +449,23 @@ def test_tail_cut_matches_brute_force_at_every_prefix():
             assert net.tail_cut(s, kappa - s) == expected, (g.adj, s)
             answers += expected is not None
     assert answers > 400
+
+
+def test_cut_vertices_of_long_sparse_tails_match_removal():
+    # Random trees with a few chords: deep search paths, which the prefix
+    # test's graphs on at most 9 vertices do not reach.  Each tail from s
+    # on its connected part is compared with removing each vertex in turn.
+    rng = random.Random(1973)
+    for n in (20, 40, 80) * 5:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n // 4))]
+        g = Graph.build(n, edges)
+        net = conn._SplitNetwork(g)
+        for s in sorted(rng.sample(range(n), 4)):
+            alive = sum(1 << v for v in reach(induced_subgraph(g, range(s, n)), s))
+            expected = sum(1 << v for v in range(n) if alive >> v & 1 and v != s
+                           and not net.connected(alive & ~(1 << v)))
+            assert net._cut_vertices(alive, s) == expected, (edges, s)
 
 
 def test_flow_undoes_a_path_through_a_reverse_arc():

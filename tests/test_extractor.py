@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from chromcert import extractor, templates
+from chromcert.cli import EXIT_NOT_INEXTENSIBLE, main
 from chromcert.connectivity import connectivity
 from chromcert.errors import (
     InternalContradiction,
@@ -18,9 +20,9 @@ from chromcert.extractor import (
     verify_certificate,
 )
 from chromcert.families import FamilySpec, generate
-from chromcert.graphs import Graph, induced_subgraph, is_connected
+from chromcert.graphs import Graph, induced_subgraph, is_connected, write_dimacs
 from chromcert.oracles import brute_is_k_connected
-from chromcert.solver import SolverBudget, SolverStats, Template, is_colourable, respects
+from chromcert.solver import Palette, SolverBudget, SolverStats, Template, extend, is_colourable, respects
 
 
 def glued15():
@@ -297,6 +299,66 @@ def test_extract_list_mode_glued_k9s():
     assert len(cert.final_vertices) == 9
     assert cert.chromatic_evidence["kind"] == "choosability_witness"
     assert verify_certificate(g, cert)
+
+
+def _bad_k33():
+    """K3,3 with lists {0,1}, {0,2}, {1,2} on each side: not 2-choosable."""
+    g = Graph.build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    pairs = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    return g, ExtractConfig(k=3, mode="list", lists={v: pairs[v % 3] for v in range(6)})
+
+
+@pytest.mark.parametrize("case", ["k33-bad-lists", "glued-13-13", "join-c5-c5-c5"])
+def test_list_extract_solves_each_witness_pair_once(monkeypatch, case):
+    # The precondition proof, the side solves and strengthening's re-checks
+    # prove every witness pair the descent holds, the final one included, so
+    # finalize needs no extend call of its own.
+    g, cfg = {
+        "k33-bad-lists": _bad_k33,
+        "glued-13-13": lambda: (generate(FamilySpec.glued_cliques((13, 13), 2)), ExtractConfig(k=3, mode="list")),
+        "join-c5-c5-c5": lambda: (generate(FamilySpec.join(*[FamilySpec.cycle(5)] * 3)),
+                                  ExtractConfig(k=2, mode="list")),
+    }[case]()
+    solves, in_finalize = [], [False]
+
+    def counting_extend(h, t, palette, budget=None):
+        result = extend(h, t, palette, budget)
+        problem = (h.vertices, tuple(sorted(t.precolour.items())), tuple(sorted(t.forbidden.items())))
+        solves.append((problem, result.outcome, in_finalize[0]))
+        return result
+
+    def watched_finalize(*args, **kwargs):
+        in_finalize[0] = True
+        try:
+            return finalize_chromatic(*args, **kwargs)
+        finally:
+            in_finalize[0] = False
+
+    monkeypatch.setattr(extractor, "extend", counting_extend)
+    monkeypatch.setattr(templates, "extend", counting_extend)
+    monkeypatch.setattr(extractor, "finalize_chromatic", watched_finalize)
+    cert = extract(g, cfg)
+    assert not any(during for _, _, during in solves)
+    witnesses = [problem for problem, outcome, _ in solves if outcome == "unsat"]
+    assert len(witnesses) == len(set(witnesses)) >= 1 + len(cert.trace)
+    assert witnesses[-1][0] == frozenset(cert.final_vertices)
+    # Only a completion step's Y side extends.
+    assert len(solves) - len(witnesses) == sum(step.recursed == "completion" for step in cert.trace)
+
+
+def test_trusted_list_extract_of_a_colourable_graph_still_contradicts(tmp_path):
+    # K4 from 4-lists is colourable; trusted, no step proves the final pair,
+    # so finalize solves it and its completion refutes the hypothesis.
+    g = generate(FamilySpec.complete(4))
+    lists = dict.fromkeys(range(4), frozenset(range(4)))
+    with pytest.raises(InternalContradiction, match="list completion succeeded on the final pair") as exc:
+        extract(g, ExtractConfig(k=2, mode="list", lists=lists, trust_precondition=True))
+    assert respects(g, Template.empty(g), exc.value.colouring, Palette.from_lists(lists))
+    graph, lists_file = tmp_path / "k4.col", tmp_path / "k4.lists"
+    write_dimacs(g, str(graph))
+    lists_file.write_text("".join(f"list {v} 0 1 2 3\n" for v in range(4)))
+    argv = ["extract", str(graph), "--k", "2", "--mode", "list", "--lists", str(lists_file), "--trust-precondition"]
+    assert main(argv) == EXIT_NOT_INEXTENSIBLE
 
 
 def test_extract_deterministic_bytes():

@@ -155,8 +155,35 @@ def test_dimacs_rejects_malformed(text):
         from_dimacs(text)
 
 
-# Every line boundary of str.splitlines, the rule by which the reader splits lines.
+# Every line boundary of str.splitlines.  The readers end a line at the first
+# three and refuse a line that holds any other, so a comment may hold none.
 LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def test_a_line_ends_only_at_a_newline_or_carriage_return():
+    crlf = "c made elsewhere\r\np edge 3 2\r\ne 1 2\r\n\r\ne 2 3\r\n"
+    path_graph = Graph.build(3, [(0, 1), (1, 2)])
+    assert from_dimacs(crlf) == from_dimacs(crlf.replace("\r\n", "\r")) == path_graph
+    assert parse_lists("list 0 1 2\r\nlist 1 0\rlist 2\r\n") == {0: frozenset({1, 2}), 1: frozenset({0}),
+                                                                 2: frozenset()}
+    # A line number counts "\r\n" once, as an editor does.
+    with pytest.raises(ValueError, match="^line 4: unknown record"):
+        from_dimacs("p edge 3 1\r\ne 1 2\r\n\r\nx\r\n")
+
+
+def test_a_line_holding_another_line_boundary_is_refused():
+    # Read by str.splitlines, the first gave the edges (0, 1) and (1, 2) and
+    # the second failed at line 3 of a two-line file.
+    with pytest.raises(ValueError, match=r"^line 1: line break '\\x85' inside a line$"):
+        from_dimacs("p edge 3 2\x85e 1 2\x0be 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: line break '\\x1c' inside a line$"):
+        from_dimacs("p edge 3 1\ne 1 2\x1cx\n")
+    for boundary in LINE_BOUNDARIES[3:]:
+        for text in (f"c a{boundary}b\np edge 2 0\n", f"p edge 2 1\r\ne 1 2{boundary}\r\n"):
+            with pytest.raises(ValueError, match="^line [12]: line break"):
+                from_dimacs(text)
+        with pytest.raises(ValueError, match="^line 2: line break"):
+            parse_lists(f"list 0 1\nlist 1{boundary}2\n")
 
 
 @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
