@@ -163,6 +163,19 @@ def _k_connected(h: Graph, k: int, evidence: dict) -> bool:
     return h.n > k and (evidence["kind"] == "complete" or evidence["size"] >= k)
 
 
+def witness_lists(h: Graph, raw, k: int) -> dict[int, frozenset[int]] | None:
+    """A choosability witness's lists of colours per vertex of h, decoded,
+    or None when raw is not their one encoding: its keys are exactly the
+    decimal names of h's vertices, and each list is a JSON array of k - 1
+    integers in strictly increasing order."""
+    names = {str(v): v for v in h.vertices}
+    if not (isinstance(raw, dict) and raw.keys() == names.keys()
+            and all(type(cs) is list for cs in raw.values()) and _increasing(*raw.values())):
+        return None
+    lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
+    return lists if all(len(cs) == k - 1 for cs in lists.values()) else None
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate from scratch against the graph.
 
@@ -234,14 +247,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         elif kind == "colouring_unsat" or not _nats(chrom["t"]) or chrom["t"] != k:
             return False
         elif kind == "choosability_witness":
-            # The keys are exactly the decimal names of H's vertices.
-            raw, names = chrom["lists"], {str(v): v for v in h.vertices}
-            if not isinstance(raw, dict) or raw.keys() != names.keys():
-                return False
-            if not _increasing(*raw.values()):
-                return False
-            lists = {names[key]: frozenset(cs) for key, cs in raw.items()}
-            return all(len(cs) == k - 1 for cs in lists.values()) and list_colour(h, lists) is None
+            lists = witness_lists(h, chrom["lists"], k)
+            return lists is not None and list_colour(h, lists) is None
         # Plain mode, or the list-mode guarantee: chi(H) >= k, which
         # implies chi_ell(H) >= k.
         return is_colourable(h, k - 1) is None

@@ -352,12 +352,13 @@ def separation_fault(g: Graph, whole: frozenset[int], x: frozenset[int], y: froz
                      z: frozenset[int]) -> str | None:
     """Why (x, y, z) is not a separation of g[whole], or None when it is:
     x, y and z partition whole, y and z are nonempty, and no edge of g
-    joins y and z, so that x disconnects g[whole]."""
+    joins y and z, so that x disconnects g[whole].  The edges are read from
+    the smaller side; the message names the smallest crossing edge."""
     if x | y | z != whole or len(x) + len(y) + len(z) != len(whole):
         return "x, y, z must partition the vertex set"
     if not y or not z:
         return "both cut sides must be nonempty"
-    adj = g.adj
-    if all(z.isdisjoint(adj[u]) for u in y):
+    adj, (small, large) = g.adj, (y, z) if len(y) <= len(z) else (z, y)
+    if all(large.isdisjoint(adj[u]) for u in small):
         return None
-    return f"edge {min((min(u, w), max(u, w)) for u in y for w in adj[u] & z)} crosses the cut sides"
+    return f"edge {min((min(u, w), max(u, w)) for u in small for w in adj[u] & large)} crosses the cut sides"

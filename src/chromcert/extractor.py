@@ -173,15 +173,12 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
         t_sep = derive_separation_template(h, t, cut, y, z, k)
         sub_y = induced_subgraph(h, cut | y)
         res_y = extend(sub_y, t_sep, palette, cfg.budget)
-        work = SolverStats()
-        work.add(res_y.stats)
         if res_y.outcome == "unsat":
-            recursed, h_next, t_next = "separation", sub_y, t_sep
+            recursed, h_next, t_next, solves = "separation", sub_y, t_sep, (res_y,)
         else:
             t_comp = derive_completion_template(h, t, cut, z, res_y.colouring, k)
             sub_z = induced_subgraph(h, cut | z)
             res_z = extend(sub_z, t_comp, palette, cfg.budget)
-            work.add(res_z.stats)
             if res_z.outcome != "unsat":
                 glued = glue(res_y.colouring, res_z.colouring)
                 if not respects(h, t, glued, palette):
@@ -191,7 +188,7 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
                     "the witness claim was false",
                     glued,
                 )
-            recursed, h_next, t_next = "completion", sub_z, t_comp
+            recursed, h_next, t_next, solves = "completion", sub_z, t_comp, (res_y, res_z)
         trace.append(
             DescentStep(
                 cut=tuple(sorted(cut)),
@@ -201,8 +198,8 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
                 template_degree=deg_t,
                 z_degree=deg_z,
                 derived_degree=degree(t_next, k),
-                solver_decisions=work.decisions,
-                solver_backtracks=work.backtracks,
+                solver_decisions=sum(res.stats.decisions for res in solves),
+                solver_backtracks=sum(res.stats.backtracks for res in solves),
             )
         )
         h, t = h_next, t_next

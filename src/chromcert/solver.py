@@ -197,16 +197,12 @@ class SolverBudget:
             raise ValueError("budget limits must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverStats:
-    """Deterministic search-work counters: of one run, or summed with add."""
+    """Deterministic search-work counters of one run."""
 
     decisions: int = 0
     backtracks: int = 0
-
-    def add(self, other: "SolverStats") -> None:
-        self.decisions += other.decisions
-        self.backtracks += other.backtracks
 
 
 @dataclass(frozen=True)

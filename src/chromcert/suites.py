@@ -13,7 +13,7 @@ import time
 from functools import partial
 from itertools import combinations, cycle, islice, repeat
 
-from .checker import verify_certificate
+from .checker import verify_certificate, witness_lists
 from .coloring import list_chromatic_at_least
 from .connectivity import is_k_connected, min_vertex_cut
 from .errors import InternalContradiction
@@ -91,11 +91,11 @@ def _run_instance(instance_id: str, spec: FamilySpec, cfg: ExtractConfig) -> dic
     record["chromatic_evidence"] = chromatic["kind"]
     record["verified"] = verify_certificate(g, cert)
     record["kappa_ok"] = brute_is_k_connected(h, cfg.k)
-    # The certificate's own chromatic claim by brute force: bad lists, else chi(H) >= k.
+    # The certificate's own chromatic claim by brute force: bad lists, as the
+    # checker decodes them, else chi(H) >= k.
     if chromatic["kind"] == "choosability_witness":
-        lists = {int(v): frozenset(cs) for v, cs in chromatic["lists"].items()}
-        sized = lists.keys() == h.vertices and all(len(cs) == cfg.k - 1 for cs in lists.values())
-        record["chromatic_ok"] = sized and brute_list_colour(h, lists) is None
+        lists = witness_lists(h, chromatic["lists"], cfg.k)
+        record["chromatic_ok"] = lists is not None and brute_list_colour(h, lists) is None
     else:
         record["chromatic_ok"] = not brute_colourable(h, cfg.k - 1)
     record["solver_decisions"] = cert.solver_decisions

@@ -23,16 +23,15 @@ def degree(t: Template, k: int) -> int:
     """k|S| + sum of forbidden-list sizes."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return k * len(t.precolour) + sum(len(fs) for fs in t.forbidden.values())
+    return k * len(t.precolour) + sum(map(len, t.forbidden.values()))
 
 
 def restrict(t: Template, x: Iterable[int]) -> Template:
     """Restriction to the induced subgraph on x: keep pre-colours of S & x
-    and forbidden lists of x - S."""
-    xs = frozenset(x)
-    pre = {v: c for v, c in t.precolour.items() if v in xs}
-    forb = {v: fs for v, fs in t.forbidden.items() if v in xs}
-    return Template(pre, forb)
+    and forbidden lists of x - S.  It reads S, at most 2k vertices in a
+    witness, and the lists of x alone."""
+    xs, forb = frozenset(x), t.forbidden
+    return Template({v: c for v, c in t.precolour.items() if v in xs}, {v: forb[v] for v in xs if v in forb})
 
 
 def _free_colours(g: Graph, t: Template, v: int, palette: Palette) -> frozenset[int]:
@@ -60,13 +59,15 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
     pre-colouring drops only its own vertex's list.  In id order each is
     pre-coloured with its smallest eligible colour and its list dropped; the
     degree cannot increase (k|S| grows by k, the lists lose at least k).
-    If any was, the result is re-checked UNSAT; a respecting colouring then
-    disproves the input witness (InternalContradiction).  No eligible
-    colour means the palette is too small for k: ValueError.
+    With none, t itself is returned; else the result is re-checked UNSAT,
+    and a respecting colouring disproves the input witness
+    (InternalContradiction).  No eligible colour means the palette is too
+    small for k: ValueError.
     """
-    pre = dict(t.precolour)
-    forb = dict(t.forbidden)
-    heavy = sorted(v for v, fs in forb.items() if len(fs) >= k)
+    heavy = sorted(v for v, fs in t.forbidden.items() if len(fs) >= k)
+    if not heavy:
+        return t
+    pre, forb = dict(t.precolour), dict(t.forbidden)
     for v in heavy:
         eligible = _free_colours(g, Template(pre, forb), v, palette)
         if not eligible:
@@ -74,16 +75,15 @@ def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=N
         pre[v] = min(eligible)
         del forb[v]
     out = Template(pre, forb)
-    if heavy:
-        if degree(out, k) > degree(t, k):
-            raise RuntimeError("strengthening increased the template degree")
-        result = extend(g, out, palette, budget)
-        if result.outcome == "sat":
-            raise InternalContradiction(
-                "strengthened template admits a respecting colouring; "
-                "the input was not a witness",
-                result.colouring,
-            )
+    if degree(out, k) > degree(t, k):
+        raise RuntimeError("strengthening increased the template degree")
+    result = extend(g, out, palette, budget)
+    if result.outcome == "sat":
+        raise InternalContradiction(
+            "strengthened template admits a respecting colouring; "
+            "the input was not a witness",
+            result.colouring,
+        )
     return out
 
 
@@ -97,7 +97,7 @@ def derive_separation_template(
     Requires every forbidden list of t to have size at most k-1 and the
     restriction to Z to have degree at most k^2 (the caller orients the
     sides to ensure this).  The derived lists then stay at most 2k-1 on X
-    and k-1 on Y.
+    and, untouched, k-1 on Y, so only X's are checked.
     """
     fault = separation_fault(h, h.vertices, x, y, z)
     if fault:
@@ -115,12 +115,10 @@ def derive_separation_template(
         for nb in sorted(h.adj[zv]):
             if nb in x and nb in forb:
                 forb[nb] = forb[nb] | {colour}
-    out = Template(base.precolour, forb)
-    for v, fs in out.forbidden.items():
-        bound = 2 * k - 1 if v in x else k - 1
-        if len(fs) > bound:
-            raise RuntimeError(f"derived list at {v} has size {len(fs)} > {bound}")
-    return out
+    for v in x & forb.keys():
+        if len(forb[v]) > 2 * k - 1:
+            raise RuntimeError(f"derived list at {v} has size {len(forb[v])} > {2 * k - 1}")
+    return Template(base.precolour, forb)
 
 
 def derive_completion_template(

@@ -65,6 +65,10 @@ def test_criterion_2_theorem2_instances(theorem2):
 @pytest.mark.parametrize("lists", [
     {str(v): [v] for v in range(9)},  # K9 with nine distinct colours: the lists admit a colouring
     {**{str(v): [0] for v in range(8)}, "8": [0, 1]},  # one list past k - 1 colours
+    # The true witness, but not in its one encoding, as the checker decodes it:
+    {**{str(v): [0] for v in range(7)}, "07": [0], "8": [0]},  # a vertex named other than by its id
+    {**{str(v): [0] for v in range(8)}, "8": [0, 0]},  # a list with a repeated colour
+    {**{str(v): [0] for v in range(8)}, "8": 0},  # a colour in place of a list
 ])
 def test_theorem_record_judges_the_certificates_own_witness(monkeypatch, lists):
     instance_id, spec, cfg = next(i for i in suites.theorem2_instances() if i[0] == "t2-k2-complete9")

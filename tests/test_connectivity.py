@@ -149,6 +149,23 @@ def test_separation_fault_names_the_broken_rule():
     assert separation_fault(g, frozenset({1, 2, 4, 5}), frozenset(), y, z) is None
 
 
+def test_separation_fault_matches_its_definition_from_either_side():
+    # The rule read from the smaller side gives the definition's answer and
+    # names the same smallest crossing edge, with y and z either way round.
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        g = Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < rng.random()])
+        part = [rng.choice("xyyzzz") for _ in range(n)]
+        x, y, z = (frozenset(v for v in range(n) if part[v] == side) for side in "xyz")
+        if not y or not z:
+            continue
+        crossing = sorted((min(u, w), max(u, w)) for u in y for w in g.adj[u] & z)
+        want = f"edge {crossing[0]} crosses the cut sides" if crossing else None
+        assert separation_fault(g, g.vertices, x, y, z) == want
+        assert separation_fault(g, g.vertices, x, z, y) == want
+
+
 def test_split_properties_random():
     rng = random.Random(7)
     done = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import combinations
@@ -183,6 +184,14 @@ def test_stats_populated():
     res = extend(g, Template.empty(g), Palette.plain(5))
     assert res.outcome == "sat"
     assert res.stats.decisions >= 5
+
+
+def test_stats_are_immutable():
+    g = generate(FamilySpec.complete(5))
+    stats = extend(g, Template.empty(g), Palette.plain(5)).stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.decisions = 0
+    assert not hasattr(stats, "add")
 
 
 @pytest.mark.parametrize("spec, size, outcome, decisions, backtracks", [

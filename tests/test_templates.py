@@ -62,6 +62,18 @@ def test_restrict_disjoint_from_s():
     assert r.precolour == {} and set(r.forbidden) == {1, 3}
 
 
+def test_restrict_matches_filtering_every_entry():
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pre = {v: rng.randrange(6) for v in range(n) if rng.random() < 0.3}
+        t = Template(pre, {v: frozenset(rng.sample(range(6), rng.randint(0, 3))) for v in range(n) if v not in pre})
+        xs = frozenset(v for v in range(n) if rng.random() < 0.5)
+        r = restrict(t, xs)
+        assert r.precolour == {v: c for v, c in t.precolour.items() if v in xs}
+        assert r.forbidden == {v: fs for v, fs in t.forbidden.items() if v in xs}
+
+
 def test_degree_additive_over_partitions():
     rng = random.Random(5)
     for _ in range(200):
@@ -161,7 +173,7 @@ def test_strengthen_no_op_below_threshold():
     g = generate(FamilySpec.complete(8))
     pal = Palette.plain(7)
     t = Template.empty(g)
-    assert strengthen_witness(g, t, 1, pal) == t
+    assert strengthen_witness(g, t, 1, pal) is t
 
 
 def test_strengthen_degree_balance():
