@@ -19,7 +19,7 @@ tests/test_checker.py keeps it that way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, pairwise, starmap
 from json.encoder import encode_basestring_ascii as _string
 from operator import lt
@@ -77,8 +77,9 @@ class Certificate:
         if doc.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unknown certificate format {doc.get('format')!r}")
         del doc["format"]
-        cert = Certificate(**_tuples(doc))
-        return replace(cert, trace=tuple(DescentStep(**_tuples(s)) for s in cert.trace))
+        if "trace" in doc:
+            doc["trace"] = tuple(DescentStep(**_tuples(s)) for s in doc["trace"])
+        return Certificate(**_tuples(doc))
 
 
 def _indented(value, newline: str) -> str:

@@ -8,8 +8,12 @@ costs O(n) steps however dense the graph is.  Each flow stops at the cap
 its caller needs, and first counts the disjoint paths that the two
 neighbourhoods show (Menger 1927): s-w-t over the common neighbours w,
 then s-a-b-t over private neighbours a of s and b of t, matched first-fit
-in id order.  When they meet the cap no search runs; otherwise the search
-starts from the s-w-t paths alone.  kappa uses Even's pair reduction (SIAM
+in id order.  When they meet the cap no search runs.  When they leave the
+flow exactly one short, one mask reachability walk from the unmatched
+private neighbours of s, through the vertices on no path so far, looks for
+an unmatched private neighbour of t: a hit is one more internally disjoint
+path, so the flow meets its cap.  Otherwise the augmenting search starts
+from the s-w-t paths alone.  kappa uses Even's pair reduction (SIAM
 J. Comput. 1975): in id order, the first vertex outside a minimum cut S
 has index at most |S| and precedes every vertex of another component of
 G - S, so a cut smaller than b shows up in a flow from one of the first b
@@ -53,15 +57,14 @@ class _SplitNetwork:
 
         The common neighbours carry s-w-t paths that no augmenting path can
         reroute.  First-fit s-a-b-t paths over the private neighbours of s
-        and t, in id order, settle the flow when they reach the limit;
-        otherwise the search runs on the rest from the s-w-t paths alone,
-        so its residual does not depend on them.  pred[w] is the rank
-        whose out-arc carries w's unit, and w itself when w is free.  The
-        search is breadth-first: out(u) claims its unreached in-nodes in one
-        mask operation, in(w) leads to out(pred[w]), and out(v) of a used v
-        also leads back to in(v).  A flow that stops below `limit` leaves
-        its residual to the caller: self.pred, and self.reached, the mask
-        of in-nodes that its last search reached from out(s)."""
+        and t, in id order, settle the flow when they reach the limit.  When
+        they leave it one short, a path from an unmatched private neighbour
+        of s to one of t through the vertices off every path so far is the
+        last one (`_detour`).  Otherwise the augmenting search runs on the
+        rest from the s-w-t paths alone (`_augment`), so its residual does
+        not depend on them.  A flow that stops below `limit` leaves its
+        residual to the caller: self.pred, and self.reached, the mask of
+        in-nodes that its last search reached from out(s)."""
         nbm = self.nbm
         common = nbm[s] & nbm[t] & alive
         flow = common.bit_count()
@@ -79,6 +82,47 @@ class _SplitNetwork:
                     need -= 1
                     if not need:
                         return limit
+            if need == 1 and self._detour(alive, s, t):
+                return limit
+        return self._augment(alive, s, t, limit, common)
+
+    def _detour(self, alive: int, s: int, t: int) -> bool:
+        """Whether some path s-a-...-b-t avoids the s-w-t paths and the
+        first-fit s-a-b-t paths of flow(alive, s, t, _): a and b are
+        unmatched private neighbours of s and t, and the vertices between
+        them lie off N(s) and N(t).  The first fit is redone to learn its
+        free ends, then one mask walk, as in `connected`, grows from the
+        free a's through the free ends and the rest of `alive`."""
+        nbm = self.nbm
+        starts, ends = nbm[s] & alive & ~nbm[t], nbm[t] & alive & ~nbm[s]
+        free = 0
+        while starts:
+            low = starts & -starts
+            starts ^= low
+            hit = nbm[low.bit_length() - 1] & ends
+            if hit:
+                ends ^= hit & -hit
+            else:
+                free |= low
+        room = alive & ~(nbm[s] | nbm[t] | 1 << s | 1 << t) | ends
+        seen = frontier = free
+        while frontier:
+            low = frontier & -frontier
+            new = nbm[low.bit_length() - 1] & room & ~seen
+            if new & ends:
+                return True
+            seen |= new
+            frontier ^= low | new
+        return False
+
+    def _augment(self, alive: int, s: int, t: int, limit: int, common: int) -> int:
+        """min(limit, the flow) by augmenting searches from the s-w-t paths
+        over the common neighbours `common` alone.  pred[w] is the rank
+        whose out-arc carries w's unit, and w itself when w is free.  The
+        search is breadth-first: out(u) claims its unreached in-nodes in one
+        mask operation, in(w) leads to out(pred[w]), and out(v) of a used v
+        also leads back to in(v)."""
+        nbm, flow = self.nbm, common.bit_count()
         # parent[w]: the out-node that claimed in(w), w itself for the
         # reversed internal arc; came[v]: the in-node that led to out(v).
         pred, parent, came = list(range(len(nbm))), [0] * len(nbm), [0] * len(nbm)

@@ -55,18 +55,19 @@ def _palette_too_small(what: str, v: int, k: int, palette: Palette) -> ValueErro
 def strengthen_witness(g: Graph, t: Template, k: int, palette: Palette, budget=None) -> Template:
     """Shrink every forbidden list below k by pre-colouring heavy vertices.
 
-    One scan finds the heavy vertices v outside S, with |F(v)| >= k: each
-    pre-colouring drops only its own vertex's list.  In id order each is
-    pre-coloured with its smallest eligible colour and its list dropped; the
-    degree cannot increase (k|S| grows by k, the lists lose at least k).
+    The heavy vertices v outside S have |F(v)| >= k, and are gathered only
+    when the longest list shows there are some: each pre-colouring drops
+    only its own vertex's list.  In id order each is pre-coloured with its
+    smallest eligible colour and its list dropped; the degree cannot
+    increase (k|S| grows by k, the lists lose at least k).
     With none, t itself is returned; else the result is re-checked UNSAT,
     and a respecting colouring disproves the input witness
     (InternalContradiction).  No eligible colour means the palette is too
     small for k: ValueError.
     """
-    heavy = sorted(v for v, fs in t.forbidden.items() if len(fs) >= k)
-    if not heavy:
+    if max(map(len, t.forbidden.values()), default=0) < k:
         return t
+    heavy = sorted(v for v, fs in t.forbidden.items() if len(fs) >= k)
     pre, forb = dict(t.precolour), dict(t.forbidden)
     for v in heavy:
         eligible = _free_colours(g, Template(pre, forb), v, palette)
@@ -102,7 +103,7 @@ def derive_separation_template(
     fault = separation_fault(h, h.vertices, x, y, z)
     if fault:
         raise ValueError(fault)
-    if any(len(fs) > k - 1 for fs in t.forbidden.values()):
+    if max(map(len, t.forbidden.values()), default=0) > k - 1:
         raise ValueError("derivation requires forbidden lists of size at most k-1")
     dz = degree(restrict(t, z), k)
     if dz > k * k:

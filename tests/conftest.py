@@ -29,15 +29,27 @@ def is_valid_witness():
     return check
 
 
+def _count_calls(monkeypatch, name):
+    """A one-item list counting the calls of _SplitNetwork.<name>."""
+    method, calls = getattr(connectivity._SplitNetwork, name), [0]
+
+    def counting(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(connectivity._SplitNetwork, name, counting)
+    return calls
+
+
 @pytest.fixture
 def count_flows(monkeypatch):
     """A one-item list counting the calls of _SplitNetwork.flow during the
     test; reset it to zero to count from a later point."""
-    flow, calls = connectivity._SplitNetwork.flow, [0]
+    return _count_calls(monkeypatch, "flow")
 
-    def counting_flow(self, *args):
-        calls[0] += 1
-        return flow(self, *args)
 
-    monkeypatch.setattr(connectivity._SplitNetwork, "flow", counting_flow)
-    return calls
+@pytest.fixture
+def count_searches(monkeypatch):
+    """A one-item list counting the augmenting searches that flows run
+    (_SplitNetwork._augment calls), as count_flows counts the flows."""
+    return _count_calls(monkeypatch, "_augment")

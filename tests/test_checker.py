@@ -251,11 +251,15 @@ def test_from_json_rejects_unknown_and_missing_fields():
         Certificate.from_json(json.dumps({**doc, "note": "extra"}))
     with pytest.raises(TypeError):
         Certificate.from_json(json.dumps({f: v for f, v in doc.items() if f != "solver_backtracks"}))
+    with pytest.raises(TypeError):
+        Certificate.from_json(json.dumps({f: v for f, v in doc.items() if f != "trace"}))
     step = doc["trace"][0]
     with pytest.raises(TypeError):
         Certificate.from_json(json.dumps({**doc, "trace": [{**step, "note": "extra"}]}))
     with pytest.raises(TypeError):
         Certificate.from_json(json.dumps({**doc, "trace": [{f: v for f, v in step.items() if f != "cut"}]}))
+    with pytest.raises(ValueError):
+        Certificate.from_json(json.dumps(doc)[:-1] + ', "k": 2}')
 
 
 def test_a_step_whose_sides_touch_is_rejected():

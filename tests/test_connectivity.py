@@ -337,12 +337,15 @@ def test_matches_brute_force_on_dense_graphs(monkeypatch, count_flows):
 # Flow counts of min_vertex_cut.  They depend only on Even's pair scan and
 # the tail scans' flows above the kernel; on these joins each prefix above
 # the cut's is refused by flows that its s-w-t paths settle, and at the
-# cut's prefix the tail's smallest candidate is already a cut.
+# cut's prefix the tail's smallest candidate is already a cut.  No flow runs
+# an augmenting search: on the C7 joins each of Even's flows is one path
+# short after its s-a-b-t paths, and the path around its own cycle is the
+# detour (78 searches when every such flow searched).
 CYCLE_JOIN_FLOWS = {(5, 10): 49, (5, 9): 44, (7, 6): 78}
 
 
 @pytest.mark.parametrize("cycle, copies", [(5, 10), (5, 9), (7, 6)])
-def test_min_cut_of_cycle_joins_takes_linearly_many_flows(count_flows, cycle, copies):
+def test_min_cut_of_cycle_joins_takes_linearly_many_flows(count_flows, count_searches, cycle, copies):
     # A cut of a join holds every part but one, plus a cut of that part's
     # cycle.  The lexicographically smallest minimum cut is every vertex
     # before the last cycle plus that cycle's vertices 0 and 2.
@@ -351,6 +354,7 @@ def test_min_cut_of_cycle_joins_takes_linearly_many_flows(count_flows, cycle, co
     assert min_vertex_cut(g) == frozenset(range(last + 1)) | {last + 2}
     assert count_flows[0] <= 2 * g.n
     assert count_flows[0] == CYCLE_JOIN_FLOWS[cycle, copies]
+    assert count_searches[0] == 0
 
 
 def test_min_cut_of_a_dense_random_graph_is_pinned(count_flows):
@@ -555,24 +559,46 @@ def test_flow_kernel_matches_brute_force_with_dead_vertices():
             _assert_flows_match_brute_force(g, (1 << n) - 1 - sum(1 << v for v in dead))
 
 
-def test_flow_from_private_neighbour_matchings():
+def test_flow_from_private_neighbour_matchings(count_searches):
     # s = 0, t = 6, common neighbour 1; private neighbours 2, 3 of s and
     # 4, 5 of t, matched by the edges 2-4 and 3-5.  The s-w-t path and the
     # two s-a-b-t paths settle the flow at 3.
     settled = Graph.build(7, [(0, 1), (1, 6), (0, 2), (0, 3), (4, 6), (5, 6), (2, 4), (3, 5)])
     net = conn._SplitNetwork(settled)
     assert net.flow((1 << 7) - 1, 0, 6, 3) == 3
-    # Only 2-4 matches, one short of the limit 3.  The search finds the
-    # third path 0-3-7-5-6; without 7 the flow is 2.
+    # Only 2-4 matches, one short of the limit 3.  The walk from the free 3
+    # through 7, off both neighbourhoods, reaches the free 5: the third path
+    # 0-3-7-5-6 settles the flow with no search.  Without 7 the walk misses
+    # and the search finds the flow is 2.
     short = Graph.build(8, [(0, 1), (1, 6), (0, 2), (0, 3), (4, 6), (5, 6), (2, 4), (3, 7), (7, 5)])
     net = conn._SplitNetwork(short)
     assert net.flow((1 << 8) - 1, 0, 6, 3) == 3
+    assert count_searches[0] == 0
     assert net.flow((1 << 8) - 1 & ~(1 << 7), 0, 6, 3) == 2
+    assert count_searches[0] == 1
     # a1, a2 = 1, 2 and b1, b2 = 3, 4 with the edges a1b1, a1b2 and a2b1:
-    # first-fit takes a1-b1 and leaves a2 unmatched, but a1-b2 and a2-b1
-    # match both, so the search must still find 2.
+    # first-fit takes a1-b1 and leaves a2 unmatched, and the free a2's only
+    # way on is the matched b1, so the walk misses; a1-b2 and a2-b1 match
+    # both, so the search must still find 2.
     missed = Graph.build(6, [(0, 1), (0, 2), (3, 5), (4, 5), (1, 3), (1, 4), (2, 3)])
     net = conn._SplitNetwork(missed)
+    count_searches[0] = 0
     assert net.flow((1 << 6) - 1, 0, 5, 2) == 2
+    assert count_searches[0] == 1
     for g in (settled, short, missed):
         _assert_flows_match_brute_force(g, (1 << g.n) - 1)
+
+
+@pytest.mark.parametrize("parts", [(FamilySpec.cycle(7), FamilySpec.complete(2)),
+                                   (FamilySpec.cycle(5), FamilySpec.cycle(4)),
+                                   (FamilySpec.cycle(7), FamilySpec.cycle(3)),
+                                   (FamilySpec.cycle(6), FamilySpec.complete(1), FamilySpec.complete(1))])
+def test_flow_kernel_matches_brute_force_on_small_cycle_joins(parts):
+    # Flows one detour short of their limit, the shape of the final H of a
+    # join of cycles, with every vertex alive and with one, two and three
+    # seeded vertices dead.
+    g = generate(FamilySpec.join(*parts))
+    rng = random.Random(g.n)
+    for size in range(4):
+        dead = rng.sample(range(g.n), size)
+        _assert_flows_match_brute_force(g, (1 << g.n) - 1 - sum(1 << v for v in dead))

@@ -66,13 +66,19 @@ def planted(n, d, clique, seed):
 
 STEPS, SIZES, FLOWS = "descent steps", "sum of |V(H_i)|", "flows"
 SEPARATORS = "_SplitNetwork._separator calls"
+SEARCHES = "augmenting searches"
 CLIQUE_LADDER = {STEPS: (19, 39, 79), SIZES: (2945, 11505, 45425), FLOWS: (19, 39, 79)}
 
 # (graph at a rung, k, rungs, recorded counter values at the rungs)
 LADDERS = {
     "k15-star": (k15_star, 2, (20, 40, 80), CLIQUE_LADDER),
     "k15-chain": (k15_chain, 2, (20, 40, 80), CLIQUE_LADDER),
-    "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (402, 1766, 4196, 17612)}),
+    # Beside the flows, the augmenting searches: one in each of the two
+    # uncapped cuts of the final H (finalize and the self-verify); every
+    # other flow is settled by its s-w-t paths, its s-a-b-t paths or a
+    # one-path detour.
+    "dense-random": (dense_random, 1, (50, 100, 150, 300), {FLOWS: (402, 1766, 4196, 17612),
+                                                           SEARCHES: (2, 2, 2, 2)}),
     # The minimum degree settles every query, so no flow runs.
     "pendant-path": (pendant_path, 2, (100, 200, 400), {STEPS: (99, 199, 399), SIZES: (6435, 22885, 85785),
                                                        FLOWS: (0, 0, 0)}),
@@ -106,7 +112,7 @@ def _assert_no_growth(counter, rungs, got, values):
 
 
 @pytest.mark.parametrize("ladder", sorted(LADDERS))
-def test_work_counters_do_not_grow(monkeypatch, count_flows, ladder):
+def test_work_counters_do_not_grow(monkeypatch, count_flows, count_searches, ladder):
     make, k, rungs, recorded = LADDERS[ladder]
     separator, separators = connectivity._SplitNetwork._separator, [0]
 
@@ -115,14 +121,15 @@ def test_work_counters_do_not_grow(monkeypatch, count_flows, ladder):
         return separator(self, *args)
 
     monkeypatch.setattr(connectivity._SplitNetwork, "_separator", counting_separator)
-    measured = {STEPS: [], SIZES: [], FLOWS: [], SEPARATORS: []}
+    measured = {STEPS: [], SIZES: [], FLOWS: [], SEPARATORS: [], SEARCHES: []}
     for rung in rungs:
-        count_flows[0] = separators[0] = 0
+        count_flows[0] = count_searches[0] = separators[0] = 0
         cert = extract(make(rung), ExtractConfig(k=k))
         measured[STEPS].append(len(cert.trace))
         measured[SIZES].append(sum(len(s.cut) + len(s.side_y) + len(s.side_z) for s in cert.trace))
         measured[FLOWS].append(count_flows[0])
         measured[SEPARATORS].append(separators[0])
+        measured[SEARCHES].append(count_searches[0])
     for counter, values in recorded.items():
         _assert_no_growth(counter, rungs, measured[counter], values)
 
