@@ -1,10 +1,12 @@
 """Vertex connectivity oracles.
 
 Local connectivity of non-adjacent s, t is a unit-capacity max flow on the
-vertex-split digraph, held implicitly as one int neighbour mask per vertex
-rank.  A deleted vertex is a cleared bit of an `alive` mask, and a search
-claims every unreached neighbour of a node in one mask operation, so it
-costs O(n) steps however dense the graph is.  Each flow stops at the cap
+vertex-split digraph, held implicitly as the graph's View: one int neighbour
+mask per rank of the root graph, which every graph induced from it shares.
+A vertex outside the graph or deleted is a cleared bit of an `alive` mask;
+ranks keep id order, so every scan meets the vertices in the same order.
+A search claims every unreached neighbour of a node in one mask operation,
+so it costs O(n) steps however dense the graph is.  Each flow stops at the cap
 its caller needs, and first counts the disjoint paths that the two
 neighbourhoods show (Menger 1927): s-w-t over the common neighbours w,
 then s-a-b-t over private neighbours a of s and b of t, matched first-fit
@@ -37,19 +39,30 @@ the smallest one is built greedily in id order by closure steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .graphs import Graph, is_connected, reach  # noqa: F401  (perfbench's tracer test asserts the binding)
 
 
+def _ranks(mask: int, count: int | None = None) -> list[int]:
+    """The lowest `count` set bits of mask, every one by default, lowest first."""
+    ranks = []
+    while mask and len(ranks) != count:
+        low = mask & -mask
+        mask ^= low
+        ranks.append(low.bit_length() - 1)
+    return ranks
+
+
 class _SplitNetwork:
-    """The vertex-split digraph of g over vertex ranks (id order): rank i
-    has an in-node and an out-node joined by a unit arc in(i) -> out(i),
-    and each edge uw gives uncapacitated arcs out(u) -> in(w) and
-    out(w) -> in(u).  Only nbm[i], the mask of i's neighbour ranks, is kept."""
+    """The vertex-split digraph of g over its root's ranks (id order): rank i
+    has an in-node and an out-node joined by a unit arc in(i) -> out(i), and
+    each edge uw gives uncapacitated arcs out(u) -> in(w) and out(w) -> in(u).
+    Read from g's view: nbm[i], i's root neighbours, cut down to `alive`."""
 
     def __init__(self, g: Graph):
-        self.ids = g.sorted_vertices()
-        bit = {v: 1 << i for i, v in enumerate(self.ids)}
-        self.nbm = [sum(map(bit.__getitem__, g.adj[v])) for v in self.ids]
+        self.g = g
+        self.ids, _, self.nbm, self.alive = g.view
 
     def flow(self, alive: int, s: int, t: int, limit: int) -> int:
         """min(limit, number of internally disjoint s-t paths) through the
@@ -164,25 +177,24 @@ class _SplitNetwork:
         """Whether the vertices of the nonempty mask `alive` span a
         connected subgraph."""
         nbm = self.nbm
-        seen = frontier = alive & -alive
-        while frontier and seen != alive:
+        frontier, unseen = alive & -alive, alive & (alive - 1)
+        while frontier and unseen:
             low = frontier & -frontier
-            new = nbm[low.bit_length() - 1] & alive & ~seen
-            seen |= new
+            new = nbm[low.bit_length() - 1] & unseen
+            unseen ^= new
             frontier ^= low | new
-        return seen == alive
+        return not unseen
 
     def kappa(self, limit: int) -> int:
         """min(limit, kappa(G)): kappa(K_m) = m - 1, and 0 when G is disconnected."""
-        nbm = self.nbm
-        alive = (1 << len(nbm)) - 1
-        if len(nbm) <= 1 or not self.connected(alive):
+        nbm, alive = self.nbm, self.alive
+        if self.g.n <= 1 or not self.connected(alive):
             return 0
-        best = min(limit, min(m.bit_count() for m in nbm))
+        best = min(limit, min(map(len, self.g.adj.values())))
         # Connected, so kappa >= 1 and a bound of 1 is already exact.
         if best <= 1:
             return best
-        for s in range(len(nbm)):
+        for done, s in enumerate(_ranks(alive, best), 1):
             # The later non-neighbours of s, in id order.
             later = alive & ~nbm[s] & -(2 << s)
             while later:
@@ -191,15 +203,15 @@ class _SplitNetwork:
                 best = self.flow(alive, s, low.bit_length() - 1, best)
                 if best <= 1:
                     return best
-            # Sources 0..best-1 are done, which rules out a cut below best.
-            if s + 1 >= best:
+            # The first best sources are done, which rules out a cut below best.
+            if done >= best:
                 break
         return best
 
     def tail_cut(self, s: int, need: int) -> tuple[int, ...] | None:
         """The lexicographically smallest set of `need` vertices of
-        G - {0..s-1} that leaves s out and disconnects the rest, or None;
-        `need` must be at most the connectivity of G - {0..s-1}.
+        G - {0..s-1}, the ranks of G from s on, that leaves s out and
+        disconnects the rest, or None; `need` is at most its connectivity.
 
         Such a set is a minimum cut, and s lies on one side of it, so it is
         a minimum s-t separator for every t on another side: the answer is
@@ -213,7 +225,7 @@ class _SplitNetwork:
         a cut vertex of G - {0..s-1} other than s, so at need = 1 one
         depth-first search replaces the flows."""
         nbm = self.nbm
-        alive = (1 << len(nbm)) - (1 << s)
+        alive = self.alive & -(1 << s)
         rest = alive & ~nbm[s] & ~(1 << s)
         touch, m = 0, rest
         while m:
@@ -223,15 +235,12 @@ class _SplitNetwork:
         touch &= alive
         if touch.bit_count() < need:
             return None
-        # The ids below `end` hold exactly `need` of touch; each step adds
-        # no more ids than the count is short by.
-        end, count = s + 1, 0
-        while count < need:
-            end += need - count
-            count = (touch & ((1 << end) - 1)).bit_count()
-        least = touch & ((1 << end) - 1)
+        # `least` is touch up to `end`, the rank of its need-th vertex.
+        end = s + bisect_left(range(s, touch.bit_length()), need,
+                              key=lambda r: (touch & ((2 << r) - 1)).bit_count())
+        least = touch & ((2 << end) - 1)
         if not self.connected(alive & ~least):
-            return tuple(v for v in range(s + 1, end) if least >> v & 1)
+            return tuple(_ranks(least))
         if need == 1:
             cuts = self._cut_vertices(alive, s)
             return ((cuts & -cuts).bit_length() - 1,) if cuts else None
@@ -262,18 +271,13 @@ class _SplitNetwork:
         while path:
             m = nbm[path[-1]] & unseen
             if m:
-                w = (m & -m).bit_length() - 1
-                unseen ^= 1 << w
-                lo, hi = 0, len(path) - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if prefix[mid] & nbm[w]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
+                bit = m & -m
+                unseen ^= bit
+                w = bit.bit_length() - 1
+                # The first depth whose prefix meets N(w); the parent's at the latest.
+                low.append(bisect_left(prefix, 1, 0, len(path) - 1, key=nbm[w].__and__))
                 path.append(w)
-                prefix.append(prefix[-1] | 1 << w)
-                low.append(lo)
+                prefix.append(prefix[-1] | bit)
                 continue
             path.pop()
             prefix.pop()
@@ -316,7 +320,7 @@ class _SplitNetwork:
                 left -= 1
                 if not left:
                     break
-        return tuple(i for i in range(len(self.nbm)) if picked >> i & 1)
+        return tuple(_ranks(picked))
 
     def _close(self, inside: int, new: int, avail: int, s: int, guard: int) -> int:
         """The in-node mask inside | new closed under the residual of the
@@ -364,12 +368,13 @@ def min_vertex_cut(g: Graph, below: int | None = None):
     kappa = net.kappa(g.n - 1 if below is None else below)
     if below is not None and kappa >= below:
         return None
-    # The canonical cut holds the longest prefix {0..s-1} of any minimum
-    # cut, so the first s from kappa down whose tail has an answer is its s.
+    # The canonical cut holds the longest prefix of any minimum cut, so the
+    # first s from kappa down whose tail from sources[s] answers is its size.
+    sources = _ranks(net.alive, kappa + 1)
     for s in range(kappa, -1, -1):
-        tail = net.tail_cut(s, kappa - s)
+        tail = net.tail_cut(sources[s], kappa - s)
         if tail is not None:
-            return frozenset(net.ids[:s] + [net.ids[i] for i in tail])
+            return frozenset(net.ids[r] for r in (*sources[:s], *tail))
     raise RuntimeError("max-flow connectivity and the canonical cut disagree")
 
 

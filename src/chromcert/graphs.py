@@ -1,12 +1,13 @@
 """Immutable undirected simple graphs with stable vertex identities.
 
-A graph stores only its adjacency, one neighbour set per vertex; its edges
-are derived on demand, and Graph.build is the one validating entry point.
-A graph built from a count has vertices 0..n-1; induced subgraphs keep ids,
-so pre-colourings and forbidden lists restrict without renaming.  Each of
-their neighbour sets is the parent's intersected with the kept vertices: it
-costs the subgraph's size and inherits the parent's validity.  The two
-input formats, DIMACS graphs and list-mode lists files, are read here too.
+A graph stores its adjacency, one neighbour set per vertex, and a View of
+it as bitsets; its edges are derived on demand, and Graph.build is the one
+validating entry point.  A graph built from a count has vertices 0..n-1;
+induced subgraphs keep ids, so pre-colourings and forbidden lists restrict
+without renaming.  Each of their neighbour sets is the parent's intersected
+with the kept vertices, at the subgraph's size and with the parent's
+validity, and they share the parent's masks under their own `alive` mask.
+The two input formats, DIMACS graphs and list-mode lists files, are read here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,18 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+
+class View(NamedTuple):
+    """Masks over the ranks of the root graph that Graph.build made: ids[i] is
+    its i-th id in sorted order, bit[ids[i]] is 1 << i, nbm[i] the mask of
+    ids[i]'s root neighbours, and `alive` that of this graph's vertices."""
+
+    ids: list[int]
+    bit: dict[int, int]
+    nbm: list[int]
+    alive: int
 
 
 @dataclass(frozen=True)
@@ -24,6 +36,7 @@ class Graph:
 
     vertices: frozenset[int]
     adj: dict[int, frozenset[int]] = field(hash=False)
+    view: View = field(compare=False, repr=False)
 
     @staticmethod
     def build(n_or_vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -42,7 +55,10 @@ class Graph:
                 raise ValueError(f"edge {(u, v)} has endpoint outside vertex set")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(vertices, {v: frozenset(s) for v, s in nbrs.items()})
+        ids = sorted(vertices)
+        bit = dict(zip(ids, map((1).__lshift__, range(len(ids)))))
+        view = View(ids, bit, [sum(map(bit.__getitem__, nbrs[v])) for v in ids], (1 << len(ids)) - 1)
+        return Graph(vertices, {v: frozenset(s) for v, s in nbrs.items()}, view)
 
     @property
     def n(self) -> int:
@@ -77,12 +93,17 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, x: Iterable[int]) -> Graph:
-    """Subgraph induced by the vertex set x, identities preserved."""
+    """Subgraph induced by the vertex set x, identities preserved, or g itself;
+    its alive mask is summed over x or its complement, whichever is smaller."""
     xs = frozenset(x)
     stray = xs - g.vertices
     if stray:
         raise ValueError(f"vertices {sorted(stray)} are not in the graph")
-    return Graph(xs, {v: g.adj[v] & xs for v in xs})
+    if len(xs) == g.n:
+        return g
+    bit = g.view.bit.__getitem__
+    alive = sum(map(bit, xs)) if 2 * len(xs) <= g.n else g.view.alive - sum(map(bit, g.vertices - xs))
+    return Graph(xs, {v: g.adj[v] & xs for v in xs}, g.view._replace(alive=alive))
 
 
 def reach(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> set[int]:

@@ -602,3 +602,62 @@ def test_flow_kernel_matches_brute_force_on_small_cycle_joins(parts):
     for size in range(4):
         dead = rng.sample(range(g.n), size)
         _assert_flows_match_brute_force(g, (1 << g.n) - 1 - sum(1 << v for v in dead))
+
+
+def test_induced_subgraphs_answer_as_their_rebuilt_graphs(count_flows):
+    # Two levels of induced subgraphs of seeded graphs on shuffled labels.
+    # Each reads its root's masks under an alive mask with gaps, and must
+    # answer every cut and connectivity query as the graph rebuilt from its
+    # vertices and edges does, with the same number of flows.
+    rng = random.Random(35)
+    gapped = 0
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        labels = rng.sample(range(60), n)
+        p = rng.uniform(0.3, 0.95)
+        root = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+        child = induced_subgraph(root, rng.sample(labels, rng.randint(1, n)))
+        grandchild = induced_subgraph(child, rng.sample(sorted(child.vertices), rng.randint(1, child.n)))
+        for sub in (child, grandchild):
+            answers = []
+            for g in (sub, Graph.build(sub.vertices, sub.edges)):
+                count_flows[0] = 0
+                got = [min_vertex_cut(g, below) for below in (None, *range(g.n + 1))]
+                got += [connectivity(g), *(is_k_connected(g, k) for k in range(1, g.n + 1))]
+                answers.append((got, count_flows[0]))
+            assert answers[0] == answers[1], (sorted(root.edges), sorted(sub.vertices))
+            gapped += sub.view.alive.bit_length() > sub.n
+    assert gapped > 80
+
+
+def test_subgraph_networks_match_brute_force_under_gapped_alive_masks():
+    # Networks of induced subgraphs of graphs on 0..n-1, so that a rank is
+    # an id and the alive ranks have gaps.  tail_cut from each source is
+    # the first disconnecting set in combinations order, and every flow and
+    # separator is the one subset enumeration finds.
+    rng = random.Random(1935)
+    tails = 0
+    for _ in range(80):
+        n = rng.randint(3, 10)
+        p = rng.uniform(0.3, 0.95)
+        g = Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        sub = induced_subgraph(g, rng.sample(range(n), rng.randint(2, n - 1)))
+        net, ranks = conn._SplitNetwork(sub), sorted(sub.vertices)
+        assert net.alive == sum(1 << v for v in ranks)
+        for s, t in combinations(ranks, 2):
+            if not g.has_edge(s, t):
+                size, sep = _brute_separator(g, net.alive, s, t)
+                for limit in range(1, sub.n + 1):
+                    got = net.flow(net.alive, s, t, limit)
+                    assert got == min(limit, size), (sorted(g.edges), ranks, s, t, limit)
+                    if got < limit:
+                        assert net._separator(net.alive, s, t, got) == sep
+        if not is_connected(sub) or sub.is_complete():
+            continue
+        kappa = _brute_kappa(sub)
+        for i in range(kappa + 1):
+            expected = next((cut for cut in combinations(ranks[i + 1:], kappa - i)
+                             if not is_connected(induced_subgraph(g, set(ranks[i:]) - set(cut)))), None)
+            assert net.tail_cut(ranks[i], kappa - i) == expected, (sorted(g.edges), ranks, i)
+            tails += expected is not None
+    assert tails > 30

@@ -90,6 +90,24 @@ def test_induced_matches_filtered_parent_edges():
             assert induced_subgraph(sub, inner) == induced_subgraph(g, inner)
 
 
+def test_induced_subgraph_equals_its_rebuilt_graph_apart_from_the_view():
+    # A subgraph shares its parent's view under its own alive mask, summed
+    # over the kept or the dropped vertices; the view is left out of eq,
+    # hash and repr, so it equals the graph rebuilt from its vertices and
+    # edges, whose view is its own.  Keeping every vertex returns g itself.
+    rng = random.Random(35)
+    for _ in range(200):
+        g = random_labelled_graph(rng)
+        assert induced_subgraph(g, g.vertices) is g
+        sub = induced_subgraph(g, rng.sample(sorted(g.vertices), rng.randint(0, g.n)))
+        ref = Graph.build(sub.vertices, sub.edges)
+        assert (sub, hash(sub), sub.digest) == (ref, hash(ref), ref.digest)
+        # Equal frozensets may print in different orders, so repr is
+        # compared with the fields it must show, and only those.
+        assert repr(sub) == f"Graph(vertices={sub.vertices!r}, adj={sub.adj!r})"
+        assert sub.view.nbm is g.view.nbm and sub.view.alive == sum(g.view.bit[v] for v in sub.vertices)
+
+
 def test_components_match_a_breadth_first_search():
     rng = random.Random(16)
     for _ in range(200):
