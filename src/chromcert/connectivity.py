@@ -2,7 +2,9 @@
 
 Local connectivity of non-adjacent s, t is a unit-capacity max flow on the
 vertex-split digraph, held implicitly as the graph's View: one int neighbour
-mask per rank of the root graph, which every graph induced from it shares.
+mask per rank of a root graph, built at the graph's first connectivity read,
+which a graph induced from it shares while it keeps at least half of the
+root's ranks; a smaller one is re-rooted, so no mask is wider than 2n.
 A vertex outside the graph or deleted is a cleared bit of an `alive` mask;
 ranks keep id order, so every scan meets the vertices in the same order.
 A search claims every unreached neighbour of a node in one mask operation,

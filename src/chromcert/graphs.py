@@ -1,12 +1,14 @@
 """Immutable undirected simple graphs with stable vertex identities.
 
-A graph stores its adjacency, one neighbour set per vertex, and a View of
-it as bitsets; its edges are derived on demand, and Graph.build is the one
+A graph stores its adjacency, one neighbour set per vertex; its edges and
+its View as bitsets are derived on demand, and Graph.build is the one
 validating entry point.  A graph built from a count has vertices 0..n-1;
 induced subgraphs keep ids, so pre-colourings and forbidden lists restrict
 without renaming.  Each of their neighbour sets is the parent's intersected
 with the kept vertices, at the subgraph's size and with the parent's
-validity, and they share the parent's masks under their own `alive` mask.
+validity.  A subgraph that keeps at least half of the ranks of its parent's
+built view shares those masks under its own `alive` mask; any other graph
+builds its own view, as a fresh root, at its first connectivity read.
 The two input formats, DIMACS graphs and list-mode lists files, are read here.
 """
 
@@ -20,12 +22,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 
 class View(NamedTuple):
-    """Masks over the ranks of the root graph that Graph.build made: ids[i] is
-    its i-th id in sorted order, bit[ids[i]] is 1 << i, nbm[i] the mask of
-    ids[i]'s root neighbours, and `alive` that of this graph's vertices."""
+    """Masks over the ranks of a root graph, the graph whose own adjacency
+    they were built from at its first connectivity read: ids[i] is its i-th
+    id in sorted order, rank[ids[i]] is i, nbm[i] the mask of ids[i]'s root
+    neighbours, and `alive` that of this graph's vertices.  A view holds
+    masks only, no per-query state."""
 
     ids: list[int]
-    bit: dict[int, int]
+    rank: dict[int, int]
     nbm: list[int]
     alive: int
 
@@ -36,7 +40,6 @@ class Graph:
 
     vertices: frozenset[int]
     adj: dict[int, frozenset[int]] = field(hash=False)
-    view: View = field(compare=False, repr=False)
 
     @staticmethod
     def build(n_or_vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -55,10 +58,7 @@ class Graph:
                 raise ValueError(f"edge {(u, v)} has endpoint outside vertex set")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        ids = sorted(vertices)
-        bit = dict(zip(ids, map((1).__lshift__, range(len(ids)))))
-        view = View(ids, bit, [sum(map(bit.__getitem__, nbrs[v])) for v in ids], (1 << len(ids)) - 1)
-        return Graph(vertices, {v: frozenset(s) for v, s in nbrs.items()}, view)
+        return Graph(vertices, {v: frozenset(s) for v, s in nbrs.items()})
 
     @property
     def n(self) -> int:
@@ -78,6 +78,15 @@ class Graph:
         """sha256 of the canonical (comment-free, sorted) DIMACS form, computed once."""
         return "sha256:" + hashlib.sha256(to_dimacs(self).encode("utf-8")).hexdigest()
 
+    @cached_property
+    def view(self) -> View:
+        """This graph's masks as a fresh root, built at the first read unless
+        induced_subgraph passed its parent's down."""
+        ids = sorted(self.vertices)
+        rank = dict(zip(ids, range(len(ids))))
+        nbm = [sum(map((1).__lshift__, map(rank.__getitem__, self.adj[v]))) for v in ids]
+        return View(ids, rank, nbm, (1 << len(ids)) - 1)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -93,17 +102,26 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, x: Iterable[int]) -> Graph:
-    """Subgraph induced by the vertex set x, identities preserved, or g itself;
-    its alive mask is summed over x or its complement, whichever is smaller."""
+    """Subgraph induced by the vertex set x, identities preserved, or g itself.
+    When g has built its view and x keeps at least half of that view's
+    ranks, the subgraph shares its masks, with an alive mask summed over x
+    or its complement in g, whichever is smaller; otherwise it builds its
+    own view if it is read, so no mask is wider than twice its graph."""
     xs = frozenset(x)
     stray = xs - g.vertices
     if stray:
         raise ValueError(f"vertices {sorted(stray)} are not in the graph")
     if len(xs) == g.n:
         return g
-    bit = g.view.bit.__getitem__
-    alive = sum(map(bit, xs)) if 2 * len(xs) <= g.n else g.view.alive - sum(map(bit, g.vertices - xs))
-    return Graph(xs, {v: g.adj[v] & xs for v in xs}, g.view._replace(alive=alive))
+    sub = Graph(xs, {v: g.adj[v] & xs for v in xs})
+    view = g.__dict__.get("view")
+    if view is not None and 2 * len(xs) >= len(view.ids):
+        def bits(vs):
+            return sum(map((1).__lshift__, map(view.rank.__getitem__, vs)))
+        alive = bits(xs) if 2 * len(xs) <= g.n else view.alive - bits(g.vertices - xs)
+        # Stored where cached_property keeps its value, so sub.view reads it.
+        sub.__dict__["view"] = view._replace(alive=alive)
+    return sub
 
 
 def reach(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> set[int]:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
@@ -605,59 +606,85 @@ def test_flow_kernel_matches_brute_force_on_small_cycle_joins(parts):
 
 
 def test_induced_subgraphs_answer_as_their_rebuilt_graphs(count_flows):
-    # Two levels of induced subgraphs of seeded graphs on shuffled labels.
-    # Each reads its root's masks under an alive mask with gaps, and must
-    # answer every cut and connectivity query as the graph rebuilt from its
-    # vertices and edges does, with the same number of flows.
+    # Three levels of induced subgraphs of seeded graphs on shuffled labels.
+    # Each parent builds its view before inducing, or does not, so that a
+    # subgraph shares its parent's masks under an alive mask with gaps (its
+    # parent built a view and it keeps at least half of the view's ranks),
+    # is re-rooted (it keeps fewer), or builds its own view (its parent
+    # built none).  Each must answer every cut and connectivity query as
+    # the graph rebuilt from its vertices and edges does, with the same
+    # number of flows, and read no mask wider than twice its order.
     rng = random.Random(35)
-    gapped = 0
-    for _ in range(80):
-        n = rng.randint(2, 10)
+    kinds = Counter()
+    for _ in range(160):
+        n = rng.randint(2, 12)
         labels = rng.sample(range(60), n)
         p = rng.uniform(0.3, 0.95)
-        root = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
-        child = induced_subgraph(root, rng.sample(labels, rng.randint(1, n)))
-        grandchild = induced_subgraph(child, rng.sample(sorted(child.vertices), rng.randint(1, child.n)))
-        for sub in (child, grandchild):
+        g = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+        subs = []
+        for _ in range(3):
+            built = rng.random() < 0.7
+            if built:
+                g.view
+            sub = induced_subgraph(g, rng.sample(sorted(g.vertices), rng.randint(1, g.n)))
+            if sub is not g:
+                subs.append((sub, "shared" if "view" in sub.__dict__ else "re-rooted" if built else "own"))
+            g = sub
+        for sub, kind in subs:
             answers = []
             for g in (sub, Graph.build(sub.vertices, sub.edges)):
                 count_flows[0] = 0
                 got = [min_vertex_cut(g, below) for below in (None, *range(g.n + 1))]
                 got += [connectivity(g), *(is_k_connected(g, k) for k in range(1, g.n + 1))]
                 answers.append((got, count_flows[0]))
-            assert answers[0] == answers[1], (sorted(root.edges), sorted(sub.vertices))
-            gapped += sub.view.alive.bit_length() > sub.n
-    assert gapped > 80
+            assert answers[0] == answers[1], (sorted(sub.edges), sorted(sub.vertices), kind)
+            assert sub.view.alive.bit_length() <= 2 * sub.n
+            kinds[kind] += 1
+            kinds["gapped"] += sub.view.alive.bit_length() > sub.n
+    assert kinds["gapped"] > 80 and kinds["shared"] > 90 and kinds["re-rooted"] > 80 and kinds["own"] > 45, kinds
 
 
 def test_subgraph_networks_match_brute_force_under_gapped_alive_masks():
-    # Networks of induced subgraphs of graphs on 0..n-1, so that a rank is
-    # an id and the alive ranks have gaps.  tail_cut from each source is
-    # the first disconnecting set in combinations order, and every flow and
-    # separator is the one subset enumeration finds.
+    # Networks of induced subgraphs of graphs on 0..n-1 that built their
+    # view first.  One that keeps at least half of g shares g's masks, so a
+    # rank is an id and the alive ranks have gaps; a smaller one is
+    # re-rooted on its own ranks, which net.ids maps back to ids.  tail_cut
+    # from each source is the first disconnecting set in combinations
+    # order, and every flow and separator is the one subset enumeration
+    # finds.
     rng = random.Random(1935)
-    tails = 0
-    for _ in range(80):
+    tails, kinds = Counter(), Counter()
+    for _ in range(120):
         n = rng.randint(3, 10)
         p = rng.uniform(0.3, 0.95)
         g = Graph.build(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        g.view
         sub = induced_subgraph(g, rng.sample(range(n), rng.randint(2, n - 1)))
-        net, ranks = conn._SplitNetwork(sub), sorted(sub.vertices)
-        assert net.alive == sum(1 << v for v in ranks)
-        for s, t in combinations(ranks, 2):
+        net, ids = conn._SplitNetwork(sub), sorted(sub.vertices)
+        shared = net.nbm is g.view.nbm
+        assert net.ids == (list(range(n)) if shared else ids)
+        rank = sub.view.rank
+        assert net.alive == sum(1 << rank[v] for v in ids)
+        kinds[shared] += 1
+
+        def to_ids(ranks):
+            return ranks if ranks is None else tuple(net.ids[r] for r in ranks)
+
+        for s, t in combinations(ids, 2):
             if not g.has_edge(s, t):
-                size, sep = _brute_separator(g, net.alive, s, t)
+                size, sep = _brute_separator(g, sum(1 << v for v in ids), s, t)
                 for limit in range(1, sub.n + 1):
-                    got = net.flow(net.alive, s, t, limit)
-                    assert got == min(limit, size), (sorted(g.edges), ranks, s, t, limit)
+                    got = net.flow(net.alive, rank[s], rank[t], limit)
+                    assert got == min(limit, size), (sorted(g.edges), ids, s, t, limit)
                     if got < limit:
-                        assert net._separator(net.alive, s, t, got) == sep
+                        assert to_ids(net._separator(net.alive, rank[s], rank[t], got)) == sep
         if not is_connected(sub) or sub.is_complete():
             continue
         kappa = _brute_kappa(sub)
         for i in range(kappa + 1):
-            expected = next((cut for cut in combinations(ranks[i + 1:], kappa - i)
-                             if not is_connected(induced_subgraph(g, set(ranks[i:]) - set(cut)))), None)
-            assert net.tail_cut(ranks[i], kappa - i) == expected, (sorted(g.edges), ranks, i)
-            tails += expected is not None
-    assert tails > 30
+            expected = next((cut for cut in combinations(ids[i + 1:], kappa - i)
+                             if not is_connected(induced_subgraph(g, set(ids[i:]) - set(cut)))), None)
+            assert to_ids(net.tail_cut(rank[ids[i]], kappa - i)) == expected, (sorted(g.edges), ids, i)
+            tails[shared] += expected is not None
+    # Keys: True for shared networks, False for re-rooted ones.
+    assert tails[True] > 30 and kinds[True] > 75 and tails[False] > 5 and kinds[False] > 20, (tails, kinds)

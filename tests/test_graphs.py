@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from chromcert.connectivity import is_k_connected
 from chromcert.graphs import (
     Graph,
     from_dimacs,
@@ -91,21 +93,81 @@ def test_induced_matches_filtered_parent_edges():
 
 
 def test_induced_subgraph_equals_its_rebuilt_graph_apart_from_the_view():
-    # A subgraph shares its parent's view under its own alive mask, summed
-    # over the kept or the dropped vertices; the view is left out of eq,
-    # hash and repr, so it equals the graph rebuilt from its vertices and
-    # edges, whose view is its own.  Keeping every vertex returns g itself.
+    # A subgraph of a graph that has built its view shares those masks when
+    # it keeps at least half of the view's ranks, under its own alive mask
+    # summed from the rank dict.  A smaller one, or one whose parent built
+    # no view, builds its own as a fresh root when read: the view of the
+    # graph rebuilt from its vertices and edges.  The view is no field, so
+    # eq, hash and repr leave it out.  Keeping every vertex returns g itself.
     rng = random.Random(35)
-    for _ in range(200):
+    shared = fresh = 0
+    for i in range(200):
         g = random_labelled_graph(rng)
         assert induced_subgraph(g, g.vertices) is g
+        built = i % 2 == 0
+        if built:
+            g.view
         sub = induced_subgraph(g, rng.sample(sorted(g.vertices), rng.randint(0, g.n)))
         ref = Graph.build(sub.vertices, sub.edges)
         assert (sub, hash(sub), sub.digest) == (ref, hash(ref), ref.digest)
         # Equal frozensets may print in different orders, so repr is
         # compared with the fields it must show, and only those.
         assert repr(sub) == f"Graph(vertices={sub.vertices!r}, adj={sub.adj!r})"
-        assert sub.view.nbm is g.view.nbm and sub.view.alive == sum(g.view.bit[v] for v in sub.vertices)
+        if built and 2 * sub.n >= g.n:
+            assert "view" in sub.__dict__
+            assert sub.view.nbm is g.view.nbm and sub.view.alive == sum(1 << g.view.rank[v] for v in sub.vertices)
+            shared += 1
+        else:
+            assert "view" not in sub.__dict__
+            assert sub.view == ref.view and sub.view.alive == (1 << sub.n) - 1
+            fresh += 1
+    assert shared > 40 and fresh > 120
+
+
+def test_no_view_is_built_before_a_connectivity_query():
+    # Building, reading and generating a graph, and inducing from one that
+    # has not built its view, build no masks; the first query does.
+    for g in (Graph.build(6, [(0, 1), (1, 2), (3, 4)]), from_dimacs("p edge 4 2\ne 1 2\ne 3 4\n"),
+              generate(FamilySpec.cycle(6))):
+        sub = induced_subgraph(g, range(3))
+        assert "view" not in g.__dict__ and "view" not in sub.__dict__
+        is_k_connected(g, 1)
+        assert "view" in g.__dict__ and "view" not in sub.__dict__
+
+
+def _held_mb(make):
+    """(MB that tracemalloc counts as held by make()'s result, the result)."""
+    tracemalloc.start()
+    try:
+        g = make()
+        return tracemalloc.get_traced_memory()[0] / 1e6, g
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_memory_stays_linear_in_the_order():
+    # A graph holds its adjacency alone until a connectivity query reads
+    # it.  Graphs that built every vertex's neighbour mask at Graph.build
+    # held 64.5 MB for this path and grew as n^2 even with no edge: 35.8 MB
+    # for the empty graph on 20,000 vertices, 710.7 MB for the one below.
+    # The bound is twice the 7.6 MB recorded for this path before graphs
+    # had views at all (9.0 MB by this measure on CPython 3.11, as now).
+    held, g = _held_mb(lambda: Graph.build(20000, [(i, i + 1) for i in range(19999)]))
+    assert held <= 2 * 7.6 and "view" not in g.__dict__
+    held, g = _held_mb(lambda: from_dimacs("p edge 100000 0\n"))
+    assert held < 50 and g.n == 100000 and "view" not in g.__dict__
+
+
+def test_a_built_view_leaves_equality_hash_repr_and_digest_alone():
+    rng = random.Random(36)
+    for _ in range(50):
+        state = rng.getstate()
+        g = random_labelled_graph(rng)
+        rng.setstate(state)
+        bare = random_labelled_graph(rng)
+        g.view
+        assert "view" in g.__dict__ and "view" not in bare.__dict__
+        assert (g, hash(g), repr(g), g.digest) == (bare, hash(bare), repr(bare), bare.digest)
 
 
 def test_components_match_a_breadth_first_search():
