@@ -10,9 +10,11 @@ Its trust base is explicit and small: the graph digest and induced
 subgraphs (graphs), the max-flow minimum vertex cut and the separation rule
 (connectivity), and the exact colouring search behind is_colourable and
 list_colour (solver: the colouring problem and extend, which re-checks
-each colouring it returns against the respects predicate).  It imports
-nothing from the extraction pipeline, the choosability search of
-coloring.py or the proof constructions of templates.py, and
+each colouring it returns against the respects predicate).  At k <= 2
+the chromatic evidence leaves each vertex at most one colour, so
+is_proper decides it on the one forced colouring, and no search runs.
+It imports nothing from the extraction pipeline, the choosability search
+of coloring.py or the proof constructions of templates.py, and
 tests/test_checker.py keeps it that way.
 """
 

@@ -13,11 +13,16 @@ its caller needs, and first counts the disjoint paths that the two
 neighbourhoods show (Menger 1927): s-w-t over the common neighbours w,
 then s-a-b-t over private neighbours a of s and b of t, matched first-fit
 in id order.  When they meet the cap no search runs.  When they leave the
-flow exactly one short, one mask reachability walk from the unmatched
-private neighbours of s, through the vertices on no path so far, looks for
-an unmatched private neighbour of t: a hit is one more internally disjoint
-path, so the flow meets its cap.  Otherwise the augmenting search starts
-from the s-w-t paths alone.  kappa uses Even's pair reduction (SIAM
+flow exactly one short, one mask reachability walk from the private
+neighbours of s that the first fit left unmatched, through the vertices on
+no path so far, looks for an unmatched private neighbour of t: a hit is
+one more internally disjoint path, so the flow meets its cap.  Otherwise
+the augmenting search starts from the s-w-t paths alone.  A descent keeps
+PathRecords across its capped cuts: the paths of each search that met its
+cap, so that a later flow of the same pair, at no higher cap and with
+those paths still alive, meets its cap with no search.  A flow below its
+cap never comes from a record, so every residual, flow value and cut is
+the one a fresh network gives.  kappa uses Even's pair reduction (SIAM
 J. Comput. 1975): in id order, the first vertex outside a minimum cut S
 has index at most |S| and precedes every vertex of another component of
 G - S, so a cut smaller than b shows up in a flow from one of the first b
@@ -56,15 +61,34 @@ def _ranks(mask: int, count: int | None = None) -> list[int]:
     return ranks
 
 
+class PathRecords:
+    """The flows of one descent that an augmenting search took to their cap:
+    per (s, t) ranks, the cap and the mask of its paths' internal vertices.
+    Those paths are internally disjoint, so while every vertex of the mask
+    is alive the flow is at least the cap (Menger 1927).  Ranks are those of
+    one view; a network over another view starts with no records."""
+
+    def __init__(self):
+        self.nbm, self.paths = None, {}
+
+    def for_view(self, nbm: list[int]) -> dict[tuple[int, int], tuple[int, int]]:
+        if nbm is not self.nbm:
+            self.nbm, self.paths = nbm, {}
+        return self.paths
+
+
 class _SplitNetwork:
     """The vertex-split digraph of g over its root's ranks (id order): rank i
     has an in-node and an out-node joined by a unit arc in(i) -> out(i), and
     each edge uw gives uncapacitated arcs out(u) -> in(w) and out(w) -> in(u).
-    Read from g's view: nbm[i], i's root neighbours, cut down to `alive`."""
+    Read from g's view: nbm[i], i's root neighbours, cut down to `alive`.
+    With records, a flow that would search answers from them when it can,
+    and a search that meets its cap is recorded."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, records: PathRecords | None = None):
         self.g = g
         self.ids, _, self.nbm, self.alive = g.view
+        self.paths = None if records is None else records.for_view(self.nbm)
 
     def flow(self, alive: int, s: int, t: int, limit: int) -> int:
         """min(limit, number of internally disjoint s-t paths) through the
@@ -75,7 +99,8 @@ class _SplitNetwork:
         and t, in id order, settle the flow when they reach the limit.  When
         they leave it one short, a path from an unmatched private neighbour
         of s to one of t through the vertices off every path so far is the
-        last one (`_detour`).  Otherwise the augmenting search runs on the
+        last one (`_detour`).  Otherwise a record whose paths are all alive
+        settles a limit up to its cap, or the augmenting search runs on the
         rest from the s-w-t paths alone (`_augment`), so its residual does
         not depend on them.  A flow that stops below `limit` leaves its
         residual to the caller: self.pred, and self.reached, the mask of
@@ -88,37 +113,32 @@ class _SplitNetwork:
         starts, ends = nbm[s] & alive & ~nbm[t], nbm[t] & alive & ~nbm[s]
         need = limit - flow
         if min(starts.bit_count(), ends.bit_count()) >= need:
+            free = starts
             while starts:
                 low = starts & -starts
                 starts ^= low
                 hit = nbm[low.bit_length() - 1] & ends
                 if hit:
                     ends ^= hit & -hit
+                    free ^= low
                     need -= 1
                     if not need:
                         return limit
-            if need == 1 and self._detour(alive, s, t):
+            if need == 1 and self._detour(alive, s, t, free, ends):
                 return limit
+        known = self.paths and self.paths.get((s, t))
+        if known and limit <= known[0] and not known[1] & ~alive:
+            return limit
         return self._augment(alive, s, t, limit, common)
 
-    def _detour(self, alive: int, s: int, t: int) -> bool:
+    def _detour(self, alive: int, s: int, t: int, free: int, ends: int) -> bool:
         """Whether some path s-a-...-b-t avoids the s-w-t paths and the
-        first-fit s-a-b-t paths of flow(alive, s, t, _): a and b are
-        unmatched private neighbours of s and t, and the vertices between
-        them lie off N(s) and N(t).  The first fit is redone to learn its
-        free ends, then one mask walk, as in `connected`, grows from the
-        free a's through the free ends and the rest of `alive`."""
+        first-fit s-a-b-t paths of flow(alive, s, t, _): a is in `free` and
+        b in `ends`, the private neighbours of s and t that the first fit
+        left unmatched, and the vertices between them lie off N(s) and
+        N(t).  One mask walk, as in `connected`, grows from the free a's
+        through the free ends and the rest of `alive`."""
         nbm = self.nbm
-        starts, ends = nbm[s] & alive & ~nbm[t], nbm[t] & alive & ~nbm[s]
-        free = 0
-        while starts:
-            low = starts & -starts
-            starts ^= low
-            hit = nbm[low.bit_length() - 1] & ends
-            if hit:
-                ends ^= hit & -hit
-            else:
-                free |= low
         room = alive & ~(nbm[s] | nbm[t] | 1 << s | 1 << t) | ends
         seen = frontier = free
         while frontier:
@@ -136,7 +156,8 @@ class _SplitNetwork:
         whose out-arc carries w's unit, and w itself when w is free.  The
         search is breadth-first: out(u) claims its unreached in-nodes in one
         mask operation, in(w) leads to out(pred[w]), and out(v) of a used v
-        also leads back to in(v)."""
+        also leads back to in(v).  At the cap, the paths' internal vertices
+        (common, and every w with pred[w] != w) go to the records."""
         nbm, flow = self.nbm, common.bit_count()
         # parent[w]: the out-node that claimed in(w), w itself for the
         # reversed internal arc; came[v]: the in-node that led to out(v).
@@ -173,6 +194,8 @@ class _SplitNetwork:
                 w = came[v]
                 v = pred[w] = parent[w]
             flow += 1
+        if self.paths is not None:
+            self.paths[s, t] = limit, common | sum(1 << w for w, v in enumerate(pred) if v != w)
         return flow
 
     def connected(self, alive: int) -> bool:
@@ -356,17 +379,19 @@ def connectivity(g: Graph) -> int:
     return _SplitNetwork(g).kappa(g.n - 1)
 
 
-def min_vertex_cut(g: Graph, below: int | None = None):
+def min_vertex_cut(g: Graph, below: int | None = None, records: PathRecords | None = None):
     """A minimum vertex cut of g, or None when g has none (g is complete).
 
     A disconnected g (kappa = 0) has the empty cut.  Among all minimum cuts
     the lexicographically smallest (as a sorted vertex tuple) is returned,
     so the answer is deterministic.  With `below`, flows stop at that cap and
     None is returned when g has no vertex cut smaller than `below`.
+    `records`, kept by the caller across the cuts of graphs induced from one
+    another, lets a flow answer from an earlier search's paths.
     """
     if g.is_complete():
         return None
-    net = _SplitNetwork(g)
+    net = _SplitNetwork(g, records)
     kappa = net.kappa(g.n - 1 if below is None else below)
     if below is not None and kappa >= below:
         return None

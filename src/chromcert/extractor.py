@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 # tracer patches; is_k_connected is unused, bound for perfbench's tracer test.
 from .checker import Certificate, DescentStep, _k_connected, connectivity_evidence, verify_certificate
 from .coloring import CHOOSABILITY_CAP, list_chromatic_at_least
-from .connectivity import is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
+from .connectivity import PathRecords, is_k_connected, min_vertex_cut, split_by_cut  # noqa: F401
 from .errors import InternalContradiction, NotInextensibleError, ResourceLimitError
 from .graphs import Graph, induced_subgraph
 from .solver import LIST, PLAIN, Palette, SolverBudget, SolverStats, Template, extend, is_colourable, respects
@@ -154,6 +154,7 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
     k = cfg.k
     palette = cfg.palette_for(h)
     trace: list[DescentStep] = []
+    records = PathRecords()  # this descent's capped flows, for its later cuts
     for _ in range(h.n + 1):
         t = strengthen_witness(h, t, k, palette, cfg.budget)
         if h.n <= k:
@@ -164,7 +165,7 @@ def descend(h: Graph, t: Template, cfg: ExtractConfig) -> tuple[list[DescentStep
                 col,
             )
         # h.n > k here, so "no cut below k" is k-connectivity.
-        cut = min_vertex_cut(h, below=k)
+        cut = min_vertex_cut(h, below=k, records=records)
         if cut is None:
             return trace, h, t
         y0, z0 = split_by_cut(h, cut)

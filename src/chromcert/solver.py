@@ -7,9 +7,10 @@ inside the palette, extends c and avoids every F(v).  extend, the
 extensibility oracle, returns a respecting colouring or a definite UNSAT;
 an exhausted budget is never an answer: it raises ResourceLimitError.
 is_colourable and list_colour, the colouring questions the checker asks,
-are extend on the empty template.  oracles.brute_force_extend is its
-brute-force reference, and templates.py builds the proof constructions on
-top.
+are extend on the empty template, except where each vertex has at most one
+colour: that colouring is forced, and is_proper checks it with no decision.
+oracles.brute_force_extend is extend's brute-force reference, and
+templates.py builds the proof constructions on top.
 
 extend keeps an explicit stack of frames, one per coloured vertex, over int
 bitsets, after San Segundo's bitboard DSATUR (2012).  One int holds the
@@ -428,14 +429,34 @@ def extend(g: Graph, t: Template, palette: Palette, budget: SolverBudget | None 
     return SolveResult("sat", colour, SolverStats(decisions, backtracks))
 
 
+def _forced_colouring(g: Graph, palette: Palette) -> dict[int, int] | None:
+    """The one colouring of g from a palette that gives each vertex at most
+    one colour, when it colours every vertex and is proper, else None."""
+    col = {}
+    for v in g.vertices:
+        for c in palette.colours_of(v):
+            col[v] = c
+    return col if len(col) == g.n and is_proper(g, col) else None
+
+
 def is_colourable(g: Graph, t: int, budget: SolverBudget | None = None) -> dict[int, int] | None:
     """A proper t-colouring of g, or None when none exists: extend on the
-    empty template with the plain palette {0..t-1}, under the budget."""
-    return extend(g, Template.empty(g), Palette.plain(t), budget).colouring
+    empty template with the plain palette {0..t-1}, under the budget.  At
+    t <= 1 the colouring is forced and checked with no decision, so no
+    budget bounds it."""
+    palette = Palette.plain(t)
+    if t <= 1:
+        return _forced_colouring(g, palette)
+    return extend(g, Template.empty(g), palette, budget).colouring
 
 
 def list_colour(g: Graph, lists: ListAssignment) -> dict[int, int] | None:
     """A proper colouring drawing each vertex from its own list, or None:
-    extend on the empty template with the lists as palette.  An empty list
-    answers None; a vertex with no list raises ValueError."""
-    return extend(g, Template.empty(g), Palette.from_lists(lists)).colouring
+    extend on the empty template with the lists as palette, or, when no
+    list of g's vertices holds two colours, the forced colouring checked
+    with no decision.  An empty list answers None; a vertex with no list
+    raises ValueError."""
+    palette = Palette.from_lists(lists)
+    if all(len(palette.colours_of(v)) <= 1 for v in g.vertices):
+        return _forced_colouring(g, palette)
+    return extend(g, Template.empty(g), palette).colouring

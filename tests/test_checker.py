@@ -235,6 +235,29 @@ def test_certificate_bytes_pinned(make, cfg, recursed, kind, digest):
     assert again == cert and verify_certificate(g, again)
 
 
+def test_evidence_at_k_at_most_2_is_checked_without_the_search(monkeypatch):
+    # At k <= 2 the chromatic question gives each vertex at most one colour,
+    # so verify decides it by is_proper alone: it accepts a k = 1 and a
+    # k = 2 plain certificate and a k = 2 list certificate, and rejects
+    # witness lists that admit a colouring, all with extend unavailable.
+    cases = [(generate(FamilySpec.complete(8)), ExtractConfig(k=1), "colouring_unsat"),
+             (generate(FamilySpec.glued_cliques((15, 15), 1)), ExtractConfig(k=2), "colouring_unsat"),
+             (generate(FamilySpec.glued_cliques((16, 16), 1)), ExtractConfig(k=2, mode="list"),
+              "choosability_witness")]
+    certs = [(g, extract(g, cfg)) for g, cfg, _ in cases]
+    assert [cert.chromatic_evidence["kind"] for _, cert in certs] == [kind for *_, kind in cases]
+
+    def no_search(*args):
+        raise AssertionError("verify called extend")
+
+    monkeypatch.setattr(solver, "extend", no_search)
+    for g, cert in certs:
+        assert verify_certificate(g, cert)
+    g, cert = certs[2]
+    rainbow = {key: [int(key)] for key in cert.chromatic_evidence["lists"]}
+    assert not verify_certificate(g, replace(cert, chromatic_evidence={**cert.chromatic_evidence, "lists": rainbow}))
+
+
 def test_list_values_of_any_collection_type_give_one_certificate():
     # ExtractConfig freezes the caller's lists into one palette, whatever
     # collection holds each vertex's colours.

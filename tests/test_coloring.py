@@ -13,7 +13,8 @@ from chromcert.oracles import (
     brute_list_colour,
     canonical_list_assignments,
 )
-from chromcert.solver import SolverBudget, is_colourable, list_colour
+from chromcert import solver
+from chromcert.solver import Palette, SolverBudget, Template, extend, is_colourable, list_colour
 
 
 def proper(g, col):
@@ -163,6 +164,54 @@ def test_list_colour_rejects_a_missing_list_and_answers_an_empty_one():
     with pytest.raises(ValueError, match="vertex 1 missing from the list assignment"):
         list_colour(g, {0: frozenset({1})})
     assert list_colour(g, {0: frozenset({1}), 1: frozenset()}) is None
+
+
+def _no_search(*args):
+    raise AssertionError("a forced colouring question called extend")
+
+
+def test_forced_questions_agree_with_the_oracles_without_a_search(monkeypatch):
+    # Every labelled graph on at most 5 vertices.  At t <= 1, and under
+    # seeded lists of at most one colour, some of them empty, each vertex
+    # has at most one colour: the answer is the oracles', and the one
+    # forced colouring when there is one, found without extend.
+    monkeypatch.setattr(solver, "extend", _no_search)
+    rng = random.Random(37)
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        families = [{v: frozenset(rng.sample(range(3), rng.randint(0, 1))) for v in range(n)} for _ in range(4)]
+        for mask in range(1 << len(pairs)):
+            g = Graph.build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for t in (0, 1):
+                col = is_colourable(g, t)
+                assert (col is not None) == brute_colourable(g, t), (sorted(g.edges), t)
+                assert col is None or col == dict.fromkeys(range(n), 0) and proper(g, col)
+            for lists in families:
+                assert list_colour(g, lists) == brute_list_colour(g, lists), (sorted(g.edges), lists)
+    # No budget stops a forced answer: it makes no decision.
+    edgeless = Graph.build(5, [])
+    assert is_colourable(edgeless, 1, SolverBudget(max_decisions=1)) == dict.fromkeys(range(5), 0)
+    assert is_colourable(edgeless, 0, SolverBudget(max_decisions=1)) is None
+
+
+def test_forced_questions_raise_as_the_search_does(monkeypatch):
+    # A vertex with no list raises extend's ValueError for the first such
+    # vertex in extend's order, with or without an empty list beside it;
+    # a negative colour count raises too.
+    g = Graph.build([9, 2, 7, 4], [(2, 9), (4, 7)])
+    for missing in range(1, 1 << g.n):
+        for empty in g.vertices:
+            lists = {v: frozenset() if v == empty else frozenset({v % 3})
+                     for i, v in enumerate(sorted(g.vertices)) if not missing >> i & 1}
+            with pytest.raises(ValueError) as searched:
+                extend(g, Template.empty(g), Palette.from_lists(lists))
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "extend", _no_search)
+                with pytest.raises(ValueError) as forced:
+                    list_colour(g, lists)
+            assert str(forced.value) == str(searched.value)
+    with pytest.raises(ValueError, match="^plain palette needs a nonnegative size$"):
+        is_colourable(g, -1)
 
 
 def test_list_colour_agrees_with_brute_force_on_every_small_instance():

@@ -532,11 +532,12 @@ def _brute_separator(g, alive, s, t):
     raise AssertionError("non-adjacent s, t stay joined")
 
 
-def _assert_flows_match_brute_force(g, alive):
-    """Every non-adjacent alive pair at every limit 1..n: the flow is
-    min(limit, lambda), and a flow below its limit leaves the residual
-    from which _separator reads the smallest minimum separator."""
-    net = conn._SplitNetwork(g)
+def _assert_flows_match_brute_force(g, alive, net=None):
+    """Every non-adjacent alive pair at every limit 1..n: the flow of net,
+    a fresh network of g by default, is min(limit, lambda), and a flow
+    below its limit leaves the residual from which _separator reads the
+    smallest minimum separator."""
+    net = net or conn._SplitNetwork(g)
     live = [i for i in range(g.n) if alive >> i & 1]
     for s, t in combinations(live, 2):
         if net.nbm[s] >> t & 1:
@@ -688,3 +689,88 @@ def test_subgraph_networks_match_brute_force_under_gapped_alive_masks():
             tails[shared] += expected is not None
     # Keys: True for shared networks, False for re-rooted ones.
     assert tails[True] > 30 and kinds[True] > 75 and tails[False] > 5 and kinds[False] > 20, (tails, kinds)
+
+
+def _ladder(k, twist):
+    """The prism C_k x K_2, or with twist the Moebius ladder on 2k vertices:
+    3-regular and 3-connected, so most flows at cap 3 need a search."""
+    n = 2 * k
+    rungs = [(i, i + k) for i in range(k)]
+    if twist:
+        return Graph.build(n, [(i, (i + 1) % n) for i in range(n)] + rungs)
+    return Graph.build(n, [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)] + rungs)
+
+
+def test_path_records_answer_as_a_fresh_network_under_shrinking_alive_masks(monkeypatch):
+    # A descent keeps its records across steps whose graphs share one view
+    # under shrinking alive masks, and asks most of its flows more than
+    # once.  Here a network with records per step, over nested masks that
+    # each drop one seeded vertex, asks every flow at limits 1..3 twice, in
+    # a seeded order: each equals a fresh network's flow, a flow below its
+    # limit leaves the same separator, and every flow and separator at every
+    # limit is subset enumeration's.  Graphs: the Petersen graph, a prism,
+    # a Moebius ladder and K4 with every edge subdivided, on shuffled ids.
+    augment, at_cap = conn._SplitNetwork._augment, Counter()
+
+    def counting_augment(self, alive, s, t, limit, common):
+        flow = augment(self, alive, s, t, limit, common)
+        at_cap["records" if self.paths is not None else "fresh"] += flow == limit
+        return flow
+
+    monkeypatch.setattr(conn._SplitNetwork, "_augment", counting_augment)
+    subdivided_k4 = Graph.build(10, [(x, 4 + i) for i, pair in enumerate(combinations(range(4), 2)) for x in pair])
+    rng = random.Random(1927 + 20)
+    bases = [generate(FamilySpec.kneser(5, 2)), _ladder(5, False), _ladder(5, True), subdivided_k4]
+    for base in bases * 2:
+        perm = rng.sample(range(base.n), base.n)
+        g = Graph.build(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+        records, alive = conn.PathRecords(), (1 << g.n) - 1
+        while alive.bit_count() >= 3:
+            net, fresh = conn._SplitNetwork(g, records), conn._SplitNetwork(g)
+            live = [v for v in range(g.n) if alive >> v & 1]
+            asks = [(s, t, limit) for s, t in combinations(live, 2) if not g.has_edge(s, t)
+                    for limit in range(1, 4)] * 2
+            rng.shuffle(asks)
+            for s, t, limit in asks:
+                got = net.flow(alive, s, t, limit)
+                assert got == fresh.flow(alive, s, t, limit), (sorted(g.edges), alive, s, t, limit)
+                if got < limit:
+                    assert net._separator(alive, s, t, got) == fresh._separator(alive, s, t, got)
+            _assert_flows_match_brute_force(g, alive, net)
+            alive &= ~(1 << rng.choice(live))
+    # Searches that met their cap; those of the records network include
+    # the brute-force pass's.
+    assert 2 * at_cap["records"] < at_cap["fresh"], at_cap
+
+
+def test_min_vertex_cut_with_path_records_answers_as_without(count_flows, count_searches):
+    # Capped cuts of nested induced subgraphs, as a descent asks them, with
+    # one PathRecords throughout: each answers as the graph rebuilt from its
+    # vertices and edges does, with the same flows.  A subgraph that keeps
+    # at least half of its view shares it with the records; a smaller one is
+    # re-rooted, and its network starts with none.
+    rng = random.Random(1927 + 21)
+    kinds, searches = Counter(), Counter()
+    for _ in range(80):
+        n = rng.randint(4, 14)
+        labels = rng.sample(range(60), n)
+        p = rng.uniform(0.3, 0.9)
+        g = Graph.build(labels, [(labels[a], labels[b]) for a, b in combinations(range(n), 2) if rng.random() < p])
+        records = conn.PathRecords()
+        while True:
+            if records.nbm is not None:
+                kept = records.nbm is g.view.nbm
+                kinds["shared" if kept else "re-rooted"] += 1
+                assert kept or conn._SplitNetwork(g, records).paths == {}
+            for below in range(1, g.n + 1):
+                answers = []
+                for graph, rec in ((g, records), (Graph.build(g.vertices, g.edges), None)):
+                    count_flows[0] = count_searches[0] = 0
+                    answers.append((min_vertex_cut(graph, below, rec), count_flows[0]))
+                    searches["fresh" if rec is None else "records"] += count_searches[0]
+                assert answers[0] == answers[1], (sorted(g.edges), below)
+            if g.n <= 2:
+                break
+            g = induced_subgraph(g, rng.sample(sorted(g.vertices), rng.randint(2, g.n - 1)))
+    assert kinds["shared"] > 50 and kinds["re-rooted"] > 20, kinds
+    assert searches["records"] < searches["fresh"], searches

@@ -92,6 +92,12 @@ LADDERS = {
     "planted-clique": (lambda n: planted(n, 1, 15, seed=1), 2, (60, 125, 250, 500, 1000),
                        {STEPS: (18, 30, 66, 133, 205), SIZES: (830, 2377, 10378, 35439, 89541),
                         FLOWS: (135, 144, 447, 757, 816), SEPARATORS: (0, 0, 0, 180, 0)}),
+    # Wall 4b: kappa is 2 or 3 at every step, so most flows are capped at 3
+    # and repeat a query of an earlier step.  Records of the paths of each
+    # search that met its cap settle those with no search: 1,559 and 14,130
+    # searches without them.
+    "wall-4b": (lambda n: planted(n, 2, 22, seed=1), 3, (100, 200),
+                {STEPS: (9, 32), FLOWS: (3180, 18434), SEARCHES: (588, 2340)}),
 }
 
 
@@ -191,3 +197,37 @@ def test_witness_search_colourings_do_not_grow(monkeypatch, name):
     holds, _ = coloring.list_chromatic_at_least(g, t)
     assert holds == (name != "six")
     assert all(got <= value for got, value in zip(counts, recorded)), (name, counts, recorded)
+
+
+def test_only_the_descent_reads_path_records(monkeypatch):
+    # The descent's capped cuts share one PathRecords; finalize's and
+    # verify's uncapped cuts, and the self-verify's, build their networks
+    # with none, so verify never trusts a path that extract found.
+    from chromcert import checker, extractor
+
+    phase, records_by_phase = ["other"], {}
+    init = connectivity._SplitNetwork.__init__
+
+    def recording_init(self, g, records=None):
+        records_by_phase.setdefault(phase[0], set()).add(records)
+        init(self, g, records)
+
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return run
+
+    monkeypatch.setattr(connectivity._SplitNetwork, "__init__", recording_init)
+    for name in ("descend", "finalize_chromatic", "verify_certificate"):
+        monkeypatch.setattr(extractor, name, in_phase(name, getattr(extractor, name)))
+    g = planted(100, 2, 22, seed=1)
+    cert = extract(g, ExtractConfig(k=3))
+    assert in_phase("verify", checker.verify_certificate)(g, cert)
+    descent = records_by_phase.pop("descend")
+    assert len(descent) == 1 and None not in descent
+    assert records_by_phase.keys() == {"finalize_chromatic", "verify_certificate", "verify"}
+    assert all(found == {None} for found in records_by_phase.values()), records_by_phase
