@@ -2,7 +2,9 @@
 
 Each suite returns a machine-readable report dict (byte-stable: fixed key
 order, fixed seeds, no timing) plus a wall-time dict for console display.
-The acceptance tests and the `reproduce` command both drive these.
+The acceptance tests and the `reproduce` command both drive these.  Every
+counting section is one tally loop over a check, and every property section
+is one tally over one seeded stream.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import random
 import time
 from functools import partial
-from itertools import combinations, cycle, islice, repeat
+from itertools import combinations, repeat
 
 from .checker import verify_certificate, witness_lists
 from .coloring import list_chromatic_at_least
@@ -162,8 +164,30 @@ def run_theorem2() -> tuple[dict, dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Random instance helpers shared by the oracle and property suites
+# Shared by the oracle and property suites: the tally loop, random instances
 # ---------------------------------------------------------------------------
+
+def _tally(cases, check, total: str, *counted: str) -> dict:
+    """Count the cases, argument tuples (zip(xs) wraps each x in one), under
+    `total`.  Of what check(*case) yields, a name counts one under itself, and
+    a true condition one under the last of `counted`; names keep this order."""
+    counts = dict.fromkeys((total, *counted), 0)
+    for case in cases:
+        counts[total] += 1
+        for item in check(*case):
+            if isinstance(item, str):
+                counts[item] += 1
+            else:
+                counts[counted[-1]] += item
+    return counts
+
+
+def _seeded_trials(seed: int, check, trials: int, *names: str) -> dict:
+    """_tally of check(rng, i) for trials i = 0, 1, ... on one seeded stream,
+    under `names` (the total first), by default trials and violations."""
+    cases = zip(repeat(random.Random(seed)), range(trials))
+    return _tally(cases, check, *(names or ("trials", "violations")))
+
 
 def _random_proper_precolouring(
     g: Graph, palette: Palette, rng: random.Random, candidates: list[int], limit: int
@@ -282,16 +306,6 @@ def _random_separated_instance(
 # Oracle suite (solver equivalence and ground truths)
 # ---------------------------------------------------------------------------
 
-def _tally(cases, check, total: str, counted: str) -> dict:
-    """Count the cases, argument tuples (zip(xs) wraps each x in one), under
-    `total`, and under `counted` the conditions that check(*case) yields true."""
-    cases_seen = conditions = 0
-    for case in cases:
-        cases_seen += 1
-        conditions += sum(check(*case))
-    return {total: cases_seen, counted: conditions}
-
-
 def _all_graphs(most: int):
     """Every labelled graph on at most `most` vertices, the smaller first."""
     for n in range(most + 1):
@@ -390,11 +404,6 @@ def run_oracles() -> tuple[dict, dict[str, float]]:
 # Property suite (proof inequalities and negative paths)
 # ---------------------------------------------------------------------------
 
-def _seeded_trials(seed: int, check, trials: int) -> dict:
-    """_tally of check(rng, i) for trials i = 0, 1, ... on one seeded stream."""
-    return _tally(zip(repeat(random.Random(seed)), range(trials)), check, "trials", "violations")
-
-
 def _degree_additivity(rng: random.Random, _: int):
     k = rng.randint(1, 4)
     n = rng.randint(1, 10)
@@ -434,34 +443,21 @@ def _separation(rng: random.Random, _: int):
         yield len(fs) > bound
 
 
-def _prop_completion_and_glue(trials: int) -> dict:
-    rng = random.Random(20260813)
-    violations = 0
-    performed = 0
-    glued = 0
-    for _ in range(trials):
-        k = rng.randint(2, 4)
-        g, t, palette, x, y, z = _random_separated_instance(rng, k)
-        t_sep = derive_separation_template(g, t, x, y, z, k)
-        sub_y = induced_subgraph(g, x | y)
-        res_y = extend(sub_y, t_sep, palette)
-        if res_y.outcome != "sat":
-            continue  # palette 7k on these sparse sides: not expected
-        t_comp = derive_completion_template(g, t, x, z, res_y.colouring, k)
-        performed += 1
-        if degree(t_comp, k) > 2 * k * k:
-            violations += 1
-        if any(len(fs) > k - 1 for fs in t_comp.forbidden.values()):
-            violations += 1
-        sub_z = induced_subgraph(g, x | z)
-        res_z = extend(sub_z, t_comp, palette)
-        if res_z.outcome != "sat":
-            continue
-        merged = glue(res_y.colouring, res_z.colouring)
-        glued += 1
-        if not respects(g, t, merged, palette):
-            violations += 1
-    return {"trials": trials, "performed": performed, "glued": glued, "violations": violations}
+def _completion_and_glue(rng: random.Random, _: int):
+    k = rng.randint(2, 4)
+    g, t, palette, x, y, z = _random_separated_instance(rng, k)
+    t_sep = derive_separation_template(g, t, x, y, z, k)
+    res_y = extend(induced_subgraph(g, x | y), t_sep, palette)
+    if res_y.outcome != "sat":
+        return  # palette 7k on these sparse sides: not expected
+    t_comp = derive_completion_template(g, t, x, z, res_y.colouring, k)
+    yield "performed"
+    yield degree(t_comp, k) > 2 * k * k
+    yield any(len(fs) > k - 1 for fs in t_comp.forbidden.values())
+    res_z = extend(induced_subgraph(g, x | z), t_comp, palette)
+    if res_z.outcome == "sat":
+        yield "glued"
+        yield not respects(g, t, glue(res_y.colouring, res_z.colouring), palette)
 
 
 def _interval_instance(rng: random.Random, k: int):
@@ -537,72 +533,59 @@ def _rainbow(rng: random.Random, _: int):
     yield len(set(outside)) != len(outside)
 
 
-def _mutated_witnesses(count: int):
-    """Deliberately invalid witness pairs plus the stage to run them
-    through; each must end in InternalContradiction."""
-    rng = random.Random(20260816)
-    plan = ["descend"] * 40 + ["finalize_plain"] * 30 + ["rainbow"] * 20 + ["finalize_list"] * 10
-    for kind in islice(cycle(plan), count):
-        if kind == "descend":
-            k = rng.choice((1, 2, 3))
-            nx = k - 1
-            ny, nz = rng.randint(2, 4), rng.randint(2, 4)
-            x = list(range(nx))
-            y = list(range(nx, nx + ny))
-            z = list(range(nx + ny, nx + ny + nz))
-            edges = []
-            for side in (y, z):
-                for i in range(len(side) - 1):
-                    edges.append((side[i], side[i + 1]))
-                for u, v in combinations(side, 2):
-                    if rng.random() < 0.5:
-                        edges.append((u, v))
-            for u in x:
-                edges.append((u, y[0]))
-                edges.append((u, z[0]))
-                for v in y + z:
-                    if rng.random() < 0.4:
-                        edges.append((u, v))
-            g = Graph.build(nx + ny + nz, edges)
-            cfg = ExtractConfig(k=k)
-            yield kind, g, Template.empty(g), cfg, "descend"
-        elif kind == "finalize_plain":
-            k = rng.choice((3, 4))
-            a, b = rng.randint(k, k + 2), rng.randint(k, k + 2)
-            g = Graph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-            palette = Palette.plain(7 * k)
-            t = _random_template(g, palette, rng, s_limit=2, f_limit=k - 1, degree_cap=2 * k * k, k=k)
-            cfg = ExtractConfig(k=k)
-            yield kind, g, t, cfg, "finalize"
-        elif kind == "rainbow":
-            k = rng.choice((3, 4, 5))
-            g, t, _ = _small_instance(rng, k)
-            cfg = ExtractConfig(k=k)
-            yield kind, g, t, cfg, "descend"
-        else:  # finalize_list
-            k = 2
-            n = rng.randint(3, 4)
-            g = generate(FamilySpec.complete(n))
-            lists = {v: frozenset(range(9)) for v in g.vertices}
-            cfg = ExtractConfig(k=k, mode="list", lists=lists)
-            yield kind, g, Template.empty(g), cfg, "finalize"
+_MUTATION_PLAN = ["descend"] * 40 + ["finalize_plain"] * 30 + ["rainbow"] * 20 + ["finalize_list"] * 10
 
 
-def _prop_mutations(count: int) -> dict:
-    fired = 0
-    respecting = 0
-    for kind, g, t, cfg, stage in _mutated_witnesses(count):
-        palette = cfg.palette_for(g)
-        try:
-            if stage == "descend":
-                descend(g, t, cfg)
-            else:
-                finalize_chromatic(g, t, cfg)
-        except InternalContradiction as exc:
-            fired += 1
-            if respects(g, t, exc.colouring, palette):
-                respecting += 1
-    return {"count": count, "contradictions": fired, "respecting_colourings": respecting}
+def _mutated_witness(rng: random.Random, i: int):
+    """A deliberately invalid witness pair of kind plan[i % 100], run through
+    its stage: it must end in InternalContradiction with a colouring that
+    respects the template."""
+    kind = _MUTATION_PLAN[i % len(_MUTATION_PLAN)]
+    if kind == "descend":
+        k = rng.choice((1, 2, 3))
+        nx = k - 1
+        ny, nz = rng.randint(2, 4), rng.randint(2, 4)
+        x = list(range(nx))
+        y = list(range(nx, nx + ny))
+        z = list(range(nx + ny, nx + ny + nz))
+        edges = []
+        for side in (y, z):
+            edges += zip(side, side[1:])
+            for u, v in combinations(side, 2):
+                if rng.random() < 0.5:
+                    edges.append((u, v))
+        for u in x:
+            edges.append((u, y[0]))
+            edges.append((u, z[0]))
+            for v in y + z:
+                if rng.random() < 0.4:
+                    edges.append((u, v))
+        g = Graph.build(nx + ny + nz, edges)
+        cfg = ExtractConfig(k=k)
+        t = Template.empty(g)
+    elif kind == "finalize_plain":
+        k = rng.choice((3, 4))
+        a, b = rng.randint(k, k + 2), rng.randint(k, k + 2)
+        g = Graph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        palette = Palette.plain(7 * k)
+        t = _random_template(g, palette, rng, s_limit=2, f_limit=k - 1, degree_cap=2 * k * k, k=k)
+        cfg = ExtractConfig(k=k)
+    elif kind == "rainbow":
+        k = rng.choice((3, 4, 5))
+        g, t, _ = _small_instance(rng, k)
+        cfg = ExtractConfig(k=k)
+    else:  # finalize_list
+        k = 2
+        n = rng.randint(3, 4)
+        g = generate(FamilySpec.complete(n))
+        lists = {v: frozenset(range(9)) for v in g.vertices}
+        cfg = ExtractConfig(k=k, mode="list", lists=lists)
+        t = Template.empty(g)
+    try:
+        (finalize_chromatic if kind.startswith("finalize") else descend)(g, t, cfg)
+    except InternalContradiction as exc:
+        yield "contradictions"
+        yield respects(g, t, exc.colouring, cfg.palette_for(g))
 
 
 def run_properties(trials: int = 1000, mutations: int = 100) -> tuple[dict, dict[str, float]]:
@@ -610,10 +593,12 @@ def run_properties(trials: int = 1000, mutations: int = 100) -> tuple[dict, dict
         ("degree_additivity", partial(_seeded_trials, 20260810, _degree_additivity, trials)),
         ("strengthen_witness", partial(_seeded_trials, 20260811, _strengthen, trials)),
         ("derive_separation", partial(_seeded_trials, 20260812, _separation, trials)),
-        ("derive_completion_glue", partial(_prop_completion_and_glue, trials)),
+        ("derive_completion_glue", partial(_seeded_trials, 20260813, _completion_and_glue, trials,
+                                           "trials", "performed", "glued", "violations")),
         ("interval_partition", partial(_seeded_trials, 20260814, _intervals, trials)),
         ("rainbow_small_case", partial(_seeded_trials, 20260815, _rainbow, trials)),
-        ("mutated_witnesses", partial(_prop_mutations, mutations)),
+        ("mutated_witnesses", partial(_seeded_trials, 20260816, _mutated_witness, mutations,
+                                      "count", "contradictions", "respecting_colourings")),
     ))
     muts = sections["mutated_witnesses"]
     ok = all(not s.get("violations") for s in sections.values())

@@ -110,11 +110,9 @@ def derive_separation_template(
         raise ValueError(f"restriction to z has degree {dz} > k^2")
     base = restrict(t, x | y)
     forb = dict(base.forbidden)
-    s_in_z = sorted(v for v in z if v in t.precolour)
-    for zv in s_in_z:
-        colour = t.precolour[zv]
-        for nb in sorted(h.adj[zv]):
-            if nb in x and nb in forb:
+    for zv, colour in t.precolour.items():
+        if zv in z:
+            for nb in h.adj[zv] & x & forb.keys():
                 forb[nb] = forb[nb] | {colour}
     for v in x & forb.keys():
         if len(forb[v]) > 2 * k - 1:

@@ -234,3 +234,20 @@ def test_property_suite_inputs_pinned(monkeypatch):
     run_properties(trials=50, mutations=20)
     digest = hashlib.sha256("".join(line + "\n" for line in log).encode()).hexdigest()
     assert (len(log), digest) == (4205, "2c69e1b7819a34210d2514fca7fb4f2e26fdf2c4f6887bc87d09a708e7618926")
+
+
+def test_mutated_witness_inputs_pinned_over_one_plan_cycle(monkeypatch):
+    # The pin above runs only the first 20 mutations, all of kind descend.
+    # This one runs one whole plan cycle of 100, so every kind's draws and
+    # package calls are pinned, not only counted.
+    log: list[str] = []
+    for name, obj in list(vars(suites).items()):
+        module = getattr(obj, "__module__", None) or ""
+        if not callable(obj) or not module.startswith("chromcert.") or module == suites.__name__:
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        monkeypatch.setattr(suites, name, Recorded(log, name, obj))
+    run_properties(trials=0, mutations=100)
+    digest = hashlib.sha256("".join(line + "\n" for line in log).encode()).hexdigest()
+    assert (len(log), digest) == (640, "e0e1eed157fbeaac57ea76b0683fbda4178c55be638deed67844306b5d6076a2")
