@@ -252,11 +252,9 @@ class _SplitNetwork:
         nbm = self.nbm
         alive = self.alive & -(1 << s)
         rest = alive & ~nbm[s] & ~(1 << s)
-        touch, m = 0, rest
-        while m:
-            low = m & -m
-            m ^= low
-            touch |= nbm[low.bit_length() - 1]
+        touch = 0
+        for r in _ranks(rest):
+            touch |= nbm[r]
         touch &= alive
         if touch.bit_count() < need:
             return None
@@ -271,10 +269,7 @@ class _SplitNetwork:
             return ((cuts & -cuts).bit_length() - 1,) if cuts else None
         # With need = 0 the empty `least` was the only candidate.
         best = None
-        while need and rest:
-            low = rest & -rest
-            rest ^= low
-            t = low.bit_length() - 1
+        for t in _ranks(rest) if need else ():
             if self.flow(alive, s, t, need + 1) == need:
                 sep = self._separator(alive, s, t, need)
                 if best is None or sep < best:

@@ -307,6 +307,14 @@ def test_choosability_peels_a_vertex_of_low_degree():
     assert brute_list_colour(g, witness) is None
 
 
+@pytest.mark.parametrize("t", [3, 4])
+def test_choosability_of_graphs_on_at_most_two_vertices(t):
+    # Every vertex has degree below t - 1, so peeling leaves no core, and
+    # the witness search, which assumes three vertices or more, never runs.
+    for g in (Graph.build(0, []), Graph.build(1, []), Graph.build(2, []), Graph.build(2, [(0, 1)])):
+        assert list_chromatic_at_least(g, t) == (False, None)
+
+
 def test_choosability_cap():
     big = generate(FamilySpec.cycle(9))
     with pytest.raises(ValueError):

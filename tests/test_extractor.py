@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -359,6 +360,48 @@ def test_trusted_list_extract_of_a_colourable_graph_still_contradicts(tmp_path):
     lists_file.write_text("".join(f"list {v} 0 1 2 3\n" for v in range(4)))
     argv = ["extract", str(graph), "--k", "2", "--mode", "list", "--lists", str(lists_file), "--trust-precondition"]
     assert main(argv) == EXIT_NOT_INEXTENSIBLE
+
+
+def strengthening_graph():
+    """K5 on 10..14; vertex 9 adjacent to 1, 2 and 10; the edge 1-2; a cycle
+    through 1 and 100..159 and one through 2 and 200..229."""
+    edges = [(u, v) for u in range(10, 15) for v in range(u + 1, 15)] + [(1, 2), (1, 9), (2, 9), (9, 10)]
+    for cycle in ([1, *range(100, 160)], [2, *range(200, 230)]):
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return Graph.build(sorted({v for e in edges for v in e}), edges)
+
+
+def test_extract_whose_descent_strengthens(monkeypatch):
+    # At palette 4 the cuts at 1 and 2 recurse into completion templates,
+    # and the separation templates push the colours of pre-coloured Z
+    # vertices onto X; the push at 9 gives it k = 2 forbidden colours, so
+    # strengthening pre-colours it before the cut at 10.
+    pushes, precoloured = [], []
+    derive, strengthen = extractor.derive_separation_template, extractor.strengthen_witness
+
+    def recording_derive(h, t, x, y, z, k):
+        out = derive(h, t, x, y, z, k)
+        pushes.append({v: sorted(fs - t.forbidden[v]) for v, fs in out.forbidden.items() if fs != t.forbidden[v]})
+        return out
+
+    def recording_strengthen(h, t, *args):
+        out = strengthen(h, t, *args)
+        if out is not t:
+            precoloured.append({v: c for v, c in out.precolour.items() if v not in t.precolour})
+        return out
+
+    monkeypatch.setattr(extractor, "derive_separation_template", recording_derive)
+    monkeypatch.setattr(extractor, "strengthen_witness", recording_strengthen)
+    g = strengthening_graph()
+    assert (g.n, g.m) == (98, 106)
+    cert = extract(g, ExtractConfig(k=2, palette_size=4))
+    assert [(step.cut, step.recursed) for step in cert.trace] == [
+        ((1,), "completion"), ((2,), "completion"), ((9,), "separation"), ((10,), "separation")]
+    assert [push for push in pushes if push] == [{2: [0]}, {9: [0, 1]}, {10: [2]}]
+    assert precoloured == [{9: 2}]
+    assert verify_certificate(g, cert)
+    digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+    assert digest == "a88b08987caa0114ca42224db53dcc4039c9d897e11d61dfc1de091c75e04802"
 
 
 def test_extract_deterministic_bytes():
